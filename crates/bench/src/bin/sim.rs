@@ -5,7 +5,7 @@
 //! ```sh
 //! cargo run --release -p braid-bench --bin sim -- --rounds 200
 //! cargo run --release -p braid-bench --bin sim -- --seed 42          # one scenario, verbose
-//! cargo run --release -p braid-bench --bin sim -- --rounds 50 --soak # + threaded runner
+//! cargo run --release -p braid-bench --bin sim -- --rounds 50 --soak # + every other lane
 //! cargo run -p braid-bench --bin sim -- --replay scenario.json
 //! ```
 //!
@@ -18,11 +18,7 @@
 //! iff any scenario fails its oracle.
 
 use braid_load::{run_scenario_procs, SpawnMode};
-use braid_sim::SimScenario;
-use braid_sim::{
-    regression_test, run_scenario, run_scenario_coop, run_scenario_socket, run_scenario_threaded,
-    shrink, SimOptions,
-};
+use braid_sim::{regression_test, run_scenario, shrink, Lane, SimOptions, SimScenario};
 use std::time::Instant;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -76,7 +72,7 @@ fn main() {
         "sim: seeds {seed_start}..{} ({rounds} rounds{}{})",
         seed_start + rounds,
         if soak {
-            ", deterministic + columnar + threaded + socket + coop"
+            ", stepped + columnar + threads + socket + pool"
         } else {
             ""
         },
@@ -105,117 +101,77 @@ fn main() {
     std::process::exit(i32::from(failed > 0));
 }
 
-/// Run one scenario (optionally also threaded); on failure, shrink it and
-/// print a replayable repro. Returns the exit status contribution.
+/// Run one scenario on the stepped lane — plus, under `--soak`, a
+/// columnar-forced stepped rerun and every other lane. Stepped failures
+/// are shrunk to a replayable repro; the other lanes are not replayable
+/// step-for-step, so their failures print the scenario for the stepped
+/// lane to chase. Returns the exit status contribution.
 fn run_one(sc: &SimScenario, opts: &SimOptions, verbose: bool, soak: bool, procs: usize) -> i32 {
-    let report = match run_scenario(sc, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sim: seed {}: harness error: {e}", sc.seed);
-            return 1;
-        }
-    };
-    if verbose {
-        eprintln!(
-            "sim: seed {}: {} solves ({} exact, {} partial, {} tolerated errors), digest {:016x}",
-            sc.seed,
-            report.solves,
-            report.exact,
-            report.partial,
-            report.tolerated_errors,
-            report.digest
+    // Columnar lane: the identical scenario with the column-major
+    // representation forced on. Fully deterministic and replayable, and
+    // the answer digest must agree bit-for-bit with the row run —
+    // representation invariance checked at soak scale.
+    let forced = (soak && !sc.columnar).then(|| SimScenario {
+        columnar: true,
+        ..sc.clone()
+    });
+    let mut runs: Vec<(String, &SimScenario, Lane)> =
+        vec![("deterministic".into(), sc, Lane::Stepped)];
+    if soak {
+        runs.extend(forced.iter().map(|f| ("columnar".into(), f, Lane::Stepped)));
+        runs.extend(
+            Lane::ALL[1..]
+                .iter()
+                .map(|&lane| (format!("{lane:?}"), sc, lane)),
         );
     }
+
     let mut status = 0;
-    if !report.passed() {
-        status = 1;
-        report_failure(sc, opts, &report.violations, "deterministic");
-    }
-    if soak {
-        // Columnar lane: the identical scenario with the column-major
-        // representation forced on. Fully deterministic and replayable,
-        // and the answer digest must agree bit-for-bit with the row run
-        // — representation invariance checked at soak scale.
-        if !sc.columnar {
-            let mut forced = sc.clone();
-            forced.columnar = true;
-            match run_scenario(&forced, opts) {
-                Ok(r) if !r.passed() => {
-                    status = 1;
-                    report_failure(&forced, opts, &r.violations, "columnar");
-                }
-                Ok(r) => {
-                    if r.digest != report.digest {
-                        status = 1;
-                        eprintln!(
-                            "sim: seed {}: COLUMNAR digest {:016x} != row digest {:016x}\nscenario: {}",
-                            sc.seed,
-                            r.digest,
-                            report.digest,
-                            forced.to_json()
-                        );
-                    }
-                }
-                Err(e) => {
-                    status = 1;
-                    eprintln!("sim: seed {}: columnar harness error: {e}", sc.seed);
-                }
-            }
-        }
-        match run_scenario_threaded(sc, opts) {
-            Ok(r) if !r.passed() => {
+    let mut row_digest = None;
+    for (i, (label, scenario, lane)) in runs.into_iter().enumerate() {
+        let (row_run, columnar_rerun) = (i == 0, i > 0 && lane == Lane::Stepped);
+        let report = match run_scenario(scenario, lane, opts) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("sim: seed {}: {label} harness error: {e}", sc.seed);
                 status = 1;
-                // Threaded runs are not replayable; print the scenario so
-                // the deterministic runner can chase it.
+                continue;
+            }
+        };
+        if !report.passed() {
+            status = 1;
+            if lane == Lane::Stepped {
+                report_failure(scenario, opts, &report.violations, &label);
+            } else {
                 eprintln!(
-                    "sim: seed {}: THREADED run failed:\n{:#?}\nscenario: {}",
+                    "sim: seed {}: {label} run FAILED:\n{:#?}\nscenario: {}",
                     sc.seed,
-                    r.violations,
+                    report.violations,
                     sc.to_json()
                 );
             }
-            Ok(_) => {}
-            Err(e) => {
-                status = 1;
-                eprintln!("sim: seed {}: threaded harness error: {e}", sc.seed);
-            }
+        } else if columnar_rerun && Some(report.digest) != row_digest {
+            status = 1;
+            eprintln!(
+                "sim: seed {}: COLUMNAR digest {:016x} != row digest {:016x}\nscenario: {}",
+                sc.seed,
+                report.digest,
+                row_digest.unwrap_or_default(),
+                scenario.to_json()
+            );
         }
-        // Socket lane: same sessions over a real TCP listener behind the
-        // fault proxy. Like the threaded lane, failures are not
-        // replayable step-for-step — print the scenario instead.
-        match run_scenario_socket(sc, opts) {
-            Ok(r) if !r.passed() => {
-                status = 1;
+        if row_run {
+            row_digest = Some(report.digest);
+            if verbose {
                 eprintln!(
-                    "sim: seed {}: SOCKET run failed:\n{:#?}\nscenario: {}",
+                    "sim: seed {}: {} solves ({} exact, {} partial, {} tolerated errors), digest {:016x}",
                     sc.seed,
-                    r.violations,
-                    sc.to_json()
+                    report.solves,
+                    report.exact,
+                    report.partial,
+                    report.tolerated_errors,
+                    report.digest
                 );
-            }
-            Ok(_) => {}
-            Err(e) => {
-                status = 1;
-                eprintln!("sim: seed {}: socket harness error: {e}", sc.seed);
-            }
-        }
-        // Cooperative lane: the same sessions as resumable state machines
-        // on a fixed worker pool (`SIM_WORKERS` sets the pool size).
-        // Failures print the scenario for the deterministic runner.
-        match run_scenario_coop(sc, opts) {
-            Ok(r) if !r.passed() => {
-                status = 1;
-                eprintln!(
-                    "sim: seed {}: COOP run failed:\n{:#?}\nscenario: {}",
-                    sc.seed,
-                    r.violations,
-                    sc.to_json()
-                );
-            }
-            Ok(_) => {}
-            Err(e) => {
-                status = 1;
-                eprintln!("sim: seed {}: coop harness error: {e}", sc.seed);
             }
         }
     }

@@ -3,7 +3,7 @@
 //! The paper's interaction protocol is "a set of sessions" (§3), and the
 //! CMS is "a main memory relational DBMS" serving all of them — but one
 //! workstation rarely runs a single IE session at a time. This experiment
-//! drives N concurrent sessions (`BraidSystem::session` under
+//! drives N concurrent sessions (`BraidSystem::session_owned` under
 //! `std::thread::scope`) against ONE shared cache and compares the remote
 //! server's tuple operations with N fully independent systems, each
 //! owning a private cache of the same per-session capacity share.
@@ -74,7 +74,7 @@ pub fn run_shared(
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..sessions)
             .map(|_| {
-                let mut sess = system.session();
+                let mut sess = system.session_owned();
                 let qs = &qs;
                 s.spawn(move || {
                     for q in qs {

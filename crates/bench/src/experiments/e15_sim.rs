@@ -12,7 +12,7 @@
 //! read 0.
 
 use crate::table::Table;
-use braid_sim::{run_scenario, run_scenario_threaded, SimOptions, SimScenario};
+use braid_sim::{run_scenario, Lane, SimOptions, SimScenario};
 use std::time::Instant;
 
 struct LaneStats {
@@ -25,10 +25,7 @@ struct LaneStats {
     secs: f64,
 }
 
-fn run_lane(
-    seeds: std::ops::Range<u64>,
-    runner: fn(&SimScenario, &SimOptions) -> Result<braid_sim::SimReport, String>,
-) -> LaneStats {
+fn run_lane(seeds: std::ops::Range<u64>, lane: Lane) -> LaneStats {
     let opts = SimOptions::default();
     let mut stats = LaneStats {
         scenarios: 0,
@@ -42,7 +39,7 @@ fn run_lane(
     let start = Instant::now();
     for seed in seeds {
         let sc = SimScenario::generate(seed);
-        let report = runner(&sc, &opts).expect("harness runs");
+        let report = run_scenario(&sc, lane, &opts).expect("harness runs");
         stats.scenarios += 1;
         stats.solves += report.solves;
         stats.exact += report.exact;
@@ -82,8 +79,8 @@ pub fn run(quick: bool) -> Table {
         multi += usize::from(sc.sessions.len() > 1);
     }
 
-    let det = run_lane(seeds.clone(), run_scenario);
-    let thr = run_lane(seeds, run_scenario_threaded);
+    let det = run_lane(seeds.clone(), Lane::Stepped);
+    let thr = run_lane(seeds, Lane::Threads);
 
     let mut t = Table::new(
         format!(

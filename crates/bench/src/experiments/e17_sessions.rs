@@ -139,7 +139,7 @@ pub fn run_threaded(
     let start = Instant::now();
     std::thread::scope(|scope| {
         for s in 0..sessions {
-            let mut sess = system.session();
+            let mut sess = system.session_owned();
             let list = session_queries(s, queries, &qs);
             let answers = &answers;
             let exact = &exact;

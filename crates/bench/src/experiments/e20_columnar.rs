@@ -1,4 +1,4 @@
-//! E20 — columnar representation & vectorized kernels (DESIGN.md §15).
+//! E20 — columnar representation & vectorized kernels (DESIGN.md §14).
 //!
 //! The CMS can hold a cache element column-major ([`braid_relational::ColumnarRelation`]):
 //! per-column typed vectors, dictionary-encoded strings, validity masks.

@@ -11,9 +11,10 @@ use crate::advice_mgr::AdviceManager;
 use crate::cache::{CacheManager, CacheRead, ElementBuilder};
 use crate::config::CmsConfig;
 use crate::error::{CmsError, Result};
+use crate::flight::Waker;
 use crate::metrics::{CmsMetrics, CmsMetricsSnapshot};
 use crate::model::ModelRow;
-use crate::monitor::{self, CoopCtx, ExecEnv, RemoteFlight};
+use crate::monitor::{self, ExecEnv, ParkCtx, RemoteFlight};
 use crate::planner::{self, PartSource, Plan};
 use crate::resilience::Resilience;
 use crate::shared::{PinGuard, SharedCache};
@@ -26,6 +27,7 @@ use braid_subsume::ViewDef;
 use braid_trace::{TraceKind, TraceSink, Tracer};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::{Duration, Instant};
 
 /// State shared by *every* session of one CMS: the sharded cache, the
@@ -91,11 +93,11 @@ pub struct Cms {
     // span tree). Disabled tracers cost one branch per instrumentation
     // site.
     tracer: Tracer,
-    // Cooperative-scheduling context: when set, single-flight joins
-    // unwind with `WouldBlock` (parking the session on the worker pool)
-    // instead of blocking the thread. `None` (the default) keeps every
-    // existing blocking path byte-identical.
-    coop: Option<Arc<CoopCtx>>,
+    // Who parks when a fetch joins another session's flight: the
+    // calling thread, or — while a scheduler task is polling this session
+    // through `poll_with` — the session itself (`WouldBlock` unwinds to
+    // the task), plus the fetched parts that survive such a park.
+    park: ParkCtx,
 }
 
 impl Cms {
@@ -139,7 +141,7 @@ impl Cms {
             shared,
             session_missing: Vec::new(),
             tracer,
-            coop: None,
+            park: ParkCtx::default(),
         }
     }
 
@@ -162,7 +164,7 @@ impl Cms {
             shared: Arc::clone(&self.shared),
             session_missing: Vec::new(),
             tracer,
-            coop: None,
+            park: ParkCtx::default(),
         }
     }
 
@@ -217,13 +219,28 @@ impl Cms {
         Arc::clone(&self.shared.metrics)
     }
 
-    /// Install (or clear) the cooperative-scheduling context for this
-    /// session. With a context set, a fetch that would join an in-flight
-    /// single-flight entry surfaces [`CmsError::WouldBlock`] instead of
-    /// blocking; the worker pool parks the session and re-runs the query
-    /// when the flight's waker fires.
-    pub fn set_coop(&mut self, coop: Option<Arc<CoopCtx>>) {
-        self.coop = coop;
+    /// One poll of a resumable unit of work on this session — any
+    /// sequence of [`Cms::query`] calls a scheduler task wants to be able
+    /// to suspend. While `attempt` runs, a fetch that would join another
+    /// session's in-flight fetch registers `waker` with that flight and
+    /// unwinds with [`CmsError::WouldBlock`] instead of parking the
+    /// thread; `attempt` maps that signal to [`Poll::Pending`] and the
+    /// caller polls the *same* work again after the waker fires. Fetches
+    /// already done by earlier attempts are kept until the work is
+    /// `Ready`, so a retry consumes them instead of re-fetching and the
+    /// answer is byte-identical to a blocking caller's.
+    pub fn poll_with<R>(
+        &mut self,
+        waker: &Waker,
+        attempt: impl FnOnce(&mut Cms) -> Poll<R>,
+    ) -> Poll<R> {
+        self.park.set_task(Some(waker.clone()));
+        let polled = attempt(self);
+        self.park.set_task(None);
+        if polled.is_ready() {
+            self.park.reset();
+        }
+        polled
     }
 
     /// Flights currently open in the shared single-flight table — the
@@ -392,8 +409,8 @@ impl Cms {
         ExecEnv {
             transport: &*self.shared.transport,
             resilience: &self.resilience,
-            flight: Some(&self.shared.flight),
-            coop: self.coop.as_deref(),
+            flight: &self.shared.flight,
+            park: &self.park,
             flight_join_timeout: (self.config.flight_join_timeout_ms > 0)
                 .then(|| Duration::from_millis(self.config.flight_join_timeout_ms)),
             parallel: self.config.parallel_execution,

@@ -56,8 +56,8 @@ pub struct CmsConfig {
     /// waits for its leader to publish before presuming the leader
     /// wedged, evicting the stale flight entry, and surfacing a
     /// transient [`CmsError::FlightStranded`](crate::CmsError). 0 ⇒ wait
-    /// forever (pre-timeout behaviour). Only the blocking join path is
-    /// bounded; cooperative sessions park instead of waiting.
+    /// forever. Bounds a blocking caller parked on its own thread; a
+    /// polled session is parked by its scheduler, which has no timer.
     pub flight_join_timeout_ms: u64,
     /// Estimated number of future hits needed to make generalization
     /// worthwhile (cost heuristic of §5.3.1 step 1).

@@ -4,55 +4,52 @@
 //! at the same time, the translated SQL they would ship to the server is
 //! identical. Issuing it twice doubles the server's tuple operations for
 //! no information gain — so the first session to arrive *leads* the
-//! flight and actually fetches, while later arrivals *join* it: they
-//! wait on the same in-flight entry and share the leader's result
-//! (success or error), counted as `dedup_hits` in
+//! flight and actually fetches, while later arrivals *join* it and share
+//! the leader's result (success or error), counted as `dedup_hits` in
 //! [`crate::CmsMetrics`].
 //!
-//! Protocol:
-//! 1. Lock the flight map. If the key is absent, insert a fresh
-//!    [`Flight`] and become leader; otherwise clone its `Arc`, bump the
-//!    waiter count, and become a joiner. The map lock is released before
-//!    any fetching or waiting, so flights for different keys proceed
-//!    fully in parallel.
-//! 2. The leader runs the fetch closure (the *entire* resilience
-//!    retry/breaker loop — joiners share the final outcome, not an
-//!    intermediate failure), retires the map entry, publishes the result
-//!    under the flight's state mutex, notifies the condvar, and fires
-//!    every registered [`Waker`].
-//! 3. Joiners either block on the condvar until the result is published
-//!    ([`SingleFlight::run`] / [`SingleFlight::run_with_timeout`]) or —
-//!    on the cooperative scheduler path — register a waker via
-//!    [`SingleFlight::subscribe`] and park the *session* instead of the
-//!    OS thread, resuming when the waker fires.
+//! There is one way in and one way to wait:
+//! 1. [`SingleFlight::enter`] decides lead-or-join *atomically* under
+//!    the map lock. An absent key inserts a fresh flight and hands back a
+//!    [`LeaderGuard`]; an open one registers the caller's [`Waker`] on it
+//!    and hands back a [`FlightTicket`]. Because the waker is registered
+//!    before the map lock is released, a joiner can never miss the
+//!    publish, and nobody ever waits inside this table.
+//! 2. The leader runs its fetch (the *entire* resilience retry/breaker
+//!    loop — joiners share the final outcome, not an intermediate
+//!    failure) and calls [`LeaderGuard::publish`], which retires the map
+//!    entry, stores the result, and fires every registered waker.
+//! 3. A joiner goes away until its waker fires, then reads the ticket
+//!    ([`FlightTicket::state`]). Who sleeps is the joiner's business: a
+//!    scheduler task parks the *session* and frees its worker thread; a
+//!    blocking caller parks its own OS thread ([`SingleFlight::park_on`]).
 //!
-//! The leader removes the key *before* notifying, so a session arriving
+//! The leader removes the key *before* publishing, so a session arriving
 //! after completion starts a fresh flight — results are never reused
 //! across time, only shared within one overlapping window (the cache,
 //! not the flight table, is the store of record).
 //!
 //! Leader failure is survivable in both directions:
-//! - A *panicking* leader unwinds through a drop guard that retires the
-//!   map entry, marks the flight abandoned, and wakes every joiner; the
-//!   joiners retry and one of them becomes the new leader. Nobody is
-//!   stranded.
-//! - A *wedged* leader (stuck in a hung transport call) is bounded by
-//!   [`SingleFlight::run_with_timeout`]: a joiner gives up after the
-//!   deadline, evicts the stale map entry (only if it is still the same
+//! - A *panicking* leader drops its guard unpublished: the entry is
+//!   retired, the flight marked abandoned, and every joiner woken; they
+//!   re-enter and one of them leads a fresh flight. Nobody is stranded.
+//! - A *wedged* leader (stuck in a hung transport call) is bounded by the
+//!   joiner's deadline in [`SingleFlight::park_on`]: the joiner gives
+//!   up, evicts the stale map entry (only if it is still the same
 //!   flight) so later arrivals can lead fresh, and surfaces a typed
 //!   timeout to the caller.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The outcome shared between a flight's leader and its joiners.
 pub type FlightResult<T, E> = std::result::Result<T, E>;
 
-/// A callback fired exactly once when a subscribed flight publishes or
-/// is abandoned. Cloneable so the flight can hold it while the
-/// scheduler keeps its own handle; firing is idempotent from the
-/// flight's side (each registered clone is invoked once, then dropped).
+/// A callback fired exactly once when a joined flight publishes or is
+/// abandoned. Cloneable so the flight can hold it while the scheduler
+/// keeps its own handle; firing is idempotent from the flight's side
+/// (each registered clone is invoked once, then dropped).
 #[derive(Clone)]
 pub struct Waker(Arc<dyn Fn() + Send + Sync>);
 
@@ -60,6 +57,13 @@ impl Waker {
     /// Wrap a callback as a waker.
     pub fn new(f: impl Fn() + Send + Sync + 'static) -> Waker {
         Waker(Arc::new(f))
+    }
+
+    /// The blocking caller's waker: unparks the thread that created it
+    /// (pair with [`SingleFlight::park_on`] on that same thread).
+    pub(crate) fn unpark_current_thread() -> Waker {
+        let thread = std::thread::current();
+        Waker::new(move || thread.unpark())
     }
 
     /// Fire the callback.
@@ -79,41 +83,53 @@ struct FlightState<T, E> {
     /// The published outcome; `None` while the leader is still fetching.
     result: Option<FlightResult<T, E>>,
     /// Set when the leader unwound without publishing: joiners must
-    /// retry (one of them re-leads a fresh flight).
+    /// re-enter (one of them leads a fresh flight).
     abandoned: bool,
-    /// Cooperative joiners to fire on publish/abandon.
+    /// Joiners to fire on publish/abandon.
     wakers: Vec<Waker>,
 }
 
-#[derive(Debug)]
-struct Flight<T, E> {
-    state: Mutex<FlightState<T, E>>,
-    cv: Condvar,
-    waiters: Mutex<usize>,
+type Flight<T, E> = Mutex<FlightState<T, E>>;
+
+/// Outcome of [`SingleFlight::enter`].
+pub enum Entered<'a, T, E> {
+    /// No flight was open for the key: the caller leads. Fetch, then
+    /// [`LeaderGuard::publish`]; dropping the guard unpublished abandons
+    /// the flight.
+    Lead(LeaderGuard<'a, T, E>),
+    /// Joined an open flight. The waker fires exactly once when the
+    /// leader publishes or abandons; the ticket then resolves.
+    Parked(FlightTicket<T, E>),
 }
 
-impl<T, E> Flight<T, E> {
-    fn new() -> Flight<T, E> {
-        Flight {
-            state: Mutex::new(FlightState {
-                result: None,
-                abandoned: false,
-                wakers: Vec::new(),
-            }),
-            cv: Condvar::new(),
-            waiters: Mutex::new(0),
+/// What a joined flight looks like right now.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TicketState<T, E> {
+    /// The leader is still fetching (the waker has not fired yet).
+    Pending,
+    /// The leader published; here is the shared result.
+    Done(FlightResult<T, E>),
+    /// The leader unwound without publishing: re-enter (and maybe lead).
+    Abandoned,
+}
+
+/// A handle onto a joined flight, read after the waker fires.
+#[derive(Debug, Clone)]
+pub struct FlightTicket<T, E> {
+    key: String,
+    flight: Arc<Flight<T, E>>,
+}
+
+impl<T: Clone, E: Clone> FlightTicket<T, E> {
+    /// The flight's current state.
+    pub fn state(&self) -> TicketState<T, E> {
+        let st = self.flight.lock().unwrap_or_else(|p| p.into_inner());
+        match &st.result {
+            Some(r) => TicketState::Done(r.clone()),
+            None if st.abandoned => TicketState::Abandoned,
+            None => TicketState::Pending,
         }
     }
-}
-
-/// What a blocking joiner's wait ended with.
-enum WaitOutcome<T, E> {
-    /// The leader published; here is the shared result.
-    Ready(FlightResult<T, E>),
-    /// The leader unwound without publishing; retry (and maybe lead).
-    Abandoned,
-    /// The deadline elapsed before the leader published.
-    TimedOut,
 }
 
 /// A joiner's wait exceeded the configured deadline — the leader is
@@ -124,76 +140,32 @@ pub struct JoinTimedOut {
     pub waited: Duration,
 }
 
-/// Outcome of a non-blocking [`SingleFlight::subscribe`] attempt.
-pub enum Subscribe<T, E> {
-    /// No flight is open for the key — the caller should lead one via
-    /// [`SingleFlight::run`] / [`SingleFlight::run_with_timeout`].
-    Lead,
-    /// A flight was open and has already published: share its result
-    /// without waiting.
-    Ready(FlightResult<T, E>),
-    /// Joined an open flight. The waker fires exactly once when the
-    /// leader publishes or abandons; the ticket then resolves to the
-    /// shared result (or `None` after abandonment — retry and lead).
-    Parked(FlightTicket<T, E>),
-}
-
-/// A handle onto a joined flight, redeemed after the waker fires.
-#[derive(Debug, Clone)]
-pub struct FlightTicket<T, E>(Arc<Flight<T, E>>);
-
-impl<T: Clone, E: Clone> FlightTicket<T, E> {
-    /// The published result, or `None` if the flight has not published
-    /// (still in progress, or abandoned by a failed leader).
-    pub fn result(&self) -> Option<FlightResult<T, E>> {
-        let st = self.0.state.lock().unwrap_or_else(|p| p.into_inner());
-        st.result.clone()
-    }
-}
-
-/// Retires the leader's map entry and wakes joiners even when the
-/// leader's fetch panics: joiners observe `abandoned`, retry, and one
-/// of them leads a fresh flight instead of waiting forever.
-struct LeaderGuard<'a, T, E> {
+/// The leader's obligation: publish a result, or — when the fetch
+/// unwinds and the guard drops unpublished — retire the map entry and
+/// wake joiners so they re-enter and one of them leads a fresh flight
+/// instead of waiting forever.
+pub struct LeaderGuard<'a, T, E> {
     table: &'a SingleFlight<T, E>,
     key: &'a str,
-    flight: &'a Arc<Flight<T, E>>,
+    flight: Arc<Flight<T, E>>,
     published: bool,
 }
 
 impl<T: Clone, E: Clone> LeaderGuard<'_, T, E> {
-    fn publish(mut self, result: &FlightResult<T, E>) {
+    /// Retire the entry, share `result` with every joiner, wake them.
+    pub fn publish(mut self, result: &FlightResult<T, E>) {
         self.published = true;
-        self.table.retire(self.key, self.flight);
-        let wakers = {
-            let mut st = self.flight.state.lock().unwrap_or_else(|p| p.into_inner());
+        self.table.finish(self.key, &self.flight, |st| {
             st.result = Some(result.clone());
-            std::mem::take(&mut st.wakers)
-        };
-        self.flight.cv.notify_all();
-        for w in wakers {
-            w.wake();
-        }
+        });
     }
 }
 
 impl<T, E> Drop for LeaderGuard<'_, T, E> {
     fn drop(&mut self) {
-        if self.published {
-            return;
-        }
-        // The leader unwound mid-fetch. Retire the entry first so a
-        // retrying joiner can immediately lead fresh, then mark the
-        // flight abandoned and wake everyone.
-        self.table.retire(self.key, self.flight);
-        let wakers = {
-            let mut st = self.flight.state.lock().unwrap_or_else(|p| p.into_inner());
-            st.abandoned = true;
-            std::mem::take(&mut st.wakers)
-        };
-        self.flight.cv.notify_all();
-        for w in wakers {
-            w.wake();
+        if !self.published {
+            self.table
+                .finish(self.key, &self.flight, |st| st.abandoned = true);
         }
     }
 }
@@ -222,6 +194,26 @@ impl<T, E> SingleFlight<T, E> {
             map.remove(key);
         }
     }
+
+    /// End a flight: retire the entry first (so a woken joiner that
+    /// re-enters immediately leads fresh), record the outcome, then fire
+    /// every waker outside the lock.
+    fn finish(
+        &self,
+        key: &str,
+        flight: &Arc<Flight<T, E>>,
+        outcome: impl FnOnce(&mut FlightState<T, E>),
+    ) {
+        self.retire(key, flight);
+        let wakers = {
+            let mut st = flight.lock().unwrap_or_else(|p| p.into_inner());
+            outcome(&mut st);
+            std::mem::take(&mut st.wakers)
+        };
+        for w in wakers {
+            w.wake();
+        }
+    }
 }
 
 impl<T: Clone, E: Clone> SingleFlight<T, E> {
@@ -230,13 +222,14 @@ impl<T: Clone, E: Clone> SingleFlight<T, E> {
         Self::default()
     }
 
-    /// Number of sessions currently waiting on `key`'s flight (0 when no
-    /// flight is open). Deterministic test hook: a leader can hold its
-    /// fetch open until a joiner has provably arrived.
+    /// Number of joiners registered on `key`'s flight (0 when no flight
+    /// is open). Deterministic test hook: a leader can hold its fetch
+    /// open until a joiner has provably arrived.
     pub fn waiter_count(&self, key: &str) -> usize {
         let map = self.inflight.lock().unwrap_or_else(|p| p.into_inner());
-        map.get(key)
-            .map_or(0, |f| *f.waiters.lock().unwrap_or_else(|p| p.into_inner()))
+        map.get(key).map_or(0, |f| {
+            f.lock().unwrap_or_else(|p| p.into_inner()).wakers.len()
+        })
     }
 
     /// Is a flight currently open for `key`? Deterministic test hook: a
@@ -254,136 +247,73 @@ impl<T: Clone, E: Clone> SingleFlight<T, E> {
         map.len()
     }
 
-    /// Atomically become the leader (inserting a fresh flight) or a
-    /// joiner (cloning the open one and bumping its waiter count when
-    /// `count_waiter`).
-    fn enter(&self, key: &str, count_waiter: bool) -> (Arc<Flight<T, E>>, bool) {
+    /// Lead or join `key`'s flight, atomically: under the map lock,
+    /// either insert a fresh flight (the caller leads) or register
+    /// `waker()` on the open one (the caller joins). An entry found under
+    /// the map lock cannot have published or been abandoned yet — both
+    /// retire the entry first — so a registered waker always fires.
+    /// Never blocks and never runs a fetch.
+    pub fn enter<'a>(&'a self, key: &'a str, waker: impl FnOnce() -> Waker) -> Entered<'a, T, E> {
         let mut map = self.inflight.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(f) = map.get(key) {
-            let f = Arc::clone(f);
-            if count_waiter {
-                *f.waiters.lock().unwrap_or_else(|p| p.into_inner()) += 1;
-            }
-            (f, false)
+            let flight = Arc::clone(f);
+            flight
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .wakers
+                .push(waker());
+            Entered::Parked(FlightTicket {
+                key: key.to_string(),
+                flight,
+            })
         } else {
-            let f = Arc::new(Flight::new());
-            map.insert(key.to_string(), Arc::clone(&f));
-            (f, true)
+            let flight = Arc::new(Mutex::new(FlightState {
+                result: None,
+                abandoned: false,
+                wakers: Vec::new(),
+            }));
+            map.insert(key.to_string(), Arc::clone(&flight));
+            Entered::Lead(LeaderGuard {
+                table: self,
+                key,
+                flight,
+                published: false,
+            })
         }
     }
 
-    /// Block until `flight` publishes, is abandoned, or `deadline`
-    /// elapses (`None` waits forever).
-    fn wait(flight: &Flight<T, E>, deadline: Option<Duration>) -> WaitOutcome<T, E> {
+    /// The blocking joiner: park the *calling thread* until `ticket`
+    /// resolves — `Ok(Some(result))` once the leader publishes,
+    /// `Ok(None)` when it abandoned (re-enter) — or `deadline` elapses
+    /// (`None` waits forever). On timeout the stale map entry is evicted
+    /// (if it is still the same flight) so later arrivals can lead
+    /// fresh. The ticket's waker must be
+    /// [`Waker::unpark_current_thread`] made on this thread; spurious
+    /// unparks are absorbed by re-reading the ticket.
+    pub(crate) fn park_on(
+        &self,
+        ticket: &FlightTicket<T, E>,
+        deadline: Option<Duration>,
+    ) -> Result<Option<FlightResult<T, E>>, JoinTimedOut> {
         let start = Instant::now();
-        let mut st = flight.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            if let Some(r) = st.result.clone() {
-                return WaitOutcome::Ready(r);
-            }
-            if st.abandoned {
-                return WaitOutcome::Abandoned;
+            match ticket.state() {
+                TicketState::Done(r) => return Ok(Some(r)),
+                TicketState::Abandoned => return Ok(None),
+                TicketState::Pending => {}
             }
             match deadline {
-                None => {
-                    st = flight.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
+                None => std::thread::park(),
                 Some(d) => {
-                    let elapsed = start.elapsed();
-                    if elapsed >= d {
-                        return WaitOutcome::TimedOut;
+                    let waited = start.elapsed();
+                    if waited >= d {
+                        self.retire(&ticket.key, &ticket.flight);
+                        return Err(JoinTimedOut { waited });
                     }
-                    let (guard, _timeout) = flight
-                        .cv
-                        .wait_timeout(st, d - elapsed)
-                        .unwrap_or_else(|p| p.into_inner());
-                    st = guard;
+                    std::thread::park_timeout(d - waited);
                 }
             }
         }
-    }
-
-    /// Run `fetch` under single-flight semantics for `key`. Returns the
-    /// result plus `true` when this call led the flight (actually
-    /// fetched) or `false` when it joined an in-flight fetch. Joiners
-    /// wait with no deadline; if the leader unwinds without publishing
-    /// they retry, and one of them leads a fresh flight.
-    pub fn run(
-        &self,
-        key: &str,
-        fetch: impl FnOnce() -> FlightResult<T, E>,
-    ) -> (FlightResult<T, E>, bool) {
-        match self.run_with_timeout(key, None, fetch) {
-            Ok(out) => out,
-            Err(_) => unreachable!("no deadline, so a join can never time out"),
-        }
-    }
-
-    /// [`SingleFlight::run`] with a bound on how long a *joiner* waits
-    /// for the leader. On timeout the joiner evicts the stale map entry
-    /// (if it is still the same flight) so later arrivals can lead
-    /// fresh, and returns [`JoinTimedOut`]. The leader path is never
-    /// bounded here — its own fetch closure carries the resilience
-    /// timeouts.
-    pub fn run_with_timeout(
-        &self,
-        key: &str,
-        join_deadline: Option<Duration>,
-        fetch: impl FnOnce() -> FlightResult<T, E>,
-    ) -> Result<(FlightResult<T, E>, bool), JoinTimedOut> {
-        let mut fetch = Some(fetch);
-        let start = Instant::now();
-        loop {
-            let (flight, leads) = self.enter(key, true);
-            if leads {
-                let guard = LeaderGuard {
-                    table: self,
-                    key,
-                    flight: &flight,
-                    published: false,
-                };
-                let result = (fetch.take().expect("fetch unconsumed until we lead"))();
-                guard.publish(&result);
-                return Ok((result, true));
-            }
-            match Self::wait(&flight, join_deadline) {
-                WaitOutcome::Ready(r) => return Ok((r, false)),
-                WaitOutcome::Abandoned => continue,
-                WaitOutcome::TimedOut => {
-                    self.retire(key, &flight);
-                    return Err(JoinTimedOut {
-                        waited: start.elapsed(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Non-blocking join for the cooperative scheduler: if a flight is
-    /// open for `key`, register `waker` (fired exactly once on publish
-    /// or abandonment) and return a ticket; if it has already published,
-    /// return the result immediately; if no flight is open, tell the
-    /// caller to lead. Never blocks and never runs a fetch.
-    pub fn subscribe(&self, key: &str, waker: Waker) -> Subscribe<T, E> {
-        let flight = {
-            let map = self.inflight.lock().unwrap_or_else(|p| p.into_inner());
-            match map.get(key) {
-                Some(f) => Arc::clone(f),
-                None => return Subscribe::Lead,
-            }
-        };
-        let mut st = flight.state.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(r) = st.result.clone() {
-            return Subscribe::Ready(r);
-        }
-        if st.abandoned {
-            // The leader died between our map lookup and the state lock;
-            // the entry is already retired, so lead fresh.
-            return Subscribe::Lead;
-        }
-        st.wakers.push(waker);
-        drop(st);
-        Subscribe::Parked(FlightTicket(flight))
     }
 }
 
@@ -391,14 +321,66 @@ impl<T: Clone, E: Clone> SingleFlight<T, E> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    type Table = SingleFlight<u32, String>;
+
+    /// The blocking driver every in-process caller uses (the monitor's
+    /// `fetch_remote` is this loop plus metrics): lead and fetch, or join
+    /// and park this thread until the leader's result arrives. Returns
+    /// the result plus whether this call led.
+    fn run(
+        sf: &Table,
+        key: &str,
+        deadline: Option<Duration>,
+        fetch: impl FnOnce() -> FlightResult<u32, String>,
+    ) -> Result<(FlightResult<u32, String>, bool), JoinTimedOut> {
+        let mut fetch = Some(fetch);
+        loop {
+            match sf.enter(key, Waker::unpark_current_thread) {
+                Entered::Lead(guard) => {
+                    let result = (fetch.take().expect("fetch unconsumed until we lead"))();
+                    guard.publish(&result);
+                    return Ok((result, true));
+                }
+                Entered::Parked(ticket) => {
+                    if let Some(r) = sf.park_on(&ticket, deadline)? {
+                        return Ok((r, false));
+                    }
+                }
+            }
+        }
+    }
+
+    fn run_unbounded(
+        sf: &Table,
+        key: &str,
+        fetch: impl FnOnce() -> FlightResult<u32, String>,
+    ) -> (FlightResult<u32, String>, bool) {
+        run(sf, key, None, fetch).expect("no deadline, so a join can never time out")
+    }
+
+    /// Spin until `key`'s leader has registered.
+    fn await_leader(sf: &Table, key: &str) {
+        while !sf.in_flight(key) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Spin (inside a leader's fetch) until a joiner has registered.
+    fn await_joiner(sf: &Table, key: &str) {
+        while sf.waiter_count(key) == 0 {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn solo_flight_leads_and_returns() {
-        let sf: SingleFlight<u32, String> = SingleFlight::new();
-        let (r, led) = sf.run("k", || Ok(7));
+        let sf = Table::new();
+        let (r, led) = run_unbounded(&sf, "k", || Ok(7));
         assert_eq!(r, Ok(7));
         assert!(led);
-        assert_eq!(sf.waiter_count("k"), 0, "entry retired after the fetch");
+        assert!(!sf.in_flight("k"), "entry retired after the fetch");
     }
 
     #[test]
@@ -406,11 +388,11 @@ mod tests {
         // The flight table shares only *overlapping* fetches: once a
         // flight lands, the next call re-fetches (the cache is the store
         // of record, not the flight table).
-        let sf: SingleFlight<u32, String> = SingleFlight::new();
+        let sf = Table::new();
         let fetches = AtomicUsize::new(0);
         let mut led_count = 0;
         for _ in 0..2 {
-            let (_, led) = sf.run("k", || {
+            let (_, led) = run_unbounded(&sf, "k", || {
                 fetches.fetch_add(1, Ordering::SeqCst);
                 Ok(1)
             });
@@ -421,31 +403,77 @@ mod tests {
     }
 
     #[test]
+    fn distinct_keys_do_not_interfere() {
+        let sf = Table::new();
+        let (a, _) = run_unbounded(&sf, "a", || Ok(1));
+        let (b, _) = run_unbounded(&sf, "b", || Ok(2));
+        assert_eq!((a, b), (Ok(1), Ok(2)));
+    }
+
+    #[test]
+    fn concurrent_entries_get_exactly_one_lead_and_never_wait() {
+        // The race the atomic lead-or-join closes: N threads hit one key
+        // at once. Exactly one leads; every other call comes straight
+        // back with a ticket (`enter` has no waiting path at all — with
+        // the leader holding its guard until all have entered, a waiting
+        // joiner would deadlock the barrier).
+        const N: usize = 8;
+        let sf = Table::new();
+        let entered = Barrier::new(N);
+        let leads = AtomicUsize::new(0);
+        let wakes = Arc::new(AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..N {
+                s.spawn(|| {
+                    let w = Arc::clone(&wakes);
+                    let entry = sf.enter("k", || {
+                        Waker::new(move || {
+                            w.fetch_add(1, Ordering::SeqCst);
+                        })
+                    });
+                    entered.wait();
+                    match entry {
+                        Entered::Lead(guard) => {
+                            leads.fetch_add(1, Ordering::SeqCst);
+                            assert_eq!(sf.waiter_count("k"), N - 1);
+                            assert_eq!(wakes.load(Ordering::SeqCst), 0, "not before publish");
+                            guard.publish(&Ok(5));
+                        }
+                        Entered::Parked(ticket) => {
+                            while ticket.state() == TicketState::Pending {
+                                std::thread::yield_now();
+                            }
+                            assert_eq!(ticket.state(), TicketState::Done(Ok(5)));
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(leads.load(Ordering::SeqCst), 1, "exactly one leader");
+        assert_eq!(
+            wakes.load(Ordering::SeqCst),
+            N - 1,
+            "every joiner's waker fired exactly once"
+        );
+        assert_eq!(sf.open_flights(), 0);
+    }
+
+    #[test]
     fn concurrent_joiner_shares_the_leaders_result() {
         // Deterministic overlap: the leader's fetch refuses to complete
         // until the joiner has provably joined (waiter_count hook).
-        let sf: Arc<SingleFlight<u32, String>> = Arc::new(SingleFlight::new());
-        let fetches = Arc::new(AtomicUsize::new(0));
+        let sf = Table::new();
+        let fetches = AtomicUsize::new(0);
         std::thread::scope(|s| {
-            let leader = {
-                let sf = Arc::clone(&sf);
-                let fetches = Arc::clone(&fetches);
-                s.spawn(move || {
-                    sf.run("k", || {
-                        fetches.fetch_add(1, Ordering::SeqCst);
-                        // Hold the flight open until the joiner arrives.
-                        while sf.waiter_count("k") == 0 {
-                            std::thread::yield_now();
-                        }
-                        Ok(42)
-                    })
+            let leader = s.spawn(|| {
+                run_unbounded(&sf, "k", || {
+                    fetches.fetch_add(1, Ordering::SeqCst);
+                    await_joiner(&sf, "k");
+                    Ok(42)
                 })
-            };
-            // Wait until the leader's flight is registered, then join it.
-            while !sf.in_flight("k") {
-                std::thread::yield_now();
-            }
-            let (r, led) = sf.run("k", || {
+            });
+            await_leader(&sf, "k");
+            let (r, led) = run_unbounded(&sf, "k", || {
                 fetches.fetch_add(1, Ordering::SeqCst);
                 Ok(0) // must never run
             });
@@ -460,23 +488,16 @@ mod tests {
 
     #[test]
     fn errors_broadcast_to_joiners() {
-        let sf: Arc<SingleFlight<u32, String>> = Arc::new(SingleFlight::new());
+        let sf = Table::new();
         std::thread::scope(|s| {
-            let leader = {
-                let sf = Arc::clone(&sf);
-                s.spawn(move || {
-                    sf.run("k", || {
-                        while sf.waiter_count("k") == 0 {
-                            std::thread::yield_now();
-                        }
-                        Err("boom".to_string())
-                    })
+            let leader = s.spawn(|| {
+                run_unbounded(&sf, "k", || {
+                    await_joiner(&sf, "k");
+                    Err("boom".to_string())
                 })
-            };
-            while !sf.in_flight("k") {
-                std::thread::yield_now();
-            }
-            let (r, led) = sf.run("k", || Ok(1));
+            });
+            await_leader(&sf, "k");
+            let (r, led) = run_unbounded(&sf, "k", || Ok(1));
             let (lr, _) = leader.join().unwrap();
             assert_eq!(lr, Err("boom".to_string()));
             assert!(!led, "arrived while the leader's flight was open");
@@ -485,43 +506,53 @@ mod tests {
     }
 
     #[test]
-    fn distinct_keys_do_not_interfere() {
-        let sf: SingleFlight<u32, String> = SingleFlight::new();
-        let (a, _) = sf.run("a", || Ok(1));
-        let (b, _) = sf.run("b", || Ok(2));
-        assert_eq!((a, b), (Ok(1), Ok(2)));
-    }
-
-    #[test]
     fn panicking_leader_does_not_strand_joiners() {
-        // A leader whose fetch panics unwinds through the drop guard:
-        // the joiner observes abandonment, retries, and leads fresh —
-        // no condvar deadline is ever needed for this failure mode.
-        let sf: Arc<SingleFlight<u32, String>> = Arc::new(SingleFlight::new());
+        // A leader whose fetch panics drops its guard unpublished: every
+        // subscriber is woken — the blocking joiner observes abandonment,
+        // re-enters and leads fresh; a task-style subscriber's waker
+        // fires once and its ticket reads `Abandoned`. No deadline is
+        // ever needed for this failure mode.
+        let sf = Table::new();
+        let fired = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
-            let leader = {
-                let sf = Arc::clone(&sf);
-                s.spawn(move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        sf.run("k", || {
-                            while sf.waiter_count("k") == 0 {
-                                std::thread::yield_now();
-                            }
-                            panic!("leader killed mid-flight");
-                        })
-                    }));
-                    assert!(result.is_err(), "leader must have panicked");
+            let leader = s.spawn(|| {
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_unbounded(&sf, "k", || {
+                        while sf.waiter_count("k") < 2 {
+                            std::thread::yield_now();
+                        }
+                        panic!("leader killed mid-flight");
+                    })
+                }));
+                assert!(result.is_err(), "leader must have panicked");
+            });
+            await_leader(&sf, "k");
+            let f = Arc::clone(&fired);
+            let ticket = match sf.enter("k", || {
+                Waker::new(move || {
+                    f.fetch_add(1, Ordering::SeqCst);
                 })
+            }) {
+                Entered::Parked(t) => t,
+                Entered::Lead(_) => panic!("flight open: must join"),
             };
-            while !sf.in_flight("k") {
-                std::thread::yield_now();
-            }
-            // Joins the doomed flight; after the leader dies, retries
+            assert_eq!(ticket.state(), TicketState::Pending);
+            // Joins the doomed flight; after the leader dies, re-enters
             // and leads its own fetch.
-            let (r, led) = sf.run("k", || Ok(99));
+            let (r, led) = run_unbounded(&sf, "k", || Ok(99));
             leader.join().unwrap();
             assert_eq!(r, Ok(99), "rescued joiner re-led and fetched");
             assert!(led, "the rescued joiner became the new leader");
+            assert_eq!(
+                fired.load(Ordering::SeqCst),
+                1,
+                "abandonment fired the waker"
+            );
+            assert_eq!(
+                ticket.state(),
+                TicketState::Abandoned,
+                "abandoned ticket never resolves: its holder re-enters"
+            );
             assert_eq!(sf.open_flights(), 0, "no stale entry left behind");
         });
     }
@@ -531,27 +562,20 @@ mod tests {
         // A leader stuck in a hung fetch never publishes; the joiner's
         // deadline fires, the stale entry is evicted so later arrivals
         // can lead fresh, and the caller sees a typed timeout.
-        let sf: Arc<SingleFlight<u32, String>> = Arc::new(SingleFlight::new());
-        let release = Arc::new(AtomicUsize::new(0));
+        let sf = Table::new();
+        let release = AtomicUsize::new(0);
         std::thread::scope(|s| {
-            let leader = {
-                let sf = Arc::clone(&sf);
-                let release = Arc::clone(&release);
-                s.spawn(move || {
-                    sf.run("k", || {
-                        // Wedge until the test releases us.
-                        while release.load(Ordering::SeqCst) == 0 {
-                            std::thread::yield_now();
-                        }
-                        Ok(1)
-                    })
+            let leader = s.spawn(|| {
+                run_unbounded(&sf, "k", || {
+                    // Wedge until the test releases us.
+                    while release.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                    Ok(1)
                 })
-            };
-            while !sf.in_flight("k") {
-                std::thread::yield_now();
-            }
-            let err = sf
-                .run_with_timeout("k", Some(Duration::from_millis(20)), || Ok(2))
+            });
+            await_leader(&sf, "k");
+            let err = run(&sf, "k", Some(Duration::from_millis(20)), || Ok(2))
                 .expect_err("wedged leader must time the joiner out");
             assert!(err.waited >= Duration::from_millis(20));
             assert!(
@@ -560,7 +584,7 @@ mod tests {
             );
             // A fresh arrival now leads immediately instead of joining
             // the wedged flight.
-            let (r, led) = sf.run("k", || Ok(3));
+            let (r, led) = run_unbounded(&sf, "k", || Ok(3));
             assert_eq!((r, led), (Ok(3), true));
             // Unwedge the original leader; its publish must tolerate the
             // entry being gone (ptr_eq-guarded retire).
@@ -568,123 +592,6 @@ mod tests {
             let (lr, lled) = leader.join().unwrap();
             assert_eq!((lr, lled), (Ok(1), true));
             assert_eq!(sf.open_flights(), 0);
-        });
-    }
-
-    #[test]
-    fn subscribe_with_no_flight_says_lead() {
-        let sf: SingleFlight<u32, String> = SingleFlight::new();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = Arc::clone(&fired);
-        match sf.subscribe(
-            "k",
-            Waker::new(move || {
-                f.fetch_add(1, Ordering::SeqCst);
-            }),
-        ) {
-            Subscribe::Lead => {}
-            _ => panic!("no flight open: caller must lead"),
-        }
-        assert_eq!(fired.load(Ordering::SeqCst), 0, "waker never registered");
-    }
-
-    #[test]
-    fn subscriber_waker_fires_on_publish_and_ticket_resolves() {
-        let sf: Arc<SingleFlight<u32, String>> = Arc::new(SingleFlight::new());
-        let fired = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            let leader = {
-                let sf = Arc::clone(&sf);
-                let fired = Arc::clone(&fired);
-                s.spawn(move || {
-                    sf.run("k", || {
-                        // Hold the flight open until the blocking joiner
-                        // arrives — the test subscribes *before* spawning
-                        // it, so the waker is provably registered first.
-                        while sf.waiter_count("k") == 0 {
-                            std::thread::yield_now();
-                        }
-                        assert_eq!(fired.load(Ordering::SeqCst), 0, "not fired before publish");
-                        Ok(7)
-                    })
-                })
-            };
-            while !sf.in_flight("k") {
-                std::thread::yield_now();
-            }
-            let f = Arc::clone(&fired);
-            let ticket = match sf.subscribe(
-                "k",
-                Waker::new(move || {
-                    f.fetch_add(1, Ordering::SeqCst);
-                }),
-            ) {
-                Subscribe::Parked(t) => t,
-                _ => panic!("flight open and unpublished: must park"),
-            };
-            assert_eq!(ticket.result(), None, "nothing published yet");
-            // Let the leader see a waiter via the blocking-path hook.
-            let sf2 = Arc::clone(&sf);
-            let join = s.spawn(move || sf2.run("k", || Ok(0)));
-            let (lr, _) = leader.join().unwrap();
-            assert_eq!(lr, Ok(7));
-            assert_eq!(fired.load(Ordering::SeqCst), 1, "waker fired exactly once");
-            assert_eq!(
-                ticket.result(),
-                Some(Ok(7)),
-                "ticket resolves to shared result"
-            );
-            assert_eq!(join.join().unwrap(), (Ok(7), false));
-        });
-    }
-
-    #[test]
-    fn subscriber_waker_fires_on_abandonment() {
-        let sf: Arc<SingleFlight<u32, String>> = Arc::new(SingleFlight::new());
-        let fired = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            let leader = {
-                let sf = Arc::clone(&sf);
-                s.spawn(move || {
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        sf.run("k", || -> FlightResult<u32, String> {
-                            while sf.waiter_count("k") == 0 {
-                                std::thread::yield_now();
-                            }
-                            panic!("abandon ship");
-                        })
-                    }));
-                })
-            };
-            while !sf.in_flight("k") {
-                std::thread::yield_now();
-            }
-            let f = Arc::clone(&fired);
-            let ticket = match sf.subscribe(
-                "k",
-                Waker::new(move || {
-                    f.fetch_add(1, Ordering::SeqCst);
-                }),
-            ) {
-                Subscribe::Parked(t) => t,
-                _ => panic!("flight open: must park"),
-            };
-            // A blocking joiner gives the leader its waiter signal and
-            // exercises the retry-and-re-lead path at the same time.
-            let sf2 = Arc::clone(&sf);
-            let join = s.spawn(move || sf2.run("k", || Ok(5)));
-            leader.join().unwrap();
-            assert_eq!(join.join().unwrap(), (Ok(5), true), "joiner re-led");
-            assert_eq!(
-                fired.load(Ordering::SeqCst),
-                1,
-                "abandonment fired the waker"
-            );
-            assert_eq!(
-                ticket.result(),
-                None,
-                "abandoned ticket resolves to nothing: caller retries"
-            );
         });
     }
 }

@@ -51,9 +51,9 @@ pub use cms::Cms;
 pub use config::CmsConfig;
 pub use element::{CacheElement, ElemId, Repr};
 pub use error::{CmsError, Result};
-pub use flight::{SingleFlight, Subscribe, Waker};
+pub use flight::{SingleFlight, Waker};
 pub use metrics::{CmsMetrics, CmsMetricsSnapshot};
-pub use monitor::{CoopCtx, RemoteFlight};
+pub use monitor::RemoteFlight;
 pub use planner::{PartSource, Plan, PlanPart};
 pub use resilience::{Resilience, ResilienceConfig};
 pub use sched::{PoolConfig, PoolSnapshot, Step, Task, TaskId, WorkerPool};

@@ -10,7 +10,7 @@
 
 use crate::cache::CacheRead;
 use crate::error::{CmsError, Result};
-use crate::flight::{FlightTicket, SingleFlight, Subscribe, Waker};
+use crate::flight::{Entered, FlightTicket, SingleFlight, TicketState, Waker};
 use crate::planner::{PartSource, Plan, PlanPart};
 use crate::rdi;
 use crate::resilience::Resilience;
@@ -30,127 +30,130 @@ pub type FetchedPart = (Vec<String>, Relation);
 /// to joiners as-is.
 pub type RemoteFlight = SingleFlight<FetchedPart, CmsError>;
 
-/// One fetched part a cooperative session holds across a park/retry
-/// cycle, keyed by the flight key.
+/// One fetched part a polled session holds across a park/retry cycle,
+/// keyed by the flight key.
 enum Share {
-    /// A result in hand (led ourselves, or redeemed from a joined
-    /// ticket). `counted` records whether the consume-time `dedup_hits`
-    /// bump already happened, so re-consumes across multiple retries of
-    /// the same query don't inflate the metric.
-    Resolved {
-        part: FetchedPart,
-        led: bool,
-        counted: bool,
-    },
+    /// A result in hand (`led` ourselves, or redeemed from a joined
+    /// ticket).
+    Resolved { part: FetchedPart, led: bool },
     /// A joined flight that had not published when we parked.
     Joined(FlightTicket<FetchedPart, CmsError>),
 }
 
-/// Per-query context for a cooperatively scheduled session.
+/// [`ParkCtx::redeem`]'s answer.
+enum Stashed {
+    /// Never fetched, or the joined leader abandoned its flight: enter
+    /// the flight afresh.
+    Nothing,
+    /// The joined flight is still in progress; its waker stays
+    /// registered, nothing is re-subscribed.
+    StillParked,
+    /// The part (or the leader's error), and whether this session led.
+    Part(Result<FetchedPart>, bool),
+}
+
+/// A session's parking context: *who* goes to sleep when a fetch joins a
+/// flight another session is leading.
 ///
-/// When a session's fetch would join an in-flight flight, the monitor
-/// registers `waker` with the flight, stashes the ticket here, and
-/// unwinds with [`CmsError::WouldBlock`] — the worker pool parks the
-/// session (RAII pin guards release on the way out). On resume the whole
-/// query re-plans and re-executes; every fetch first consults this stash
-/// so work already done (flights we led, flights we joined that have now
+/// With no task waker installed the session is driven by a blocking
+/// caller, and the joiner parks its own OS thread until the leader
+/// publishes. While a scheduler task is polling the session
+/// ([`crate::Cms::poll_with`]) its waker is installed here instead: the
+/// monitor registers it with the flight, stashes the ticket, and unwinds
+/// with [`CmsError::WouldBlock`] — the worker pool parks the *session*
+/// (RAII pin guards release on the way out). On resume the whole query
+/// re-plans and re-executes; every fetch first consults this stash so
+/// work already done (flights we led, flights we joined that have now
 /// published) is reused instead of re-fetched. Reuse is sound because
 /// the remote is immutable: a part's bytes don't depend on when the
-/// retry happens. The owner clears the stash between queries.
-pub struct CoopCtx {
-    waker: Waker,
+/// retry happens. The stash is cleared when the polled query completes.
+#[derive(Default)]
+pub struct ParkCtx {
+    task: Option<Waker>,
     shares: Mutex<HashMap<String, Share>>,
 }
 
-impl CoopCtx {
-    /// A context whose parks re-enqueue through `waker`.
-    pub fn new(waker: Waker) -> CoopCtx {
-        CoopCtx {
-            waker,
-            shares: Mutex::new(HashMap::new()),
+impl ParkCtx {
+    /// Install (or clear) the polling task's waker.
+    pub(crate) fn set_task(&mut self, waker: Option<Waker>) {
+        self.task = waker;
+    }
+
+    /// Is a scheduler task driving this session? Then a join parks the
+    /// session, and remote parts run serially: a park unwinds the whole
+    /// plan, so at most one flight subscription (⇒ one waker) exists per
+    /// park, keeping the scheduler's parks:wakes ledger 1:1.
+    fn parks_session(&self) -> bool {
+        self.task.is_some()
+    }
+
+    /// The waker to register on a joined flight: the polling task's, or
+    /// one that unparks the calling thread.
+    fn waker(&self) -> Waker {
+        self.task
+            .clone()
+            .unwrap_or_else(Waker::unpark_current_thread)
+    }
+
+    /// What an earlier attempt of this query left behind for `key`.
+    /// Redeeming a joined ticket is the one `dedup_hits` bump for that
+    /// share, however often the part is re-read afterwards.
+    fn redeem(&self, key: &str, resilience: &Resilience) -> Stashed {
+        // Only a polled session re-runs its plan after a park.
+        if !self.parks_session() {
+            return Stashed::Nothing;
         }
-    }
-
-    /// The waker handed to every flight this session joins.
-    pub fn waker(&self) -> &Waker {
-        &self.waker
-    }
-
-    /// A stashed result for `key`, if one is redeemable:
-    /// `(part, led, first_consume)`. A joined ticket that never
-    /// published (leader abandoned) is dropped — the caller leads fresh.
-    fn take(&self, key: &str) -> Option<(Result<FetchedPart>, bool, bool)> {
         let mut shares = self.shares.lock().unwrap_or_else(|p| p.into_inner());
-        match shares.remove(key)? {
-            Share::Resolved { part, led, counted } => {
-                shares.insert(
-                    key.to_string(),
-                    Share::Resolved {
-                        part: part.clone(),
-                        led,
-                        counted: true,
-                    },
-                );
-                Some((Ok(part), led, !counted))
+        let state = match shares.get(key) {
+            None => return Stashed::Nothing,
+            Some(Share::Resolved { part, led }) => return Stashed::Part(Ok(part.clone()), *led),
+            Some(Share::Joined(ticket)) => ticket.state(),
+        };
+        match state {
+            TicketState::Pending => Stashed::StillParked,
+            TicketState::Abandoned => {
+                shares.remove(key);
+                Stashed::Nothing
             }
-            Share::Joined(ticket) => match ticket.result() {
-                Some(Ok(part)) => {
-                    shares.insert(
-                        key.to_string(),
-                        Share::Resolved {
-                            part: part.clone(),
-                            led: false,
-                            counted: true,
-                        },
-                    );
-                    Some((Ok(part), false, true))
+            TicketState::Done(result) => {
+                resilience.metrics().add_dedup_hits(1);
+                match &result {
+                    Ok(part) => {
+                        let part = part.clone();
+                        shares.insert(key.to_string(), Share::Resolved { part, led: false });
+                    }
+                    // Shared errors propagate once and are not
+                    // re-stashed: the query fails and is not retried.
+                    Err(_) => {
+                        shares.remove(key);
+                    }
                 }
-                // Shared errors propagate once and are not re-stashed:
-                // the query fails and will not be retried for them.
-                Some(Err(e)) => Some((Err(e), false, true)),
-                None => None,
-            },
+                Stashed::Part(result, false)
+            }
         }
     }
 
-    /// Remember a result this session fetched itself.
-    fn stash_led(&self, key: &str, part: FetchedPart) {
-        let mut shares = self.shares.lock().unwrap_or_else(|p| p.into_inner());
-        shares.insert(
-            key.to_string(),
-            Share::Resolved {
-                part,
-                led: true,
-                counted: true,
-            },
-        );
+    fn stash(&self, key: &str, share: Share) {
+        self.shares
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(key.to_string(), share);
     }
 
-    /// Remember a joined flight to redeem after the park.
-    fn stash_joined(&self, key: &str, ticket: FlightTicket<FetchedPart, CmsError>) {
-        let mut shares = self.shares.lock().unwrap_or_else(|p| p.into_inner());
-        shares.insert(key.to_string(), Share::Joined(ticket));
-    }
-
-    /// Drop all stashed work — called by the session driver when a query
-    /// completes (successfully or with a non-park error), so results are
-    /// never reused across *logical* queries, only across retries of one.
-    pub fn reset(&self) {
+    /// Drop all stashed work — called when a polled query completes
+    /// (successfully or with a non-park error), so results are never
+    /// reused across *logical* queries, only across retries of one.
+    pub(crate) fn reset(&self) {
         self.shares
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clear();
     }
-
-    /// Number of stashed shares (test/invariant hook).
-    pub fn pending_shares(&self) -> usize {
-        self.shares.lock().unwrap_or_else(|p| p.into_inner()).len()
-    }
 }
 
 /// Everything a plan execution needs besides the plan and the cache —
-/// bundling the remote handle, resilience policy, optional single-flight
-/// table and transfer knobs keeps [`execute`]'s signature stable as the
+/// bundling the remote handle, resilience policy, single-flight table
+/// and transfer knobs keeps [`execute`]'s signature stable as the
 /// environment grows.
 #[derive(Clone, Copy)]
 pub struct ExecEnv<'a> {
@@ -161,19 +164,19 @@ pub struct ExecEnv<'a> {
     pub transport: &'a dyn RemoteTransport,
     /// Retry/breaker/deadline policy (shared across fetch threads).
     pub resilience: &'a Resilience,
-    /// Single-flight dedup table; `None` runs every fetch directly
-    /// (single-session mode).
-    pub flight: Option<&'a RemoteFlight>,
-    /// Cooperative-session context: when set, a fetch that would *join*
-    /// an open flight registers the session's waker and unwinds with
-    /// [`CmsError::WouldBlock`] instead of blocking the worker thread;
-    /// results already in hand are consumed from the stash on retry.
-    pub coop: Option<&'a CoopCtx>,
-    /// Bound on how long a blocking single-flight joiner waits for its
+    /// Single-flight dedup table shared by every session of the CMS.
+    pub flight: &'a RemoteFlight,
+    /// The session's parking context: decides who sleeps when a fetch
+    /// joins an open flight (the caller's thread, or the session on its
+    /// scheduler), and holds work done by earlier attempts of a polled
+    /// query.
+    pub park: &'a ParkCtx,
+    /// Bound on how long a joiner parked on its own thread waits for its
     /// leader before surfacing [`CmsError::FlightStranded`]; `None`
     /// waits forever.
     pub flight_join_timeout: Option<Duration>,
-    /// Fan remote fetches out to worker threads.
+    /// Fan remote fetches out to worker threads (blocking callers only:
+    /// a polled session runs its parts serially, see [`ParkCtx`]).
     pub parallel: bool,
     /// Pipelined (vs. buffered) remote transfer.
     pub pipelined: bool,
@@ -210,9 +213,9 @@ pub struct Executed {
 /// `env.pipelined` and `env.buffer` control the transfer mode of each
 /// remote stream (§5.5). Every remote fetch goes through
 /// `env.resilience` (retry/backoff, deadline, circuit breaker) — the
-/// breaker state is shared across the parallel fetch threads — and, when
-/// `env.flight` is set, through the single-flight table so concurrent
-/// sessions fetching the same translated subquery share one round trip.
+/// breaker state is shared across the parallel fetch threads — and
+/// through the single-flight table, so concurrent sessions fetching the
+/// same translated subquery share one round trip.
 ///
 /// The cache is any [`CacheRead`] implementation: the single-session
 /// [`crate::cache::CacheManager`] or the concurrent
@@ -255,10 +258,7 @@ pub fn execute<C: CacheRead>(plan: &Plan, cache: &C, env: &ExecEnv<'_>) -> Resul
         .collect();
     remote_count += remote_jobs.len() as u64;
 
-    // Cooperative sessions run parts serially: a park unwinds the whole
-    // plan, so at most one flight subscription (⇒ one waker) exists per
-    // park, keeping the parks:wakes ledger 1:1.
-    if env.parallel && env.coop.is_none() && remote_jobs.len() > 1 {
+    if env.parallel && !env.park.parks_session() && remote_jobs.len() > 1 {
         // Fan the remote fetches out; cache parts run on this thread in
         // the meantime.
         let env = *env;
@@ -481,64 +481,58 @@ fn fetch_remote(part: &PlanPart, env: &ExecEnv<'_>, parent: Option<u64>) -> Resu
     // fetch serves them all. The whole resilience loop runs inside the
     // flight: joiners share the leader's *final* outcome, not a
     // transient failure it would have retried past.
-    let result = if let Some(f) = env.flight {
-        let key = format!("{}|{}", t.sql, part.vars.join(","));
-        if let Some(coop) = env.coop {
-            // Cooperative path: never block the worker thread on another
-            // session's fetch. Consume stashed work from a previous
-            // attempt of this query first; otherwise subscribe, and park
-            // the *session* if the flight is still in progress.
-            match coop.take(&key) {
-                Some((rel, led, first)) => {
-                    if !led && first {
-                        resilience.metrics().add_dedup_hits(1);
-                    }
-                    span.field("flight", if led { "stashed-led" } else { "stashed-joined" });
-                    rel
-                }
-                None => match f.subscribe(&key, coop.waker().clone()) {
-                    Subscribe::Ready(rel) => {
-                        resilience.metrics().add_dedup_hits(1);
-                        span.field("flight", "joined");
-                        rel
-                    }
-                    Subscribe::Parked(ticket) => {
-                        coop.stash_joined(&key, ticket);
-                        span.field("flight", "parked");
-                        return Err(CmsError::WouldBlock);
-                    }
-                    Subscribe::Lead => {
-                        // Leading is real work this session does inline on
-                        // its worker. (A racing session may have led in the
-                        // meantime, making us a blocking joiner — bounded
-                        // by the join timeout like the threaded path.)
-                        let (rel, led) = run_flight(f, &key, part, &t, env)?;
-                        if led {
-                            resilience.metrics().add_flight_fetches(1);
-                            if let Ok(part_rel) = &rel {
-                                coop.stash_led(&key, part_rel.clone());
-                            }
-                        } else {
-                            resilience.metrics().add_dedup_hits(1);
-                        }
-                        span.field("flight", if led { "led" } else { "joined" });
-                        rel
-                    }
-                },
+    let key = format!("{}|{}", t.sql, part.vars.join(","));
+    let (result, how) = loop {
+        // Work stashed by an earlier attempt of this (polled) query.
+        match env.park.redeem(&key, resilience) {
+            Stashed::Part(result, true) => break (result, "stashed-led"),
+            Stashed::Part(result, false) => break (result, "stashed-joined"),
+            Stashed::StillParked => {
+                span.field("flight", "parked");
+                return Err(CmsError::WouldBlock);
             }
-        } else {
-            let (rel, led) = run_flight(f, &key, part, &t, env)?;
-            if led {
-                resilience.metrics().add_flight_fetches(1);
-            } else {
-                resilience.metrics().add_dedup_hits(1);
-            }
-            span.field("flight", if led { "led" } else { "joined" });
-            rel
+            Stashed::Nothing => {}
         }
-    } else {
-        fetch_attempts(part, transport, resilience, &t, env.pipelined, env.buffer)
+        match env.flight.enter(&key, || env.park.waker()) {
+            // Leading is real work this session does inline.
+            Entered::Lead(guard) => {
+                let result =
+                    fetch_attempts(part, transport, resilience, &t, env.pipelined, env.buffer);
+                guard.publish(&result);
+                resilience.metrics().add_flight_fetches(1);
+                if env.park.parks_session() {
+                    if let Ok(part) = &result {
+                        let part = part.clone();
+                        env.park.stash(&key, Share::Resolved { part, led: true });
+                    }
+                }
+                break (result, "led");
+            }
+            // Never hold a scheduler worker on another session's fetch:
+            // park the *session* and unwind.
+            Entered::Parked(ticket) if env.park.parks_session() => {
+                env.park.stash(&key, Share::Joined(ticket));
+                span.field("flight", "parked");
+                return Err(CmsError::WouldBlock);
+            }
+            // A blocking caller parks this thread; a leader wedged past
+            // the deadline surfaces as the transient `FlightStranded`.
+            Entered::Parked(ticket) => {
+                let shared = env
+                    .flight
+                    .park_on(&ticket, env.flight_join_timeout)
+                    .map_err(|to| CmsError::FlightStranded {
+                        waited_ms: to.waited.as_millis() as u64,
+                    })?;
+                if let Some(result) = shared {
+                    resilience.metrics().add_dedup_hits(1);
+                    break (result, "joined");
+                }
+                // The leader abandoned the flight: re-enter (and maybe lead).
+            }
+        }
     };
+    span.field("flight", how);
     if span.is_live() {
         match &result {
             Ok((_, rel)) => span.field("rows", rel.len().to_string()),
@@ -546,31 +540,6 @@ fn fetch_remote(part: &PlanPart, env: &ExecEnv<'_>, parent: Option<u64>) -> Resu
         }
     }
     result
-}
-
-/// Run one part's fetch through the single-flight table with the
-/// configured joiner deadline; a stranded join (leader wedged past the
-/// deadline) surfaces as the transient [`CmsError::FlightStranded`].
-fn run_flight(
-    f: &RemoteFlight,
-    key: &str,
-    part: &PlanPart,
-    t: &rdi::Translated,
-    env: &ExecEnv<'_>,
-) -> Result<(Result<FetchedPart>, bool)> {
-    f.run_with_timeout(key, env.flight_join_timeout, || {
-        fetch_attempts(
-            part,
-            env.transport,
-            env.resilience,
-            t,
-            env.pipelined,
-            env.buffer,
-        )
-    })
-    .map_err(|to| CmsError::FlightStranded {
-        waited_ms: to.waited.as_millis() as u64,
-    })
 }
 
 /// The resilience-wrapped fetch of one translated remote subquery.
@@ -755,17 +724,25 @@ mod tests {
         )
     }
 
+    /// Per-test stand-ins for the session state an [`ExecEnv`] borrows.
+    #[derive(Default)]
+    struct Session {
+        flight: RemoteFlight,
+        park: ParkCtx,
+    }
+
     fn env<'a>(
         remote: &'a RemoteDbms,
         resilience: &'a Resilience,
         trace: &'a Tracer,
         parallel: bool,
+        session: &'a Session,
     ) -> ExecEnv<'a> {
         ExecEnv {
             transport: remote,
             resilience,
-            flight: None,
-            coop: None,
+            flight: &session.flight,
+            park: &session.park,
             flight_join_timeout: None,
             parallel,
             pipelined: true,
@@ -805,8 +782,8 @@ mod tests {
         let q = parse_rule("d2(X) :- b2(X, Z), b3(Z, c2, c6).").unwrap();
         let p = plan(&q, &cache, true).unwrap();
         let rs = res();
-        let tr = Tracer::disabled();
-        let ex = execute(&p, &cache, &env(&r, &rs, &tr, false)).unwrap();
+        let (tr, session) = (Tracer::disabled(), Session::default());
+        let ex = execute(&p, &cache, &env(&r, &rs, &tr, false, &session)).unwrap();
         // Only x1/x3 join through z1 to (c2, c6).
         assert_eq!(ex.joined.len(), 2);
         let head = project_head(&ex.joined, &paper_vars(&ex), &q.head).unwrap();
@@ -843,8 +820,8 @@ mod tests {
         let p = plan(&q, &cache, true).unwrap();
         assert_eq!(p.remote_parts(), 1);
         let rs = res();
-        let tr = Tracer::disabled();
-        let ex = execute(&p, &cache, &env(&r, &rs, &tr, false)).unwrap();
+        let (tr, session) = (Tracer::disabled(), Session::default());
+        let ex = execute(&p, &cache, &env(&r, &rs, &tr, false, &session)).unwrap();
         let head = project_head(&ex.joined, &paper_vars(&ex), &q.head).unwrap();
         let mut rows = head.sorted_tuples();
         rows.sort();
@@ -862,9 +839,9 @@ mod tests {
         let q = parse_rule("q(X, Y) :- b2(X, Z), b3(W, c2, Y).").unwrap();
         let p = plan(&q, &cache, true).unwrap();
         let rs = res();
-        let tr = Tracer::disabled();
-        let seq = execute(&p, &cache, &env(&r, &rs, &tr, false)).unwrap();
-        let par = execute(&p, &cache, &env(&r, &rs, &tr, true)).unwrap();
+        let (tr, session) = (Tracer::disabled(), Session::default());
+        let seq = execute(&p, &cache, &env(&r, &rs, &tr, false, &session)).unwrap();
+        let par = execute(&p, &cache, &env(&r, &rs, &tr, true, &session)).unwrap();
         assert_eq!(seq.joined, par.joined);
         assert_eq!(par.remote_subqueries, 1); // contiguous run → 1 request
     }
@@ -892,8 +869,8 @@ mod tests {
         let p = plan(&q, &cache, true).unwrap();
         assert_eq!(p.residual_cmps.len(), 1);
         let rs = res();
-        let tr = Tracer::disabled();
-        let ex = execute(&p, &cache, &env(&r, &rs, &tr, false)).unwrap();
+        let (tr, session) = (Tracer::disabled(), Session::default());
+        let ex = execute(&p, &cache, &env(&r, &rs, &tr, false, &session)).unwrap();
         assert_eq!(ex.joined.len(), 2); // (1,5) and (3,10)
     }
 
@@ -909,8 +886,8 @@ mod tests {
         )
         .unwrap();
         let rs = res();
-        let tr = Tracer::disabled();
-        let ex = execute(&q_yes, &cache, &env(&r, &rs, &tr, false)).unwrap();
+        let (tr, session) = (Tracer::disabled(), Session::default());
+        let ex = execute(&q_yes, &cache, &env(&r, &rs, &tr, false, &session)).unwrap();
         assert_eq!(ex.joined.len(), 1, "existence holds: b3 rows survive");
         let q_no = plan(
             &parse_rule("q(V) :- b2(x1, zz), b3(V, c2, c6).").unwrap(),
@@ -918,7 +895,7 @@ mod tests {
             true,
         )
         .unwrap();
-        let ex = execute(&q_no, &cache, &env(&r, &rs, &tr, false)).unwrap();
+        let ex = execute(&q_no, &cache, &env(&r, &rs, &tr, false, &session)).unwrap();
         assert_eq!(ex.joined.len(), 0, "existence fails: empty result");
     }
 

@@ -1,7 +1,7 @@
 //! Per-query EXPLAIN: a structured report reconstructed from one solve's
 //! span tree.
 //!
-//! [`BraidSession::solve_explained`](crate::BraidSession::solve_explained)
+//! [`SessionHandle::solve_explained`](crate::SessionHandle::solve_explained)
 //! attaches a private ring sink to the session's tracer, runs the solve,
 //! and folds the drained events into an [`ExplainReport`]: advice
 //! consulted, planner decisions per CMS query (cache / mixed / remote,

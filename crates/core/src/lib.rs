@@ -65,8 +65,7 @@ pub use explain::{ExplainReport, ExplainSummary, PlanExplain};
 pub use metrics::CombinedMetrics;
 pub use server::{BraidClient, BraidServer, BraidServerConfig, BraidServerStats};
 pub use system::{
-    BraidConfig, BraidError, BraidSession, BraidSystem, CheckedSolutions, ExplainedSolutions,
-    SessionHandle,
+    BraidConfig, BraidError, BraidSystem, CheckedSolutions, ExplainedSolutions, SessionHandle,
 };
 pub use task::{SessionState, SessionTask};
 
@@ -77,7 +76,7 @@ pub use braid_caql::{
     Subst, Term,
 };
 pub use braid_cms::{
-    AnswerStream, Cms, CmsConfig, Completeness, CoopCtx, PoolConfig, ResilienceConfig, WorkerPool,
+    AnswerStream, Cms, CmsConfig, Completeness, PoolConfig, ResilienceConfig, Waker, WorkerPool,
 };
 pub use braid_ie::{IeError, InferenceEngine, KnowledgeBase, Rule, Soa, Strategy};
 pub use braid_relational::{Relation, Schema, Tuple, Value};

@@ -22,18 +22,19 @@
 use crate::explain::ExplainReport;
 use crate::system::{BraidError, BraidSystem, CheckedSolutions, ExplainedSolutions, SessionHandle};
 use braid_cms::sched::{PoolConfig, Step, Task, WorkerPool};
-use braid_cms::{Completeness, CoopCtx, Waker};
+use braid_cms::{Completeness, Waker};
 use braid_ie::Strategy;
-use braid_net::{read_frame, write_frame, NetError, MAX_FRAME_BYTES};
+use braid_net::{read_frame, write_frame, Listener, NetError, MAX_FRAME_BYTES};
 use braid_relational::Tuple;
 use braid_remote::clientproto::{self, admin_op, kind, ClientQuery, StatsReport};
 use braid_remote::proto::{decode_batch, encode_batch};
 use braid_trace::{json_escape, RingSink, TraceEvent, TraceKind, TraceSink, Tracer};
 use std::collections::VecDeque;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use std::task::Poll;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -143,14 +144,6 @@ struct RateSample {
     wakes: u64,
 }
 
-/// One accepted connection as the *server* tracks it for shutdown: a
-/// clone of the socket (so `stop` can cut it out from under both the
-/// reader thread and the connection task) plus the reader's join handle.
-struct ConnReg {
-    stream: TcpStream,
-    reader: JoinHandle<()>,
-}
-
 struct ServerShared {
     /// The server-wide monotonic epoch: every timestamp the server puts
     /// on the wire (trace `start_us`, recorder `t_us`, `CLOCK_INFO`) is
@@ -161,10 +154,6 @@ struct ServerShared {
     active: AtomicUsize,
     queries: AtomicU64,
     shutdown: AtomicBool,
-    /// Live-connection registry, pruned as readers finish. `stop` drains
-    /// it, cuts every socket, and joins every reader, so shutdown cannot
-    /// strand a connection task mid-conversation.
-    conns: Mutex<Vec<ConnReg>>,
     /// The owned system, for STATS snapshots built inside connection
     /// tasks (which only hold `ServerShared`).
     system: Arc<BraidSystem>,
@@ -296,7 +285,6 @@ struct ConnTask {
     inbox: Arc<ConnInbox>,
     writer: TcpStream,
     shared: Arc<ServerShared>,
-    coop: Option<Arc<CoopCtx>>,
     state: ConnState,
     /// The per-connection span ring, attached to the session tracer
     /// while the client is sending traced queries. Kept across queries
@@ -436,14 +424,9 @@ impl Task for ConnTask {
                 if let Some(ring) = &ring {
                     let _ = ring.drain();
                 }
-                if self.coop.is_none() {
-                    self.coop = Some(Arc::new(CoopCtx::new(waker.clone())));
-                }
-                let coop = Arc::clone(self.coop.as_ref().expect("just created"));
-                match self.session.solve_checked_coop(&query, strategy, &coop) {
-                    Err(e) if e.is_would_block() => Step::Pending,
-                    result => {
-                        coop.reset();
+                match self.session.poll_checked(&query, strategy, waker) {
+                    Poll::Pending => Step::Pending,
+                    Poll::Ready(result) => {
                         self.state = ConnState::Idle;
                         self.shared.queries.fetch_add(1, Ordering::SeqCst);
                         let sent = match result {
@@ -484,11 +467,12 @@ impl Task for ConnTask {
 /// A TCP front-end mapping N client connections onto one shared
 /// [`WorkerPool`] of cooperative sessions (see the module docs).
 pub struct BraidServer {
-    local_addr: SocketAddr,
     pool: Arc<WorkerPool>,
     shared: Arc<ServerShared>,
-    system: Arc<BraidSystem>,
-    accept_handle: Option<JoinHandle<()>>,
+    /// The accept loop and the per-connection reader threads; its
+    /// shutdown cuts every socket, so no connection task is stranded
+    /// mid-conversation.
+    listener: Listener,
     sampler_handle: Option<JoinHandle<()>>,
 }
 
@@ -509,27 +493,24 @@ impl BraidServer {
             },
             system.cms().metrics_handle(),
         ));
-        let system = Arc::new(system);
         let shared = Arc::new(ServerShared {
             epoch: Instant::now(),
             accepted: AtomicU64::new(0),
             active: AtomicUsize::new(0),
             queries: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            system: Arc::clone(&system),
+            system: Arc::new(system),
             pool: Arc::downgrade(&pool),
             recorder: FlightRecorder::new(),
             samples: Mutex::new(VecDeque::new()),
         });
         shared.record("server.start", &local_addr.to_string());
         shared.push_sample();
-        let accept_handle = {
+        let listener = {
             let (pool, shared) = (Arc::clone(&pool), Arc::clone(&shared));
-            let system = Arc::clone(&system);
-            std::thread::Builder::new()
-                .name("braid-accept".into())
-                .spawn(move || accept_loop(&listener, &system, &pool, &shared))?
+            Listener::start(listener, "braid", move |stream, _stop| {
+                admit(stream, &pool, &shared)
+            })?
         };
         // The sampler keeps the rate ring warm so STATS_REPORT can quote
         // qps / wakes-per-second over a real window instead of lifetime
@@ -551,18 +532,16 @@ impl BraidServer {
                 })?
         };
         Ok(BraidServer {
-            local_addr,
             pool,
             shared,
-            system,
-            accept_handle: Some(accept_handle),
+            listener,
             sampler_handle: Some(sampler_handle),
         })
     }
 
     /// The bound address (resolve `:0` to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.addr()
     }
 
     /// Scheduler-level introspection of the shared session pool.
@@ -590,13 +569,13 @@ impl BraidServer {
     /// query-latency histogram, run-queue high-water and session
     /// park/wake counters that load experiments report server-side.
     pub fn metrics(&self) -> crate::CombinedMetrics {
-        self.system.metrics()
+        self.shared.system.metrics()
     }
 
     /// The owned system, for oracle-side inspection in tests and
     /// benchmarks (read-only access through `&self` methods).
     pub fn system(&self) -> &BraidSystem {
-        &self.system
+        &self.shared.system
     }
 
     /// Stop accepting, cut every open connection, and drain the pool.
@@ -614,28 +593,13 @@ impl BraidServer {
         if let Some(h) = self.sampler_handle.take() {
             let _ = h.join();
         }
-        // Unblock the accept loop with a throwaway connection. The loop
-        // re-checks the flag *before* dispatching whatever `accept`
-        // returns, so a real client racing this dial is dropped rather
-        // than spawned-and-stranded.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        // With the accept loop gone the registry is stable: cut every
-        // live socket so blocking readers unblock (marking inboxes
-        // closed and waking tasks) and task writes fail fast.
-        let regs: Vec<ConnReg> =
-            std::mem::take(&mut *self.shared.conns.lock().unwrap_or_else(|p| p.into_inner()));
-        for reg in &regs {
-            let _ = reg.stream.shutdown(Shutdown::Both);
-        }
+        // Cutting every live socket unblocks the readers (which mark
+        // their inboxes closed and wake their tasks) and makes task
+        // writes fail fast.
+        self.listener.shutdown();
         // Every spawned task now runs to Done (closed inbox or failed
         // write), so join() terminates; afterwards active == 0.
         self.pool.join();
-        for reg in regs {
-            let _ = reg.reader.join();
-        }
     }
 }
 
@@ -648,72 +612,48 @@ impl Drop for BraidServer {
 impl std::fmt::Debug for BraidServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BraidServer")
-            .field("local_addr", &self.local_addr)
+            .field("local_addr", &self.local_addr())
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    system: &Arc<BraidSystem>,
+/// Turn one accepted socket into a connection: a [`ConnTask`] on the
+/// pool, and the reader loop the listener runs on the connection's own
+/// thread.
+fn admit(
+    stream: TcpStream,
     pool: &Arc<WorkerPool>,
     shared: &Arc<ServerShared>,
-) {
-    for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let stream = match conn {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        // Answers go out as a BATCH frame followed by a small END frame;
-        // without nodelay the END sits in Nagle's buffer waiting for the
-        // client's delayed ACK, adding ~40ms to every round trip.
-        stream.set_nodelay(true).ok();
-        let reader_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        shared.accepted.fetch_add(1, Ordering::SeqCst);
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        shared.record(
-            "conn.accept",
-            &stream
-                .peer_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_default(),
-        );
-        let inbox = Arc::new(ConnInbox {
-            queue: Mutex::new(VecDeque::new()),
-            closed: AtomicBool::new(false),
-        });
-        // A second clone goes into the shutdown registry so `stop` can
-        // cut the socket out from under the reader and the task.
-        let reg_stream = stream.try_clone().ok();
-        let id = pool.spawn(Box::new(ConnTask {
-            session: system.session_owned(),
-            inbox: Arc::clone(&inbox),
-            writer: stream,
-            shared: Arc::clone(shared),
-            coop: None,
-            state: ConnState::Idle,
-            trace_ring: None,
-        }));
-        let waker = pool.waker(id);
-        let reader = std::thread::Builder::new()
-            .name("braid-conn-reader".into())
-            .spawn(move || reader_loop(reader_stream, &inbox, &waker))
-            .ok();
-        if let (Some(stream), Some(reader)) = (reg_stream, reader) {
-            let mut conns = shared.conns.lock().unwrap_or_else(|p| p.into_inner());
-            // Prune finished conversations so the registry tracks live
-            // connections, not the server's whole accept history.
-            conns.retain(|reg| !reg.reader.is_finished());
-            conns.push(ConnReg { stream, reader });
-        }
-    }
+) -> Option<impl FnOnce() + Send + 'static> {
+    // Answers go out as a BATCH frame followed by a small END frame;
+    // without nodelay the END sits in Nagle's buffer waiting for the
+    // client's delayed ACK, adding ~40ms to every round trip.
+    stream.set_nodelay(true).ok();
+    let reader_stream = stream.try_clone().ok()?;
+    shared.accepted.fetch_add(1, Ordering::SeqCst);
+    shared.active.fetch_add(1, Ordering::SeqCst);
+    shared.record(
+        "conn.accept",
+        &stream
+            .peer_addr()
+            .map(|a| a.to_string())
+            .unwrap_or_default(),
+    );
+    let inbox = Arc::new(ConnInbox {
+        queue: Mutex::new(VecDeque::new()),
+        closed: AtomicBool::new(false),
+    });
+    let id = pool.spawn(Box::new(ConnTask {
+        session: shared.system.session_owned(),
+        inbox: Arc::clone(&inbox),
+        writer: stream,
+        shared: Arc::clone(shared),
+        state: ConnState::Idle,
+        trace_ring: None,
+    }));
+    let waker = pool.waker(id);
+    Some(move || reader_loop(reader_stream, &inbox, &waker))
 }
 
 /// Per-connection reader: decode `QUERY`/`CLOCK_SYNC`/`STATS_REQUEST`/
@@ -1110,32 +1050,9 @@ fn graft_forest(
 mod tests {
     use super::*;
     use crate::system::BraidConfig;
-    use braid_ie::KnowledgeBase;
-    use braid_relational::{tuple, Relation, Schema};
-    use braid_remote::Catalog;
 
     fn system() -> BraidSystem {
-        let mut db = Catalog::new();
-        db.install(
-            Relation::from_tuples(
-                Schema::of_strs("parent", &["p", "c"]),
-                vec![
-                    tuple!["ann", "bob"],
-                    tuple!["bob", "cal"],
-                    tuple!["cal", "dee"],
-                ],
-            )
-            .unwrap(),
-        );
-        let mut kb = KnowledgeBase::new();
-        kb.declare_base("parent", 2);
-        kb.add_program(
-            "gp(X, Y) :- parent(X, Z), parent(Z, Y).\n\
-             anc(X, Y) :- parent(X, Y).\n\
-             anc(X, Y) :- parent(X, Z), anc(Z, Y).",
-        )
-        .unwrap();
-        BraidSystem::new(db, kb, BraidConfig::default())
+        crate::system::tests::system(BraidConfig::default())
     }
 
     #[test]

@@ -4,13 +4,14 @@ use crate::explain::ExplainReport;
 use crate::metrics::CombinedMetrics;
 use braid_caql::{parse_query, Atom};
 use braid_cms::trace::{RingSink, TraceSink};
-use braid_cms::{Cms, CmsConfig, CmsError, Completeness, CoopCtx};
+use braid_cms::{Cms, CmsConfig, CmsError, Completeness, Waker};
 use braid_ie::engine::Solutions;
 use braid_ie::{IeError, InferenceEngine, KnowledgeBase, Strategy};
 use braid_relational::Tuple;
 use braid_remote::{Catalog, CostModel, FaultPlan, LatencyModel, RemoteDbms};
 use std::fmt;
 use std::sync::Arc;
+use std::task::Poll;
 
 /// Configuration of the whole bridge.
 #[derive(Debug, Clone)]
@@ -127,9 +128,13 @@ impl BraidError {
 /// components, an inference engine (IE), a Cache Management System (CMS),
 /// and a remote DBMS. The first two are realized on a workstation and the
 /// third is realized on a separate system."
+///
+/// The system *is* its first session: it dereferences to a root
+/// [`SessionHandle`], so every solve method is called on it directly, and
+/// [`BraidSystem::session_owned`] opens further sessions over the same
+/// cache.
 pub struct BraidSystem {
-    engine: Arc<InferenceEngine>,
-    cms: Cms,
+    root: SessionHandle,
 }
 
 impl BraidSystem {
@@ -143,17 +148,75 @@ impl BraidSystem {
         // into the same shared sink.
         remote.set_trace(config.cms.trace.clone());
         BraidSystem {
-            engine: Arc::new(InferenceEngine::new(kb)),
-            cms: Cms::new(remote, config.cms),
+            root: SessionHandle {
+                engine: Arc::new(InferenceEngine::new(kb)),
+                cms: Cms::new(remote, config.cms),
+            },
         }
     }
 
-    /// The inference engine.
+    /// Combined cost metrics.
+    pub fn metrics(&self) -> CombinedMetrics {
+        CombinedMetrics {
+            remote: self.cms().remote().metrics(),
+            cms: self.cms().metrics(),
+        }
+    }
+
+    /// Reset the remote-side counters (between experiment phases).
+    pub fn reset_remote_metrics(&self) {
+        self.cms().remote().reset_metrics();
+    }
+
+    /// Open a new session against the shared cache. Takes `&self`, so N
+    /// sessions can be opened from one system and driven on N threads or
+    /// boxed into scheduler tasks: the handle is `'static` (it holds the
+    /// inference engine by `Arc`). Sessions share the cache, the remote
+    /// handle, the metrics sink and the single-flight fetch table, while
+    /// each keeps its own advice tracker, circuit breaker and
+    /// completeness bookkeeping — the paper's "set of sessions" (§3) made
+    /// concurrent.
+    pub fn session_owned(&self) -> SessionHandle {
+        SessionHandle {
+            engine: Arc::clone(&self.root.engine),
+            cms: self.root.cms.fork_session(),
+        }
+    }
+}
+
+impl std::ops::Deref for BraidSystem {
+    type Target = SessionHandle;
+
+    fn deref(&self) -> &SessionHandle {
+        &self.root
+    }
+}
+
+impl std::ops::DerefMut for BraidSystem {
+    fn deref_mut(&mut self) -> &mut SessionHandle {
+        &mut self.root
+    }
+}
+
+/// One session of a [`BraidSystem`]: the only way a query runs.
+///
+/// The blocking methods and [`SessionHandle::poll_checked`] run the same
+/// solve; they differ in who sleeps when a remote fetch joins one that
+/// another session is already leading. A blocking call parks the calling
+/// thread (bounded by `flight_join_timeout_ms`); a poll parks the
+/// *session* and hands the thread back to its scheduler.
+pub struct SessionHandle {
+    engine: Arc<InferenceEngine>,
+    cms: Cms,
+}
+
+impl SessionHandle {
+    /// The inference engine (shared by every session of the system).
     pub fn engine(&self) -> &InferenceEngine {
         &self.engine
     }
 
-    /// The CMS (e.g. to inspect the cache model).
+    /// This session's CMS view (shared cache, per-session state).
     pub fn cms(&self) -> &Cms {
         &self.cms
     }
@@ -163,27 +226,13 @@ impl BraidSystem {
         &mut self.cms
     }
 
-    /// Combined cost metrics.
-    pub fn metrics(&self) -> CombinedMetrics {
-        CombinedMetrics {
-            remote: self.cms.remote().metrics(),
-            cms: self.cms.metrics(),
-        }
-    }
-
-    /// Reset the remote-side counters (between experiment phases).
-    pub fn reset_remote_metrics(&self) {
-        self.cms.remote().reset_metrics();
-    }
-
     /// Solve an AI query given as text (`?- k1(X, Y).`), returning the
     /// solution stream.
     ///
     /// # Errors
     /// Propagates parse, IE and CMS errors.
     pub fn solve(&mut self, query: &str, strategy: Strategy) -> Result<Solutions<'_>, BraidError> {
-        let goal = parse_query(query).map_err(|e| BraidError::Parse(e.to_string()))?;
-        self.solve_atom(&goal, strategy)
+        self.solve_atom(&parse_goal(query)?, strategy)
     }
 
     /// Solve an already-parsed AI query.
@@ -203,11 +252,11 @@ impl BraidSystem {
     /// # Errors
     /// Propagates parse, IE and CMS errors.
     pub fn solve_all(&mut self, query: &str, strategy: Strategy) -> Result<Vec<Tuple>, BraidError> {
-        let goal = parse_query(query).map_err(|e| BraidError::Parse(e.to_string()))?;
+        let goal = parse_goal(query)?;
         Ok(self.engine.solve_all(&mut self.cms, &goal, strategy)?)
     }
 
-    /// Like [`BraidSystem::solve_all`], additionally reporting whether
+    /// Like [`SessionHandle::solve_all`], additionally reporting whether
     /// the solutions are provably complete. In degraded mode (remote
     /// unreachable, cache coverage unprovable) the answer comes back
     /// [`Completeness::Partial`] with the unanswerable subqueries named.
@@ -219,25 +268,34 @@ impl BraidSystem {
         query: &str,
         strategy: Strategy,
     ) -> Result<CheckedSolutions, BraidError> {
-        // Clear anything accumulated by earlier queries so the tag
-        // reflects this solve only.
-        let _ = self.cms.take_missing_subqueries();
-        let solutions = self.solve_all(query, strategy)?;
-        let missing = self.cms.take_missing_subqueries();
-        let completeness = if missing.is_empty() {
-            Completeness::Exact
-        } else {
-            Completeness::Partial {
-                missing_subqueries: missing,
+        solve_checked_on(&self.engine, &mut self.cms, query, strategy)
+    }
+
+    /// One poll of [`SessionHandle::solve_checked`] on behalf of a
+    /// scheduler task (a [`SessionTask`](crate::SessionTask), a server
+    /// connection): instead of parking the thread on a fetch another
+    /// session is leading, the solve registers `waker` with that fetch
+    /// and comes back [`Poll::Pending`]. Poll the *same* query again
+    /// once the waker fires; the retry consumes the joined result (and
+    /// anything this session already fetched itself) instead of
+    /// re-fetching, so the answer is byte-identical to the blocking
+    /// call's.
+    pub fn poll_checked(
+        &mut self,
+        query: &str,
+        strategy: Strategy,
+        waker: &Waker,
+    ) -> Poll<Result<CheckedSolutions, BraidError>> {
+        let engine = &self.engine;
+        self.cms.poll_with(waker, |cms| {
+            match solve_checked_on(engine, cms, query, strategy) {
+                Err(e) if e.is_would_block() => Poll::Pending,
+                done => Poll::Ready(done),
             }
-        };
-        Ok(CheckedSolutions {
-            solutions,
-            completeness,
         })
     }
 
-    /// Like [`BraidSystem::solve_checked`], additionally capturing this
+    /// Like [`SessionHandle::solve_checked`], additionally capturing this
     /// solve's span tree and folding it into a per-query EXPLAIN report:
     /// advice consulted, planner decisions, cached views matched by
     /// subsumption, remainder subqueries shipped remote, faults survived,
@@ -250,217 +308,54 @@ impl BraidSystem {
         query: &str,
         strategy: Strategy,
     ) -> Result<ExplainedSolutions, BraidError> {
-        solve_explained_impl(&self.engine, &mut self.cms, query, strategy)
-    }
-
-    /// Open a new session against the shared cache. Takes `&self`, so N
-    /// sessions can be opened from one system and driven on N threads
-    /// (e.g. under `std::thread::scope`): they share the cache, the
-    /// remote handle, the metrics sink and the single-flight fetch table,
-    /// while each keeps its own advice tracker, circuit breaker and
-    /// completeness bookkeeping — the paper's "set of sessions" (§3) made
-    /// concurrent.
-    pub fn session(&self) -> BraidSession<'_> {
-        BraidSession {
-            engine: &self.engine,
-            cms: self.cms.fork_session(),
-        }
-    }
-
-    /// Open an *owned* session: like [`BraidSystem::session`] but holding
-    /// the inference engine by `Arc`, so the handle is `'static` and can
-    /// be boxed into a scheduler task or moved to a detached thread
-    /// without borrowing the system. Shares the same cache, remote handle,
-    /// metrics sink and single-flight table as every other session.
-    pub fn session_owned(&self) -> SessionHandle {
-        SessionHandle {
-            engine: Arc::clone(&self.engine),
-            cms: self.cms.fork_session(),
-        }
-    }
-}
-
-/// One session of a shared [`BraidSystem`] (see [`BraidSystem::session`]).
-/// Mirrors the system's solve API; independent sessions are `Send`, so
-/// they can be moved into scoped threads.
-pub struct BraidSession<'a> {
-    engine: &'a InferenceEngine,
-    cms: Cms,
-}
-
-impl BraidSession<'_> {
-    /// This session's CMS view (shared cache, per-session state).
-    pub fn cms(&self) -> &Cms {
-        &self.cms
-    }
-
-    /// Mutable CMS access (e.g. to submit advice for this session).
-    pub fn cms_mut(&mut self) -> &mut Cms {
-        &mut self.cms
-    }
-
-    /// Solve an AI query given as text, returning the solution stream.
-    ///
-    /// # Errors
-    /// Propagates parse, IE and CMS errors.
-    pub fn solve(&mut self, query: &str, strategy: Strategy) -> Result<Solutions<'_>, BraidError> {
-        let goal = parse_query(query).map_err(|e| BraidError::Parse(e.to_string()))?;
-        Ok(self.engine.solve(&mut self.cms, &goal, strategy)?)
-    }
-
-    /// Solve and collect unique, sorted solutions.
-    ///
-    /// # Errors
-    /// Propagates parse, IE and CMS errors.
-    pub fn solve_all(&mut self, query: &str, strategy: Strategy) -> Result<Vec<Tuple>, BraidError> {
-        let goal = parse_query(query).map_err(|e| BraidError::Parse(e.to_string()))?;
-        Ok(self.engine.solve_all(&mut self.cms, &goal, strategy)?)
-    }
-
-    /// Solve with a completeness tag (see [`BraidSystem::solve_checked`]).
-    ///
-    /// # Errors
-    /// Propagates parse, IE and CMS errors.
-    pub fn solve_checked(
-        &mut self,
-        query: &str,
-        strategy: Strategy,
-    ) -> Result<CheckedSolutions, BraidError> {
-        let _ = self.cms.take_missing_subqueries();
-        let solutions = self.solve_all(query, strategy)?;
-        let missing = self.cms.take_missing_subqueries();
-        let completeness = if missing.is_empty() {
-            Completeness::Exact
-        } else {
-            Completeness::Partial {
-                missing_subqueries: missing,
-            }
-        };
-        Ok(CheckedSolutions {
-            solutions,
-            completeness,
-        })
-    }
-
-    /// Per-query EXPLAIN for this session (see
-    /// [`BraidSystem::solve_explained`]).
-    ///
-    /// # Errors
-    /// Propagates parse, IE and CMS errors.
-    pub fn solve_explained(
-        &mut self,
-        query: &str,
-        strategy: Strategy,
-    ) -> Result<ExplainedSolutions, BraidError> {
-        solve_explained_impl(self.engine, &mut self.cms, query, strategy)
-    }
-}
-
-/// An owned session of a shared [`BraidSystem`] (see
-/// [`BraidSystem::session_owned`]): the `'static` sibling of
-/// [`BraidSession`], holding the inference engine by `Arc` so it can be
-/// boxed into a [`braid_cms::sched::Task`] or moved across threads
-/// without borrowing the system. The solve surface is byte-identical to
-/// `BraidSession`'s; `solve_checked_coop` additionally threads a
-/// cooperative context through the CMS so blocking points park the
-/// *session* instead of the OS thread.
-pub struct SessionHandle {
-    engine: Arc<InferenceEngine>,
-    cms: Cms,
-}
-
-impl SessionHandle {
-    /// This session's CMS view (shared cache, per-session state).
-    pub fn cms(&self) -> &Cms {
-        &self.cms
-    }
-
-    /// Mutable CMS access (e.g. to submit advice for this session).
-    pub fn cms_mut(&mut self) -> &mut Cms {
-        &mut self.cms
-    }
-
-    /// Solve an AI query given as text, returning the solution stream.
-    ///
-    /// # Errors
-    /// Propagates parse, IE and CMS errors.
-    pub fn solve(&mut self, query: &str, strategy: Strategy) -> Result<Solutions<'_>, BraidError> {
-        let goal = parse_query(query).map_err(|e| BraidError::Parse(e.to_string()))?;
-        Ok(self.engine.solve(&mut self.cms, &goal, strategy)?)
-    }
-
-    /// Solve and collect unique, sorted solutions.
-    ///
-    /// # Errors
-    /// Propagates parse, IE and CMS errors.
-    pub fn solve_all(&mut self, query: &str, strategy: Strategy) -> Result<Vec<Tuple>, BraidError> {
-        let goal = parse_query(query).map_err(|e| BraidError::Parse(e.to_string()))?;
-        Ok(self.engine.solve_all(&mut self.cms, &goal, strategy)?)
-    }
-
-    /// Solve with a completeness tag (see [`BraidSystem::solve_checked`]).
-    ///
-    /// # Errors
-    /// Propagates parse, IE and CMS errors.
-    pub fn solve_checked(
-        &mut self,
-        query: &str,
-        strategy: Strategy,
-    ) -> Result<CheckedSolutions, BraidError> {
-        let _ = self.cms.take_missing_subqueries();
-        let solutions = self.solve_all(query, strategy)?;
-        let missing = self.cms.take_missing_subqueries();
-        let completeness = if missing.is_empty() {
-            Completeness::Exact
-        } else {
-            Completeness::Partial {
-                missing_subqueries: missing,
-            }
-        };
-        Ok(CheckedSolutions {
-            solutions,
-            completeness,
-        })
-    }
-
-    /// Like [`SessionHandle::solve_checked`], but cooperative: blocking
-    /// points inside the CMS (single-flight joins on fetches another
-    /// session is already leading) return a
-    /// [`would-block`](BraidError::is_would_block) error instead of
-    /// parking the OS thread. The caller (normally a
-    /// [`SessionTask`](crate::SessionTask) on a worker pool) parks the
-    /// session and retries the same query after `coop`'s waker fires; the
-    /// context's stash makes the retry consume the joined result instead
-    /// of re-fetching, so the answer stays byte-identical to the
-    /// thread-per-session path.
-    ///
-    /// # Errors
-    /// Propagates parse, IE and CMS errors — including the would-block
-    /// signal, which the caller must treat as "park", not "fail".
-    pub fn solve_checked_coop(
-        &mut self,
-        query: &str,
-        strategy: Strategy,
-        coop: &Arc<CoopCtx>,
-    ) -> Result<CheckedSolutions, BraidError> {
-        self.cms.set_coop(Some(Arc::clone(coop)));
+        let ring = Arc::new(RingSink::new(4096));
+        self.cms
+            .attach_session_sink(Arc::clone(&ring) as Arc<dyn TraceSink>);
         let result = self.solve_checked(query, strategy);
-        self.cms.set_coop(None);
-        result
+        self.cms.detach_session_sink();
+        let checked = result?;
+        let report = ExplainReport::from_events(
+            query,
+            checked.solutions.len(),
+            checked.completeness.clone(),
+            ring.drain(),
+        );
+        Ok(ExplainedSolutions {
+            solutions: checked.solutions,
+            completeness: checked.completeness,
+            report,
+        })
     }
+}
 
-    /// Per-query EXPLAIN for this session (see
-    /// [`BraidSystem::solve_explained`]).
-    ///
-    /// # Errors
-    /// Propagates parse, IE and CMS errors.
-    pub fn solve_explained(
-        &mut self,
-        query: &str,
-        strategy: Strategy,
-    ) -> Result<ExplainedSolutions, BraidError> {
-        solve_explained_impl(&self.engine, &mut self.cms, query, strategy)
-    }
+fn parse_goal(query: &str) -> Result<Atom, BraidError> {
+    parse_query(query).map_err(|e| BraidError::Parse(e.to_string()))
+}
+
+/// The one solve body behind [`SessionHandle::solve_checked`] and
+/// [`SessionHandle::poll_checked`].
+fn solve_checked_on(
+    engine: &InferenceEngine,
+    cms: &mut Cms,
+    query: &str,
+    strategy: Strategy,
+) -> Result<CheckedSolutions, BraidError> {
+    // Clear anything accumulated by earlier queries so the tag reflects
+    // this solve only.
+    let _ = cms.take_missing_subqueries();
+    let solutions = engine.solve_all(cms, &parse_goal(query)?, strategy)?;
+    let missing = cms.take_missing_subqueries();
+    let completeness = if missing.is_empty() {
+        Completeness::Exact
+    } else {
+        Completeness::Partial {
+            missing_subqueries: missing,
+        }
+    };
+    Ok(CheckedSolutions {
+        solutions,
+        completeness,
+    })
 }
 
 impl fmt::Debug for SessionHandle {
@@ -471,51 +366,8 @@ impl fmt::Debug for SessionHandle {
     }
 }
 
-/// Shared implementation of `solve_explained`: attach a private ring
-/// sink to the session tracer, solve with a completeness check, then
-/// fold the drained spans into the report.
-fn solve_explained_impl(
-    engine: &InferenceEngine,
-    cms: &mut Cms,
-    query: &str,
-    strategy: Strategy,
-) -> Result<ExplainedSolutions, BraidError> {
-    let ring = Arc::new(RingSink::new(4096));
-    cms.attach_session_sink(Arc::clone(&ring) as Arc<dyn TraceSink>);
-    let result = (|| -> Result<CheckedSolutions, BraidError> {
-        let _ = cms.take_missing_subqueries();
-        let goal = parse_query(query).map_err(|e| BraidError::Parse(e.to_string()))?;
-        let solutions = engine.solve_all(cms, &goal, strategy)?;
-        let missing = cms.take_missing_subqueries();
-        let completeness = if missing.is_empty() {
-            Completeness::Exact
-        } else {
-            Completeness::Partial {
-                missing_subqueries: missing,
-            }
-        };
-        Ok(CheckedSolutions {
-            solutions,
-            completeness,
-        })
-    })();
-    cms.detach_session_sink();
-    let checked = result?;
-    let report = ExplainReport::from_events(
-        query,
-        checked.solutions.len(),
-        checked.completeness.clone(),
-        ring.drain(),
-    );
-    Ok(ExplainedSolutions {
-        solutions: checked.solutions,
-        completeness: checked.completeness,
-        report,
-    })
-}
-
 /// Solutions, completeness, and the EXPLAIN report describing how they
-/// were produced (see [`BraidSystem::solve_explained`]).
+/// were produced (see [`SessionHandle::solve_explained`]).
 #[derive(Debug, Clone)]
 pub struct ExplainedSolutions {
     /// Unique, sorted solution tuples.
@@ -524,14 +376,6 @@ pub struct ExplainedSolutions {
     pub completeness: Completeness,
     /// The reconstructed per-query EXPLAIN report.
     pub report: ExplainReport,
-}
-
-impl fmt::Debug for BraidSession<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BraidSession")
-            .field("cache_elements", &self.cms.cache_len())
-            .finish()
-    }
 }
 
 /// Solutions plus the completeness contract they were produced under.
@@ -554,17 +398,18 @@ impl CheckedSolutions {
 impl fmt::Debug for BraidSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BraidSystem")
-            .field("cache_elements", &self.cms.cache_len())
+            .field("cache_elements", &self.cms().cache_len())
             .finish()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use braid_relational::{tuple, Relation, Schema};
 
-    fn system(config: BraidConfig) -> BraidSystem {
+    /// The three-generation genealogy this crate's unit tests solve over.
+    pub(crate) fn system(config: BraidConfig) -> BraidSystem {
         let mut db = Catalog::new();
         db.install(
             Relation::from_tuples(
@@ -636,12 +481,12 @@ mod tests {
     #[test]
     fn sessions_share_one_cache() {
         let b = system(BraidConfig::default());
-        let mut s1 = b.session();
+        let mut s1 = b.session_owned();
         s1.solve_all("?- gp(ann, Y).", Strategy::ConjunctionCompiled)
             .unwrap();
         let after = b.metrics();
         // A *different* session sees the first session's cached results.
-        let mut s2 = b.session();
+        let mut s2 = b.session_owned();
         let sols = s2
             .solve_all("?- gp(ann, Y).", Strategy::ConjunctionCompiled)
             .unwrap();
@@ -654,13 +499,13 @@ mod tests {
     fn concurrent_sessions_all_get_the_same_answer() {
         let b = system(BraidConfig::default());
         let expected = b
-            .session()
+            .session_owned()
             .solve_all("?- anc(ann, Y).", Strategy::ConjunctionCompiled)
             .unwrap();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    let mut sess = b.session();
+                    let mut sess = b.session_owned();
                     s.spawn(move || {
                         sess.solve_all("?- anc(ann, Y).", Strategy::ConjunctionCompiled)
                             .unwrap()

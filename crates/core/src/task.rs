@@ -16,21 +16,18 @@
 //!   '------> Done (query list exhausted)
 //! ```
 //!
-//! * **Plan** picks the next query (or finishes) and lazily creates the
-//!   session's cooperative context around the scheduler's waker.
-//! * **Execute** runs [`SessionHandle::solve_checked_coop`]. A
-//!   single-flight join another session is leading surfaces as a
-//!   [`would-block`](BraidError::is_would_block) error; the task records
-//!   the park and returns [`Step::Pending`] — the pool suspends the
-//!   *session*, the OS thread moves on to another one.
+//! * **Plan** picks the next query (or finishes).
+//! * **Execute** polls [`SessionHandle::poll_checked`] with the pool's
+//!   waker. A single-flight join another session is leading comes back
+//!   `Pending`; the task records the park and returns [`Step::Pending`]
+//!   — the pool suspends the *session*, the OS thread moves on to
+//!   another one.
 //! * **FetchWait** is where the waker re-delivers the task: it records
 //!   the parked duration (a `sched.resume` trace event EXPLAIN picks
-//!   up) and loops back to Execute, whose retry consumes the joined
-//!   result from the context's stash — byte-identical to the
-//!   thread-per-session answer.
+//!   up) and loops back to Execute, whose re-poll consumes the joined
+//!   result — byte-identical to the blocking call's answer.
 //! * **Stream** delivers the finished [`CheckedSolutions`] through the
-//!   `on_result` callback and clears the stash so nothing leaks across
-//!   logical queries.
+//!   `on_result` callback.
 //!
 //! Each state transition is one [`Task::step`] slice, so the pool's
 //! per-session step budget bounds how long any session can monopolize a
@@ -38,10 +35,10 @@
 
 use crate::system::{BraidError, CheckedSolutions, SessionHandle};
 use braid_cms::sched::{Step, Task};
-use braid_cms::{CoopCtx, Waker};
+use braid_cms::Waker;
 use braid_ie::Strategy;
 use braid_trace::TraceKind;
-use std::sync::Arc;
+use std::task::Poll;
 use std::time::Instant;
 
 /// Where a [`SessionTask`] is in its machine (see the module diagram).
@@ -73,7 +70,6 @@ pub struct SessionTask {
     on_result: OnResult,
     next: usize,
     state: SessionState,
-    coop: Option<Arc<CoopCtx>>,
     parked_at: Option<Instant>,
     finished: Option<Result<CheckedSolutions, BraidError>>,
 }
@@ -94,7 +90,6 @@ impl SessionTask {
             on_result: Box::new(on_result),
             next: 0,
             state: SessionState::Plan,
-            coop: None,
             parked_at: None,
             finished: None,
         }
@@ -119,32 +114,23 @@ impl Task for SessionTask {
                     self.state = SessionState::Done;
                     return Step::Done;
                 }
-                // The context lives for the whole session: its waker is
-                // the pool's re-enqueue handle, and its stash carries
-                // joined fetch results across parks of one query.
-                if self.coop.is_none() {
-                    self.coop = Some(Arc::new(CoopCtx::new(waker.clone())));
-                }
                 self.state = SessionState::Execute;
                 Step::Yield
             }
             SessionState::Execute => {
-                let query = self.queries[self.next].clone();
-                let coop = Arc::clone(self.coop.as_ref().expect("coop created in Plan"));
-                let result = self
-                    .session
-                    .solve_checked_coop(&query, self.strategy, &coop);
-                match result {
-                    Err(e) if e.is_would_block() => {
+                let query = &self.queries[self.next];
+                match self.session.poll_checked(query, self.strategy, waker) {
+                    Poll::Pending => {
                         self.parked_at = Some(Instant::now());
-                        self.session
-                            .cms()
-                            .tracer()
-                            .event(TraceKind::SchedPark, query, vec![]);
+                        self.session.cms().tracer().event(
+                            TraceKind::SchedPark,
+                            query.clone(),
+                            vec![],
+                        );
                         self.state = SessionState::FetchWait;
                         Step::Pending
                     }
-                    done => {
+                    Poll::Ready(done) => {
                         self.finished = Some(done);
                         self.state = SessionState::Stream;
                         Step::Yield
@@ -170,9 +156,6 @@ impl Task for SessionTask {
                     .take()
                     .expect("Stream entered with a finished result");
                 (self.on_result)(self.next, result);
-                if let Some(coop) = &self.coop {
-                    coop.reset();
-                }
                 self.next += 1;
                 self.state = SessionState::Plan;
                 Step::Yield
@@ -197,33 +180,11 @@ mod tests {
     use super::*;
     use crate::system::{BraidConfig, BraidSystem};
     use braid_cms::sched::{PoolConfig, WorkerPool};
-    use braid_ie::KnowledgeBase;
-    use braid_relational::{tuple, Relation, Schema, Tuple};
-    use braid_remote::Catalog;
-    use std::sync::Mutex;
+    use braid_relational::Tuple;
+    use std::sync::{Arc, Mutex};
 
     fn system() -> BraidSystem {
-        let mut db = Catalog::new();
-        db.install(
-            Relation::from_tuples(
-                Schema::of_strs("parent", &["p", "c"]),
-                vec![
-                    tuple!["ann", "bob"],
-                    tuple!["bob", "cal"],
-                    tuple!["cal", "dee"],
-                ],
-            )
-            .unwrap(),
-        );
-        let mut kb = KnowledgeBase::new();
-        kb.declare_base("parent", 2);
-        kb.add_program(
-            "gp(X, Y) :- parent(X, Z), parent(Z, Y).\n\
-             anc(X, Y) :- parent(X, Y).\n\
-             anc(X, Y) :- parent(X, Z), anc(Z, Y).",
-        )
-        .unwrap();
-        BraidSystem::new(db, kb, BraidConfig::default())
+        crate::system::tests::system(BraidConfig::default())
     }
 
     #[test]
@@ -256,7 +217,7 @@ mod tests {
     #[test]
     fn coop_and_threaded_sessions_agree() {
         let b = system();
-        let mut serial = b.session();
+        let mut serial = b.session_owned();
         let expected = serial
             .solve_all("?- anc(ann, Y).", Strategy::ConjunctionCompiled)
             .unwrap();

@@ -22,10 +22,11 @@
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
+use crate::listener::Listener;
 use crate::port::bind_ephemeral;
 
 /// How often blocked proxy reads wake up to observe shutdown.
@@ -202,10 +203,7 @@ pub struct ProxyStatsSnapshot {
 /// [`addr`](FaultProxy::addr)) and forwards to `upstream` until dropped.
 #[derive(Debug)]
 pub struct FaultProxy {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    listener: Listener,
     stats: Arc<ProxyStats>,
 }
 
@@ -213,62 +211,32 @@ impl FaultProxy {
     /// Start proxying `upstream` through `plan` on a fresh ephemeral
     /// port.
     pub fn start(upstream: SocketAddr, plan: ProxyPlan) -> io::Result<FaultProxy> {
-        let (listener, addr) = bind_ephemeral()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let (listener, _) = bind_ephemeral()?;
         let stats = Arc::new(ProxyStats::default());
-
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let workers = Arc::clone(&workers);
+        let listener = {
             let stats = Arc::clone(&stats);
-            thread::Builder::new()
-                .name("braid-net-proxy".into())
-                .spawn(move || {
-                    let mut clock = 0u64;
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let client = match conn {
-                            Ok(s) => s,
-                            Err(_) => continue,
-                        };
-                        let idx = clock;
-                        clock += 1;
-                        stats.connections.fetch_add(1, Ordering::Relaxed);
-                        let fault = plan.decide(idx);
-                        if matches!(fault, Some(ProxyFault::Refuse)) {
-                            stats.refused.fetch_add(1, Ordering::Relaxed);
-                            let _ = client.shutdown(Shutdown::Both);
-                            continue;
-                        }
-                        let stop = Arc::clone(&stop);
-                        let stats = Arc::clone(&stats);
-                        let handle = thread::Builder::new()
-                            .name(format!("braid-net-proxy-conn-{idx}"))
-                            .spawn(move || {
-                                forward(client, upstream, fault, &stop, &stats);
-                            })
-                            .expect("spawn proxy worker");
-                        workers.lock().expect("proxy workers lock").push(handle);
-                    }
-                })
-                .expect("spawn proxy accept loop")
+            // The plan's logical clock: one tick per accepted connection.
+            let mut clock = 0u64;
+            Listener::start(listener, "braid-net-proxy", move |client, stop| {
+                let idx = clock;
+                clock += 1;
+                stats.connections.fetch_add(1, Ordering::Relaxed);
+                let fault = plan.decide(idx);
+                if matches!(fault, Some(ProxyFault::Refuse)) {
+                    stats.refused.fetch_add(1, Ordering::Relaxed);
+                    let _ = client.shutdown(Shutdown::Both);
+                    return None;
+                }
+                let (stop, stats) = (Arc::clone(stop), Arc::clone(&stats));
+                Some(move || forward(client, upstream, fault, &stop, &stats))
+            })?
         };
-
-        Ok(FaultProxy {
-            addr,
-            stop,
-            accept: Some(accept),
-            workers,
-            stats,
-        })
+        Ok(FaultProxy { listener, stats })
     }
 
     /// The address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Counters so far.
@@ -289,29 +257,7 @@ impl FaultProxy {
     /// Stop accepting, cut every in-flight connection, join all
     /// threads. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("proxy workers lock")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for FaultProxy {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.listener.shutdown();
     }
 }
 
@@ -446,6 +392,7 @@ mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
     use crate::NetError;
+    use std::thread::JoinHandle;
 
     /// An upstream that answers every frame `[k, payload]` with a frame
     /// `[k+1, payload]`, until the client closes.

@@ -18,11 +18,10 @@
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
 use std::time::Duration;
 
-use braid_net::{bind_ephemeral, read_frame, write_frame, Frame, NetError};
+use braid_net::{bind_ephemeral, read_frame, write_frame, Frame, Listener, NetError};
 
 use crate::proto::{self, kind};
 use crate::server::RemoteDbms;
@@ -92,73 +91,40 @@ pub struct TcpServerStats {
 /// A running TCP front end over one [`RemoteDbms`].
 #[derive(Debug)]
 pub struct RemoteTcpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    listener: Listener,
     stats: Arc<Stats>,
 }
 
 impl RemoteTcpServer {
     /// Bind an ephemeral loopback port and start serving `dbms`.
     pub fn serve(dbms: RemoteDbms, config: TcpServerConfig) -> io::Result<RemoteTcpServer> {
-        let (listener, addr) = bind_ephemeral()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let (listener, _) = bind_ephemeral()?;
         let stats = Arc::new(Stats::default());
-
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let workers = Arc::clone(&workers);
+        let listener = {
             let stats = Arc::clone(&stats);
-            thread::Builder::new()
-                .name("braid-remote-tcp-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let stream = match conn {
-                            Ok(s) => s,
-                            Err(_) => continue,
-                        };
-                        if stats.active.load(Ordering::SeqCst) >= config.max_connections as u64 {
-                            stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            let _ = stream.shutdown(Shutdown::Both);
-                            continue;
-                        }
-                        stats.accepted.fetch_add(1, Ordering::Relaxed);
-                        let active = stats.active.fetch_add(1, Ordering::SeqCst) + 1;
-                        stats.peak_active.fetch_max(active, Ordering::SeqCst);
-                        let dbms = dbms.clone();
-                        let stop = Arc::clone(&stop);
-                        let stats = Arc::clone(&stats);
-                        let cfg = config.clone();
-                        let handle = thread::Builder::new()
-                            .name("braid-remote-tcp-conn".into())
-                            .spawn(move || {
-                                serve_connection(stream, &dbms, &cfg, &stop, &stats);
-                                stats.active.fetch_sub(1, Ordering::SeqCst);
-                            })
-                            .expect("spawn tcp connection handler");
-                        workers.lock().expect("tcp workers lock").push(handle);
-                    }
+            Listener::start(listener, "braid-remote-tcp", move |stream, stop| {
+                if stats.active.load(Ordering::SeqCst) >= config.max_connections as u64 {
+                    stats.rejected.fetch_add(1, Ordering::Relaxed);
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return None;
+                }
+                stats.accepted.fetch_add(1, Ordering::Relaxed);
+                let active = stats.active.fetch_add(1, Ordering::SeqCst) + 1;
+                stats.peak_active.fetch_max(active, Ordering::SeqCst);
+                let (dbms, cfg) = (dbms.clone(), config.clone());
+                let (stop, stats) = (Arc::clone(stop), Arc::clone(&stats));
+                Some(move || {
+                    serve_connection(stream, &dbms, &cfg, &stop, &stats);
+                    stats.active.fetch_sub(1, Ordering::SeqCst);
                 })
-                .expect("spawn tcp accept loop")
+            })?
         };
-
-        Ok(RemoteTcpServer {
-            addr,
-            stop,
-            accept: Some(accept),
-            workers,
-            stats,
-        })
+        Ok(RemoteTcpServer { listener, stats })
     }
 
     /// The bound address clients (or a fault proxy) connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Counters so far.
@@ -177,31 +143,10 @@ impl RemoteTcpServer {
         }
     }
 
-    /// Stop accepting, let in-flight handlers notice within one poll
-    /// interval, and join everything. Idempotent; also runs on drop.
+    /// Stop accepting, cut every open connection, and join everything.
+    /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("tcp workers lock")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RemoteTcpServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.listener.shutdown();
     }
 }
 

@@ -16,12 +16,14 @@
 //! * [`gen`] — a fully deterministic generator: one `u64` seed ⇒ one
 //!   scenario, byte-stable across runs and platforms (SplitMix64, no
 //!   external RNG crate).
-//! * [`run`] — the step scheduler. [`run::run_scenario`] drives every
-//!   session on the calling thread in schedule order with parallel
+//! * [`run`] — the runner. [`run::run_scenario`] drives a scenario's
+//!   sessions through a [`run::Lane`]. On `Lane::Stepped` every session
+//!   runs on the calling thread in schedule order with parallel
 //!   execution disabled ([`braid_cms::CmsConfig::deterministic`]), so
 //!   the remote request clock — and every seeded fault decision — is a
-//!   pure function of the scenario. [`run::run_scenario_threaded`]
-//!   trades that replayability for real-thread schedule diversity.
+//!   pure function of the scenario. The other lanes (OS threads, OS
+//!   threads over real sockets behind a fault proxy, a fixed worker
+//!   pool) trade that replayability for real schedule diversity.
 //! * [`shrink`] — delta-debugging minimization of failing scenarios
 //!   (drop queries, then faults, then sessions; capacity last) plus
 //!   [`shrink::regression_test`] to emit a ready-to-paste test.
@@ -43,8 +45,7 @@ pub use gen::SimRng;
 pub use json::Json;
 pub use model::RefModel;
 pub use run::{
-    build_system, build_system_with_transport, digest_answer, run_scenario, run_scenario_coop,
-    run_scenario_socket, run_scenario_threaded, SimBug, SimOptions, SimReport, Violation,
+    build_system, digest_answer, run_scenario, Lane, SimBug, SimOptions, SimReport, Violation,
     ViolationKind, DIGEST_SEED,
 };
 pub use scenario::{Dataset, FaultSpec, SimScenario};

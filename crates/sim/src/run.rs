@@ -1,21 +1,22 @@
-//! Scenario execution: a step-based scheduler over [`BraidSession`]s,
-//! with the model-based differential oracle checked after every solve
-//! and cross-cutting invariants checked at the end of the run.
+//! Scenario execution: one runner, [`run_scenario`], that builds the
+//! system a scenario prescribes, drives its sessions through a [`Lane`],
+//! checks every answer against the model-based differential oracle, and
+//! checks cross-cutting invariants at the end of the run.
 //!
-//! Determinism rules (see DESIGN.md §10): sessions are driven one step
-//! at a time on the *calling* thread in the order fixed by
-//! `scenario.schedule`, and the CMS runs with
+//! Determinism rules (see DESIGN.md §10): on [`Lane::Stepped`] sessions
+//! are driven one solve at a time on the *calling* thread in the order
+//! fixed by `scenario.schedule`, and the CMS runs with
 //! [`CmsConfig::deterministic`] (serial remote parts). The remote
 //! request clock then ticks in program order, every seeded `FaultPlan`
 //! decision is a pure function of the scenario, and a failing seed
-//! replays exactly. [`run_scenario_threaded`] trades that determinism
-//! for real-thread schedule diversity (the soak lane runs both).
+//! replays exactly. The other lanes trade that determinism for real
+//! schedule diversity (the soak runs all of them).
 
 use crate::model::RefModel;
 use crate::scenario::SimScenario;
 use braid::{
-    BraidConfig, BraidSession, BraidSystem, CheckedSolutions, CmsConfig, Completeness, PoolConfig,
-    RemoteDbms, RemoteTcpServer, RingSink, SessionTask, TcpClientConfig, TcpServerConfig,
+    BraidConfig, BraidSystem, CheckedSolutions, CmsConfig, Completeness, PoolConfig, RemoteDbms,
+    RemoteTcpServer, RingSink, SessionHandle, SessionTask, TcpClientConfig, TcpServerConfig,
     TransportConfig, Tuple, WorkerPool,
 };
 use braid_net::{FaultProxy, ProxyPlan};
@@ -55,6 +56,34 @@ impl Default for SimOptions {
             trace_events: 1 << 16,
         }
     }
+}
+
+/// How a scenario's sessions are driven. Every lane runs the same
+/// sessions against the same oracle; they differ in who interleaves them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// One solve at a time on the calling thread, in `scenario.schedule`
+    /// order: deterministic and replayable, digest in step order.
+    Stepped,
+    /// One OS thread per session, ignoring the step schedule:
+    /// real-thread schedule diversity over the shared cache.
+    Threads,
+    /// Like [`Lane::Threads`], with the remote behind a real TCP
+    /// listener reached through a fault-injecting proxy: the engine-level
+    /// `FaultPlan` moves to the server side (its typed errors travel the
+    /// wire), and scenarios with faults active additionally suffer
+    /// connection resets and torn frames on the link. Adds the invariant
+    /// that no connection leaks.
+    Socket,
+    /// Sessions as [`SessionTask`] state machines on a fixed
+    /// [`WorkerPool`] (`SIM_WORKERS` threads, default 4): joins park the
+    /// session, not a thread. Adds the invariant that no task panicked.
+    Pool,
+}
+
+impl Lane {
+    /// Every lane, in the order the soak runs them.
+    pub const ALL: [Lane; 4] = [Lane::Stepped, Lane::Threads, Lane::Socket, Lane::Pool];
 }
 
 /// What went wrong, attributed to the step that exposed it.
@@ -107,8 +136,10 @@ pub struct SimReport {
     /// Answers with at least one tuple (meta-test support: a scenario
     /// with none gives an injected answer-dropping bug nothing to bite).
     pub nonempty_answers: usize,
-    /// FNV-1a digest over every (query, completeness, answers) triple in
-    /// step order — two runs of the same scenario must agree bit-for-bit.
+    /// FNV-1a digest over every (query, completeness, answers) triple —
+    /// in step order on [`Lane::Stepped`], where two runs of the same
+    /// scenario must agree bit-for-bit; session-major on the other lanes,
+    /// where fault-free runs must agree whatever the interleaving.
     pub digest: u64,
     /// Everything the oracle caught (empty ⇒ the scenario passed).
     pub violations: Vec<Violation>,
@@ -161,13 +192,12 @@ pub fn digest_answer(digest: &mut u64, query: &str, checked: &CheckedSolutions) 
 /// session tracer, so each session gets its *own* [`RingSink`] (via
 /// `attach_session_sink`) and its forest is verified independently.
 pub fn build_system(sc: &SimScenario) -> BraidSystem {
-    build_system_with_transport(sc, TransportConfig::InProcess)
+    build_system_over(sc, TransportConfig::InProcess)
 }
 
-/// [`build_system`] with an explicit remote transport: the socket soak
-/// lane points this at a [`RemoteTcpServer`] (through a [`FaultProxy`]);
-/// every other scenario knob is applied unchanged.
-pub fn build_system_with_transport(sc: &SimScenario, transport: TransportConfig) -> BraidSystem {
+/// [`build_system`] with an explicit remote transport; every other
+/// scenario knob is applied unchanged.
+fn build_system_over(sc: &SimScenario, transport: TransportConfig) -> BraidSystem {
     let mut cms = CmsConfig::braid()
         .with_shards(sc.shards as usize)
         .with_batch_size(sc.batch_size as usize)
@@ -188,76 +218,56 @@ pub fn build_system_with_transport(sc: &SimScenario, transport: TransportConfig)
     BraidSystem::new(sc.dataset.catalog(), sc.dataset.knowledge_base(), config)
 }
 
-/// Check one solve's answer against the model; returns the violation, if
-/// any. `bug_state` counts non-empty answers for [`SimBug`] pacing.
-#[allow(clippy::too_many_arguments)]
+/// Check one answer against the model: every property it breaks, as
+/// `(kind, detail)` for the caller to attribute to its step.
 fn check_answer(
     model: &RefModel,
     sc: &SimScenario,
-    step: usize,
-    session: usize,
     query: &str,
     checked: &CheckedSolutions,
-    violations: &mut Vec<Violation>,
-) {
+) -> Vec<(ViolationKind, String)> {
     let expected = match model.solve_text(query) {
         Ok(t) => t,
         Err(e) => {
-            violations.push(Violation {
-                step,
-                session,
-                query: query.to_string(),
-                kind: ViolationKind::AnswerMismatch,
-                detail: format!("reference model failed: {e}"),
-            });
-            return;
+            return vec![(
+                ViolationKind::AnswerMismatch,
+                format!("reference model failed: {e}"),
+            )]
         }
     };
+    let mut broken = Vec::new();
     match &checked.completeness {
         Completeness::Exact => {
             if checked.solutions != expected {
-                violations.push(Violation {
-                    step,
-                    session,
-                    query: query.to_string(),
-                    kind: ViolationKind::AnswerMismatch,
-                    detail: diff_detail(&checked.solutions, &expected),
-                });
+                broken.push((
+                    ViolationKind::AnswerMismatch,
+                    diff_detail(&checked.solutions, &expected),
+                ));
             }
         }
         Completeness::Partial { missing_subqueries } => {
             if !sc.faults_active() {
-                violations.push(Violation {
-                    step,
-                    session,
-                    query: query.to_string(),
-                    kind: ViolationKind::CompletenessContract,
-                    detail: "answer tagged Partial although no faults are injected".into(),
-                });
+                broken.push((
+                    ViolationKind::CompletenessContract,
+                    "answer tagged Partial although no faults are injected".into(),
+                ));
             }
             if missing_subqueries.is_empty() {
-                violations.push(Violation {
-                    step,
-                    session,
-                    query: query.to_string(),
-                    kind: ViolationKind::CompletenessContract,
-                    detail: "Partial answer names no missing subqueries".into(),
-                });
+                broken.push((
+                    ViolationKind::CompletenessContract,
+                    "Partial answer names no missing subqueries".into(),
+                ));
             }
             let full: BTreeSet<&Tuple> = expected.iter().collect();
             if let Some(extra) = checked.solutions.iter().find(|t| !full.contains(t)) {
-                violations.push(Violation {
-                    step,
-                    session,
-                    query: query.to_string(),
-                    kind: ViolationKind::PartialNotSubset,
-                    detail: format!(
-                        "partial answer contains {extra:?} which the model does not derive"
-                    ),
-                });
+                broken.push((
+                    ViolationKind::PartialNotSubset,
+                    format!("partial answer contains {extra:?} which the model does not derive"),
+                ));
             }
         }
     }
+    broken
 }
 
 fn diff_detail(got: &[Tuple], want: &[Tuple]) -> String {
@@ -272,8 +282,20 @@ fn diff_detail(got: &[Tuple], want: &[Tuple]) -> String {
     )
 }
 
-/// End-of-run invariants: pin balance, cache byte accounting, metric
-/// conservation, span-forest well-formedness. `sessions` must already be
+/// A violation of an end-of-run invariant (no step, no session).
+fn end(kind: ViolationKind, detail: String) -> Violation {
+    Violation {
+        step: usize::MAX,
+        session: usize::MAX,
+        query: "<end-of-run>".into(),
+        kind,
+        detail,
+    }
+}
+
+/// End-of-run invariants every lane must satisfy: pin balance, cache byte
+/// accounting, metric conservation, drained flights / wakers /
+/// connections, span-forest well-formedness. `sessions` must already be
 /// dropped (their streams release pins on drop).
 fn check_invariants(
     sc: &SimScenario,
@@ -282,14 +304,6 @@ fn check_invariants(
     tolerated_errors: usize,
     violations: &mut Vec<Violation>,
 ) {
-    let end = |kind: ViolationKind, detail: String| Violation {
-        step: usize::MAX,
-        session: usize::MAX,
-        query: "<end-of-run>".into(),
-        kind,
-        detail,
-    };
-
     // Pin balance: every AnswerStream is gone, so no session pin may
     // survive.
     let leaked = system.cms().shared_cache().leaked_session_pins();
@@ -372,6 +386,37 @@ fn check_invariants(
         }
     }
 
+    // Quiescence: every flight published and retired its entry, every
+    // scheduler park was matched by exactly one wake (both zero off the
+    // pool lane), and every remote connection is back in its pool.
+    let open = system.cms().open_flights();
+    if open != 0 {
+        violations.push(end(
+            ViolationKind::MetricsConservation,
+            format!("{open} single-flight entr(ies) still open after quiescence"),
+        ));
+    }
+    if m.cms.wakes != m.cms.sessions_parked {
+        violations.push(end(
+            ViolationKind::MetricsConservation,
+            format!(
+                "leaked wakers: {} wakes for {} parks",
+                m.cms.wakes, m.cms.sessions_parked
+            ),
+        ));
+    }
+    if let Some(pool) = system.cms().transport_pool_stats() {
+        if pool.in_use != 0 {
+            violations.push(end(
+                ViolationKind::MetricsConservation,
+                format!(
+                    "client pool still has {} connection(s) checked out",
+                    pool.in_use
+                ),
+            ));
+        }
+    }
+
     // Span-forest well-formedness (reused from braid-trace), checked per
     // session — span ids are allocated by the session's tracer, so each
     // session's ring is its own forest. Only meaningful when the ring
@@ -386,34 +431,160 @@ fn check_invariants(
     }
 }
 
-/// Run a scenario deterministically and check every oracle.
-///
-/// # Errors
-/// Harness-level failures only (invalid scenario, model construction):
-/// oracle *violations* are reported in the returned [`SimReport`], not
-/// as errors.
-pub fn run_scenario(sc: &SimScenario, opts: &SimOptions) -> Result<SimReport, String> {
-    sc.validate()?;
-    let model = RefModel::new(&sc.dataset.catalog(), &sc.dataset.knowledge_base())?;
-    let system = build_system(sc);
+/// One solve as a lane recorded it.
+struct Solve {
+    /// Schedule position on the stepped lane; position within the
+    /// session's own query list on the others.
+    step: usize,
+    session: usize,
+    query: String,
+    outcome: Result<CheckedSolutions, String>,
+}
 
-    let rings: Vec<Arc<RingSink>> = sc
+/// Fork a session with its own span ring attached.
+fn open_session(system: &BraidSystem, opts: &SimOptions) -> (SessionHandle, Arc<RingSink>) {
+    let ring = Arc::new(RingSink::new(opts.trace_events));
+    let mut session = system.session_owned();
+    session
+        .cms_mut()
+        .attach_session_sink(Arc::clone(&ring) as _);
+    (session, ring)
+}
+
+type Driven = (Vec<Solve>, Vec<Arc<RingSink>>);
+
+/// [`Lane::Stepped`]: the calling thread follows `sc.schedule`.
+fn drive_stepped(system: &BraidSystem, sc: &SimScenario, opts: &SimOptions) -> Driven {
+    let (mut sessions, rings): (Vec<_>, Vec<_>) = sc
         .sessions
         .iter()
-        .map(|_| Arc::new(RingSink::new(opts.trace_events)))
-        .collect();
-    let mut sessions: Vec<BraidSession<'_>> = sc
-        .sessions
+        .map(|_| open_session(system, opts))
+        .unzip();
+    let mut cursors = vec![0usize; sc.sessions.len()];
+    let solves = sc
+        .schedule
         .iter()
-        .zip(&rings)
-        .map(|(_, ring)| {
-            let mut sess = system.session();
-            sess.cms_mut().attach_session_sink(Arc::clone(ring) as _);
-            sess
+        .enumerate()
+        .map(|(step, &session)| {
+            let query = sc.sessions[session][cursors[session]].clone();
+            cursors[session] += 1;
+            let outcome = sessions[session]
+                .solve_checked(&query, sc.strategy)
+                .map_err(|e| e.to_string());
+            Solve {
+                step,
+                session,
+                query,
+                outcome,
+            }
         })
         .collect();
-    let mut cursors = vec![0usize; sc.sessions.len()];
-    let mut violations = Vec::new();
+    (solves, rings)
+}
+
+/// [`Lane::Threads`] / [`Lane::Socket`]: one OS thread per session.
+fn drive_threads(system: &BraidSystem, sc: &SimScenario, opts: &SimOptions) -> Driven {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = sc
+            .sessions
+            .iter()
+            .enumerate()
+            .map(|(session, queries)| {
+                scope.spawn(move || {
+                    let (mut handle, ring) = open_session(system, opts);
+                    let solves: Vec<Solve> = queries
+                        .iter()
+                        .enumerate()
+                        .map(|(step, query)| Solve {
+                            step,
+                            session,
+                            query: query.clone(),
+                            outcome: handle
+                                .solve_checked(query, sc.strategy)
+                                .map_err(|e| e.to_string()),
+                        })
+                        .collect();
+                    (solves, ring)
+                })
+            })
+            .collect();
+        let (solves, rings): (Vec<Vec<Solve>>, Vec<_>) = handles
+            .into_iter()
+            .map(|h| h.join().expect("session thread"))
+            .unzip();
+        (solves.into_iter().flatten().collect(), rings)
+    })
+}
+
+/// Worker count for the pool lane: the `SIM_WORKERS` env knob,
+/// defaulting to 4.
+fn sim_workers() -> usize {
+    std::env::var("SIM_WORKERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n: &usize| n >= 1)
+        .unwrap_or(4)
+}
+
+/// [`Lane::Pool`]: every session a [`SessionTask`] on one worker pool.
+/// Solves come back session-major, whatever interleaving the pool chose.
+fn drive_pool(
+    system: &BraidSystem,
+    sc: &SimScenario,
+    opts: &SimOptions,
+    violations: &mut Vec<Violation>,
+) -> Driven {
+    let pool = WorkerPool::with_metrics(
+        PoolConfig {
+            workers: sim_workers(),
+            step_budget: 8,
+        },
+        system.cms().metrics_handle(),
+    );
+    let log: Arc<Mutex<Vec<Solve>>> = Arc::default();
+    let mut rings = Vec::with_capacity(sc.sessions.len());
+    for (session, queries) in sc.sessions.iter().enumerate() {
+        let (handle, ring) = open_session(system, opts);
+        rings.push(ring);
+        let (sink, texts) = (Arc::clone(&log), queries.clone());
+        pool.spawn(Box::new(SessionTask::new(
+            handle,
+            queries.clone(),
+            sc.strategy,
+            move |step, outcome| {
+                sink.lock().unwrap_or_else(|p| p.into_inner()).push(Solve {
+                    step,
+                    session,
+                    query: texts[step].clone(),
+                    outcome: outcome.map_err(|e| e.to_string()),
+                });
+            },
+        )));
+    }
+    pool.join();
+    let panicked = pool.snapshot().panicked;
+    // Stop the workers before anyone inspects invariants; finished tasks
+    // have already dropped their sessions (and with them any stream pins).
+    pool.shutdown();
+    if panicked != 0 {
+        violations.push(end(
+            ViolationKind::UnexpectedError,
+            format!("{panicked} session task(s) panicked"),
+        ));
+    }
+    let mut solves = std::mem::take(&mut *log.lock().unwrap_or_else(|p| p.into_inner()));
+    solves.sort_by_key(|s| (s.session, s.step));
+    (solves, rings)
+}
+
+/// The one tally–digest–check pass over a lane's solves.
+fn tally(
+    sc: &SimScenario,
+    model: &RefModel,
+    opts: &SimOptions,
+    solves: Vec<Solve>,
+    violations: &mut Vec<Violation>,
+) -> SimReport {
     let mut report = SimReport {
         solves: 0,
         exact: 0,
@@ -423,12 +594,17 @@ pub fn run_scenario(sc: &SimScenario, opts: &SimOptions) -> Result<SimReport, St
         digest: DIGEST_SEED,
         violations: Vec::new(),
     };
-
-    for (step, &s) in sc.schedule.iter().enumerate() {
-        let query = &sc.sessions[s][cursors[s]];
-        cursors[s] += 1;
+    let mut answered = vec![0usize; sc.sessions.len()];
+    for Solve {
+        step,
+        session,
+        query,
+        outcome,
+    } in solves
+    {
         report.solves += 1;
-        match sessions[s].solve_checked(query, sc.strategy) {
+        answered[session] += 1;
+        let broken = match outcome {
             Ok(mut checked) => {
                 if !checked.solutions.is_empty() {
                     report.nonempty_answers += 1;
@@ -442,402 +618,125 @@ pub fn run_scenario(sc: &SimScenario, opts: &SimOptions) -> Result<SimReport, St
                     Completeness::Exact => report.exact += 1,
                     Completeness::Partial { .. } => report.partial += 1,
                 }
-                digest_answer(&mut report.digest, query, &checked);
-                check_answer(&model, sc, step, s, query, &checked, &mut violations);
+                digest_answer(&mut report.digest, &query, &checked);
+                check_answer(model, sc, &query, &checked)
             }
             Err(e) => {
                 fnv1a(&mut report.digest, format!("{query}|error").as_bytes());
                 if sc.faults_active() {
                     report.tolerated_errors += 1;
+                    Vec::new()
                 } else {
-                    violations.push(Violation {
-                        step,
-                        session: s,
-                        query: query.clone(),
-                        kind: ViolationKind::UnexpectedError,
-                        detail: format!("solve failed without injected faults: {e}"),
-                    });
+                    vec![(
+                        ViolationKind::UnexpectedError,
+                        format!("solve failed without injected faults: {e}"),
+                    )]
                 }
             }
-        }
+        };
+        violations.extend(broken.into_iter().map(|(kind, detail)| Violation {
+            step,
+            session,
+            query: query.clone(),
+            kind,
+            detail,
+        }));
     }
-
-    drop(sessions);
-    check_invariants(
-        sc,
-        &system,
-        &rings,
-        report.tolerated_errors,
-        &mut violations,
-    );
-    report.violations = violations;
-    Ok(report)
-}
-
-/// Run a scenario with each session on its own OS thread, ignoring the
-/// step schedule: real-thread schedule diversity over the same shared
-/// cache. Answers are still oracle-checked (an `Exact` answer must match
-/// the model under *any* interleaving), but the run is not replayable —
-/// the soak lane pairs it with the deterministic runner.
-///
-/// # Errors
-/// Harness-level failures only, as for [`run_scenario`].
-pub fn run_scenario_threaded(sc: &SimScenario, opts: &SimOptions) -> Result<SimReport, String> {
-    sc.validate()?;
-    let system = build_system(sc);
-    run_threaded_over(&system, sc, opts)
-}
-
-/// Drive `sc`'s sessions on OS threads over an already-built system and
-/// run every oracle check — the shared body of the threaded and socket
-/// soak lanes.
-fn run_threaded_over(
-    system: &BraidSystem,
-    sc: &SimScenario,
-    opts: &SimOptions,
-) -> Result<SimReport, String> {
-    let model = RefModel::new(&sc.dataset.catalog(), &sc.dataset.knowledge_base())?;
-
-    type SolveLog = Vec<(usize, String, Result<CheckedSolutions, String>)>;
-    let outcomes: Vec<(SolveLog, Arc<RingSink>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sc
-            .sessions
-            .iter()
-            .enumerate()
-            .map(|(si, queries)| {
-                scope.spawn(move || {
-                    let ring = Arc::new(RingSink::new(opts.trace_events));
-                    let mut sess = system.session();
-                    sess.cms_mut().attach_session_sink(Arc::clone(&ring) as _);
-                    let log = queries
-                        .iter()
-                        .map(|q| {
-                            (
-                                si,
-                                q.clone(),
-                                sess.solve_checked(q, sc.strategy)
-                                    .map_err(|e| e.to_string()),
-                            )
-                        })
-                        .collect::<SolveLog>();
-                    (log, ring)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("session thread"))
-            .collect()
-    });
-    let (results, rings): (Vec<SolveLog>, Vec<Arc<RingSink>>) = outcomes.into_iter().unzip();
-
-    let mut violations = Vec::new();
-    let mut report = SimReport {
-        solves: 0,
-        exact: 0,
-        partial: 0,
-        tolerated_errors: 0,
-        nonempty_answers: 0,
-        digest: 0,
-        violations: Vec::new(),
-    };
-    for log in results {
-        for (step, (si, query, outcome)) in log.into_iter().enumerate() {
-            report.solves += 1;
-            match outcome {
-                Ok(checked) => {
-                    report.nonempty_answers += usize::from(!checked.solutions.is_empty());
-                    match checked.completeness {
-                        Completeness::Exact => report.exact += 1,
-                        Completeness::Partial { .. } => report.partial += 1,
-                    }
-                    check_answer(&model, sc, step, si, &query, &checked, &mut violations);
-                }
-                Err(e) => {
-                    if sc.faults_active() {
-                        report.tolerated_errors += 1;
-                    } else {
-                        violations.push(Violation {
-                            step,
-                            session: si,
-                            query,
-                            kind: ViolationKind::UnexpectedError,
-                            detail: format!("solve failed without injected faults: {e}"),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    check_invariants(sc, system, &rings, report.tolerated_errors, &mut violations);
-    report.violations = violations;
-    Ok(report)
-}
-
-/// Worker count for the cooperative lane: the `SIM_WORKERS` env knob,
-/// defaulting to 4.
-fn sim_workers() -> usize {
-    std::env::var("SIM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n >= 1)
-        .unwrap_or(4)
-}
-
-/// Run a scenario's sessions as [`SessionTask`] state machines on a
-/// fixed [`WorkerPool`] (`SIM_WORKERS` threads, default 4) instead of a
-/// thread per session — the cooperative lane. Oracle checks are the
-/// ones every lane runs; on top of them this lane asserts the
-/// scheduler's own conservation laws:
-///
-/// - no flight left open on the shared single-flight table,
-/// - `wakes == sessions_parked` in the CMS metrics (no leaked wakers),
-/// - for fault-free scenarios, a session-major answer digest that must
-///   match the reference model bit-for-bit — cooperative scheduling may
-///   reorder *between* sessions but must not perturb a single session's
-///   answers.
-///
-/// # Errors
-/// Harness-level failures only, as for [`run_scenario`].
-pub fn run_scenario_coop(sc: &SimScenario, opts: &SimOptions) -> Result<SimReport, String> {
-    sc.validate()?;
-    let model = RefModel::new(&sc.dataset.catalog(), &sc.dataset.knowledge_base())?;
-    let system = build_system(sc);
-    let pool = WorkerPool::with_metrics(
-        PoolConfig {
-            workers: sim_workers(),
-            step_budget: 8,
-        },
-        system.cms().metrics_handle(),
-    );
-
-    type SolveLog = Vec<(String, Result<CheckedSolutions, String>)>;
-    let mut logs: Vec<Arc<Mutex<SolveLog>>> = Vec::with_capacity(sc.sessions.len());
-    let mut rings: Vec<Arc<RingSink>> = Vec::with_capacity(sc.sessions.len());
-    for queries in &sc.sessions {
-        let ring = Arc::new(RingSink::new(opts.trace_events));
-        let log: Arc<Mutex<SolveLog>> = Arc::new(Mutex::new(Vec::new()));
-        let mut sess = system.session_owned();
-        sess.cms_mut().attach_session_sink(Arc::clone(&ring) as _);
-        let (sink, texts) = (Arc::clone(&log), queries.clone());
-        pool.spawn(Box::new(SessionTask::new(
-            sess,
-            queries.clone(),
-            sc.strategy,
-            move |i, r| {
-                sink.lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push((texts[i].clone(), r.map_err(|e| e.to_string())));
-            },
-        )));
-        logs.push(log);
-        rings.push(ring);
-    }
-    pool.join();
-    let pool_snap = pool.snapshot();
-    // Stop the workers before inspecting invariants; finished tasks have
-    // already dropped their sessions (and with them any stream pins).
-    pool.shutdown();
-
-    let results: Vec<SolveLog> = logs
-        .into_iter()
-        .map(|l| {
-            Arc::try_unwrap(l)
-                .expect("pool drained, no task holds the log")
-                .into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-        })
-        .collect();
-
-    let mut violations = Vec::new();
-    let mut report = SimReport {
-        solves: 0,
-        exact: 0,
-        partial: 0,
-        tolerated_errors: 0,
-        nonempty_answers: 0,
-        digest: DIGEST_SEED,
-        violations: Vec::new(),
-    };
-    // Session-major digest of what the model expects; only compared in
-    // fault-free scenarios, where every answer must be Exact.
-    let mut expected_digest = report.digest;
-    for (si, log) in results.iter().enumerate() {
-        if log.len() != sc.sessions[si].len() {
+    for (session, queries) in sc.sessions.iter().enumerate() {
+        if answered[session] != queries.len() {
             violations.push(Violation {
-                step: usize::MAX,
-                session: si,
-                query: "<end-of-run>".into(),
-                kind: ViolationKind::UnexpectedError,
-                detail: format!(
-                    "session ran {} of {} queries",
-                    log.len(),
-                    sc.sessions[si].len()
-                ),
+                session,
+                ..end(
+                    ViolationKind::UnexpectedError,
+                    format!(
+                        "session ran {} of {} queries",
+                        answered[session],
+                        queries.len()
+                    ),
+                )
             });
         }
-        for (step, (query, outcome)) in log.iter().enumerate() {
-            report.solves += 1;
-            if !sc.faults_active() {
-                if let Ok(tuples) = model.solve_text(query) {
-                    digest_answer(
-                        &mut expected_digest,
-                        query,
-                        &CheckedSolutions {
-                            solutions: tuples,
-                            completeness: Completeness::Exact,
-                        },
-                    );
-                }
-            }
-            match outcome {
-                Ok(checked) => {
-                    report.nonempty_answers += usize::from(!checked.solutions.is_empty());
-                    match checked.completeness {
-                        Completeness::Exact => report.exact += 1,
-                        Completeness::Partial { .. } => report.partial += 1,
-                    }
-                    digest_answer(&mut report.digest, query, checked);
-                    check_answer(&model, sc, step, si, query, checked, &mut violations);
-                }
-                Err(e) => {
-                    fnv1a(&mut report.digest, format!("{query}|error").as_bytes());
-                    if sc.faults_active() {
-                        report.tolerated_errors += 1;
-                    } else {
-                        violations.push(Violation {
-                            step,
-                            session: si,
-                            query: query.clone(),
-                            kind: ViolationKind::UnexpectedError,
-                            detail: format!("solve failed without injected faults: {e}"),
-                        });
-                    }
-                }
-            }
-        }
     }
-
-    // Scheduler conservation laws.
-    let end = |kind: ViolationKind, detail: String| Violation {
-        step: usize::MAX,
-        session: usize::MAX,
-        query: "<end-of-run>".into(),
-        kind,
-        detail,
-    };
-    if pool_snap.panicked != 0 {
-        violations.push(end(
-            ViolationKind::UnexpectedError,
-            format!("{} session task(s) panicked", pool_snap.panicked),
-        ));
-    }
-    let open = system.cms().open_flights();
-    if open != 0 {
-        violations.push(end(
-            ViolationKind::MetricsConservation,
-            format!("{open} single-flight entr(ies) still open after quiescence"),
-        ));
-    }
-    let m = system.cms().metrics();
-    if m.wakes != m.sessions_parked {
-        violations.push(end(
-            ViolationKind::MetricsConservation,
-            format!(
-                "leaked wakers: {} wakes for {} parks",
-                m.wakes, m.sessions_parked
-            ),
-        ));
-    }
-    if !sc.faults_active() && report.digest != expected_digest {
-        violations.push(end(
-            ViolationKind::AnswerMismatch,
-            "session-major digest diverged from the reference model".into(),
-        ));
-    }
-
-    check_invariants(
-        sc,
-        &system,
-        &rings,
-        report.tolerated_errors,
-        &mut violations,
-    );
-    report.violations = violations;
-    Ok(report)
+    report
 }
 
-/// The wire-fault plan a scenario implies: quiet scenarios get a clean
+/// The remote engine behind a real TCP listener, reached through a
+/// fault-injecting proxy ([`Lane::Socket`]). Quiet scenarios get a clean
 /// pass-through proxy; faulted ones add connection resets and torn
 /// frames, seeded from the scenario's fault seed so per-connection
 /// decisions replay.
-fn proxy_plan(sc: &SimScenario) -> ProxyPlan {
-    match &sc.faults {
-        Some(f) if f.is_active() => ProxyPlan::seeded(f.seed)
-            .with_resets(0.05)
-            .with_truncation(0.05, 300),
-        _ => ProxyPlan::healthy(),
-    }
-}
-
-/// Run a scenario with each session on its own OS thread *and* the
-/// remote behind a real TCP listener, reached through a fault-injecting
-/// proxy: the engine-level `FaultPlan` moves to the server side (its
-/// typed errors now travel the wire), and scenarios with faults active
-/// additionally suffer connection resets and torn frames on the link.
-/// Oracle checks are identical to the other lanes; on top of them the
-/// lane asserts that no connection leaks — the client pool's `in_use`
-/// gauge and the server's `active` gauge must both drain to zero.
-///
-/// # Errors
-/// Harness-level failures only (socket setup included), as for
-/// [`run_scenario`].
-pub fn run_scenario_socket(sc: &SimScenario, opts: &SimOptions) -> Result<SimReport, String> {
-    sc.validate()?;
+fn serve_remote(sc: &SimScenario) -> Result<(RemoteTcpServer, FaultProxy), String> {
     let engine = RemoteDbms::with_defaults(sc.dataset.catalog());
+    let mut plan = ProxyPlan::healthy();
     if let Some(f) = &sc.faults {
         engine.set_fault_plan(Some(f.plan()));
+        if f.is_active() {
+            plan = ProxyPlan::seeded(f.seed)
+                .with_resets(0.05)
+                .with_truncation(0.05, 300);
+        }
     }
-    let mut server = RemoteTcpServer::serve(engine, TcpServerConfig::default())
+    let server = RemoteTcpServer::serve(engine, TcpServerConfig::default())
         .map_err(|e| format!("socket lane: listen failed: {e}"))?;
-    let mut proxy = FaultProxy::start(server.addr(), proxy_plan(sc))
+    let proxy = FaultProxy::start(server.addr(), plan)
         .map_err(|e| format!("socket lane: proxy failed: {e}"))?;
-    let mut client = TcpClientConfig::to(proxy.addr().to_string());
-    client.connect_timeout_ms = 500;
-    client.backoff_base_ms = 2;
-    client.backoff_cap_ms = 16;
-    let system = build_system_with_transport(sc, TransportConfig::Tcp(client));
+    Ok((server, proxy))
+}
 
-    let mut report = run_threaded_over(&system, sc, opts)?;
-
-    // Socket-lane invariants: every connection accounted for.
-    let leak = |detail: String| Violation {
-        step: usize::MAX,
-        session: usize::MAX,
-        query: "<end-of-run>".into(),
-        kind: ViolationKind::MetricsConservation,
-        detail,
+/// Run a scenario on `lane` and check every oracle: each answer against
+/// the reference model (an `Exact` answer must match it under *any*
+/// interleaving), then the end-of-run invariants.
+///
+/// # Errors
+/// Harness-level failures only (invalid scenario, model construction,
+/// socket setup): oracle *violations* are reported in the returned
+/// [`SimReport`], not as errors.
+pub fn run_scenario(sc: &SimScenario, lane: Lane, opts: &SimOptions) -> Result<SimReport, String> {
+    sc.validate()?;
+    let model = RefModel::new(&sc.dataset.catalog(), &sc.dataset.knowledge_base())?;
+    let wire = match lane {
+        Lane::Socket => Some(serve_remote(sc)?),
+        _ => None,
     };
-    let pool = system
-        .cms()
-        .transport_pool_stats()
-        .expect("socket lane runs over TCP");
-    if pool.in_use != 0 {
-        report.violations.push(leak(format!(
-            "client pool still has {} connection(s) checked out",
-            pool.in_use
-        )));
+    let transport = match &wire {
+        Some((_, proxy)) => {
+            let mut client = TcpClientConfig::to(proxy.addr().to_string());
+            client.connect_timeout_ms = 500;
+            client.backoff_base_ms = 2;
+            client.backoff_cap_ms = 16;
+            TransportConfig::Tcp(client)
+        }
+        None => TransportConfig::InProcess,
+    };
+    let system = build_system_over(sc, transport);
+
+    let mut violations = Vec::new();
+    let (solves, rings) = match lane {
+        Lane::Stepped => drive_stepped(&system, sc, opts),
+        Lane::Threads | Lane::Socket => drive_threads(&system, sc, opts),
+        Lane::Pool => drive_pool(&system, sc, opts, &mut violations),
+    };
+    let mut report = tally(sc, &model, opts, solves, &mut violations);
+    check_invariants(
+        sc,
+        &system,
+        &rings,
+        report.tolerated_errors,
+        &mut violations,
+    );
+    if let Some((mut server, mut proxy)) = wire {
+        drop(system);
+        proxy.shutdown();
+        server.shutdown();
+        let active = server.stats().active;
+        if active != 0 {
+            violations.push(end(
+                ViolationKind::MetricsConservation,
+                format!("server still counts {active} active connection(s) after shutdown"),
+            ));
+        }
     }
-    drop(system);
-    proxy.shutdown();
-    server.shutdown();
-    let active = server.stats().active;
-    if active != 0 {
-        report.violations.push(leak(format!(
-            "server still counts {active} active connection(s) after shutdown"
-        )));
-    }
+    report.violations = violations;
     Ok(report)
 }
 
@@ -853,7 +752,8 @@ mod tests {
             if sc.faults_active() {
                 continue;
             }
-            let report = run_scenario(&sc, &SimOptions::default()).expect("harness runs");
+            let report =
+                run_scenario(&sc, Lane::Stepped, &SimOptions::default()).expect("harness runs");
             if report.nonempty_answers > 0 {
                 return (sc, report);
             }
@@ -864,7 +764,8 @@ mod tests {
     #[test]
     fn a_simple_scenario_passes_clean() {
         let sc = SimScenario::generate(3);
-        let report = run_scenario(&sc, &SimOptions::default()).expect("harness runs");
+        let report =
+            run_scenario(&sc, Lane::Stepped, &SimOptions::default()).expect("harness runs");
         assert!(report.passed(), "violations: {:#?}", report.violations);
         assert_eq!(report.solves, sc.query_count());
     }
@@ -877,15 +778,15 @@ mod tests {
             .find(|s| s.faults_active() && s.sessions.len() > 1)
             .expect("generator produces faulted multi-session scenarios");
         let opts = SimOptions::default();
-        let a = run_scenario(&sc, &opts).expect("harness runs");
-        let b = run_scenario(&sc, &opts).expect("harness runs");
+        let a = run_scenario(&sc, Lane::Stepped, &opts).expect("harness runs");
+        let b = run_scenario(&sc, Lane::Stepped, &opts).expect("harness runs");
         assert_eq!(a, b, "same scenario must replay identically");
     }
 
     #[test]
     fn socket_lane_passes_clean_and_faulted() {
         let quiet = SimScenario::generate(3);
-        let r = run_scenario_socket(&quiet, &SimOptions::default()).expect("harness runs");
+        let r = run_scenario(&quiet, Lane::Socket, &SimOptions::default()).expect("harness runs");
         assert!(r.passed(), "quiet violations: {:#?}", r.violations);
         assert_eq!(r.solves, quiet.query_count());
 
@@ -893,44 +794,42 @@ mod tests {
             .map(SimScenario::generate)
             .find(|s| s.faults_active())
             .expect("generator produces faulted scenarios");
-        let r = run_scenario_socket(&faulted, &SimOptions::default()).expect("harness runs");
+        let r = run_scenario(&faulted, Lane::Socket, &SimOptions::default()).expect("harness runs");
         assert!(r.passed(), "faulted violations: {:#?}", r.violations);
     }
 
     #[test]
-    fn coop_lane_passes_clean_and_faulted() {
+    fn pool_lane_passes_clean_and_faulted() {
         let quiet = (0..100u64)
             .map(SimScenario::generate)
             .find(|s| !s.faults_active() && s.sessions.len() > 1)
             .expect("generator produces quiet multi-session scenarios");
-        let r = run_scenario_coop(&quiet, &SimOptions::default()).expect("harness runs");
+        let r = run_scenario(&quiet, Lane::Pool, &SimOptions::default()).expect("harness runs");
         assert!(r.passed(), "quiet violations: {:#?}", r.violations);
         assert_eq!(r.solves, quiet.query_count());
-        assert_eq!(r.partial, 0, "fault-free coop answers are all Exact");
+        assert_eq!(r.partial, 0, "fault-free pool answers are all Exact");
 
         let faulted = (0..200u64)
             .map(SimScenario::generate)
             .find(|s| s.faults_active())
             .expect("generator produces faulted scenarios");
-        let r = run_scenario_coop(&faulted, &SimOptions::default()).expect("harness runs");
+        let r = run_scenario(&faulted, Lane::Pool, &SimOptions::default()).expect("harness runs");
         assert!(r.passed(), "faulted violations: {:#?}", r.violations);
     }
 
     #[test]
-    fn coop_digest_is_schedule_independent_on_quiet_seeds() {
+    fn pool_digest_is_schedule_independent_on_quiet_seeds() {
         // The session-major digest orders answers per session, so for a
         // fault-free scenario it must be identical across runs even
-        // though the pool interleaves sessions differently each time —
-        // and identical to what the model predicts (checked inside the
-        // lane itself).
+        // though the pool interleaves sessions differently each time.
         let (sc, _) = quiet_seed_with_answers();
         let opts = SimOptions::default();
-        let a = run_scenario_coop(&sc, &opts).expect("harness runs");
-        let b = run_scenario_coop(&sc, &opts).expect("harness runs");
+        let a = run_scenario(&sc, Lane::Pool, &opts).expect("harness runs");
+        let b = run_scenario(&sc, Lane::Pool, &opts).expect("harness runs");
         assert!(a.passed(), "violations: {:#?}", a.violations);
         assert_eq!(
             a.digest, b.digest,
-            "coop digest must not depend on interleaving"
+            "pool digest must not depend on interleaving"
         );
     }
 
@@ -946,7 +845,7 @@ mod tests {
             bug: SimBug::DropLastTuple { every: 1 },
             ..SimOptions::default()
         };
-        let report = run_scenario(&sc, &opts).expect("harness runs");
+        let report = run_scenario(&sc, Lane::Stepped, &opts).expect("harness runs");
         assert!(
             report
                 .violations

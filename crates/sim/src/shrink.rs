@@ -4,7 +4,7 @@
 //! capacity. Every candidate is re-run through the deterministic
 //! scheduler, so the result is exactly as reproducible as the original.
 
-use crate::run::{run_scenario, SimOptions, SimReport};
+use crate::run::{run_scenario, Lane, SimOptions, SimReport};
 use crate::scenario::SimScenario;
 
 /// Outcome of a shrink.
@@ -21,7 +21,7 @@ pub struct ShrinkOutcome {
 /// Does this scenario still fail? A harness-level error counts as a
 /// failure too (a scenario that breaks the runner is worth keeping).
 fn fails(sc: &SimScenario, opts: &SimOptions) -> (bool, Option<SimReport>) {
-    match run_scenario(sc, opts) {
+    match run_scenario(sc, Lane::Stepped, opts) {
         Ok(r) => (!r.passed(), Some(r)),
         Err(_) => (true, None),
     }
@@ -192,7 +192,7 @@ pub fn regression_test(name: &str, sc: &SimScenario) -> String {
          fn {name}() {{\n\
          \x20   // Shrunk from seed {seed}; replays deterministically.\n\
          \x20   let sc = braid_sim::SimScenario::from_json(r##\"{json}\"##).expect(\"scenario parses\");\n\
-         \x20   let report = braid_sim::run_scenario(&sc, &braid_sim::SimOptions::default())\n\
+         \x20   let report = braid_sim::run_scenario(&sc, braid_sim::Lane::Stepped, &braid_sim::SimOptions::default())\n\
          \x20       .expect(\"harness runs\");\n\
          \x20   assert!(report.passed(), \"{{:#?}}\", report.violations);\n\
          }}\n",

@@ -1,7 +1,8 @@
 # Common developer entry points. `just ci` is what the repo gates on.
 
-# fmt --check, build, test (incl. executor differential and trace/EXPLAIN
-# suites), clippy -D warnings, E11 + E14 smoke runs.
+# fmt --check, build, one pass of the whole test suite plus the reruns
+# whose invocation differs (--release, serialized harness), the sim sweep
+# and soak, clippy -D warnings, and the experiment smoke reports.
 ci:
     ./scripts/ci.sh
 
@@ -28,8 +29,19 @@ report:
 report-quick:
     cargo run -p braid-bench --bin report -- --quick
 
+# The pinned benchmark (BENCHMARK.json, benchmark/README.md): every
+# workload through the TCP front door, untraced and traced, one result
+# file under benchmark/results/.
 bench:
-    cargo bench --workspace
+    bash benchmark/run.sh
+
+# The same at a fiftieth of the size (< 15 s).
+bench-smoke:
+    bash benchmark/run.sh run --smoke
+
+# Fail on a regression beyond each metric's bound between two result files.
+bench-compare a b:
+    bash benchmark/run.sh compare {{a}} {{b}}
 
 # The observability invariants (monotone counters, span forests,
 # histogram algebra, EXPLAIN stability) plus the tracing-overhead smoke.
@@ -38,7 +50,7 @@ trace-check:
     cargo test -p braid-trace -q
     cargo run -p braid-bench --bin report -- --quick --only E14
 
-# Live server dashboard over the wire STATS protocol (DESIGN.md §14).
+# Live server dashboard over the wire STATS protocol (DESIGN.md §13).
 # `just top` attaches to a running server; `just top-demo` brings its
 # own server + traffic; `just top-smoke` is the one-shot CI check.
 top addr="127.0.0.1:7878":
@@ -68,16 +80,14 @@ sim start="0" rounds="200":
     SIM_SEED_START={{start}} SIM_ROUNDS={{rounds}} \
         cargo run --release -p braid-bench --bin sim
 
-# Soak lane: the same seeds through the deterministic scheduler, a
-# columnar-forced rerun digest-compared against the row run, the
-# threaded runner (one OS thread per session over the shared cache),
-# the socket runner (same sessions over a real TCP listener behind the
-# fault proxy), AND the cooperative runner (same sessions as resumable
-# state machines on a fixed worker pool — `workers` sets the pool size
-# via SIM_WORKERS), in release so threads genuinely interleave. This
-# subsumes the old 25-round `stress` loop: loom is not vendorable
-# offline (DESIGN.md §7), so schedule coverage comes from seeded
-# repetition.
+# Soak: the same seeds through every sim lane — the stepped schedule, a
+# columnar-forced stepped rerun digest-compared against the row run,
+# threads (one OS thread per session over the shared cache), socket
+# (the same over a real TCP listener behind the fault proxy) and pool
+# (sessions as resumable state machines on a fixed worker pool —
+# `workers` sets its size via SIM_WORKERS) — in release so threads
+# genuinely interleave. Loom is not vendorable offline (DESIGN.md §7),
+# so schedule coverage comes from seeded repetition.
 soak start="0" rounds="400" workers="4" procs="0":
     SIM_SEED_START={{start}} SIM_ROUNDS={{rounds}} SIM_WORKERS={{workers}} SIM_PROCS={{procs}} \
         cargo run --release -p braid-bench --bin sim -- --soak
@@ -87,7 +97,7 @@ soak start="0" rounds="400" workers="4" procs="0":
 # Back-compat alias for the old stress entry point.
 stress: soak
 
-# The columnar-representation battery (DESIGN.md §15): the differential
+# The columnar-representation battery (DESIGN.md §14): the differential
 # proptest suite (row ≡ columnar across batch sizes, round trips,
 # dictionary/NULL edge cases), the sim oracle sweep with columnar
 # forced on, and the E20 row-vs-columnar speedup table.
@@ -96,7 +106,7 @@ columnar:
     cargo test --test sim_oracle -q forty_seeded_scenarios_pass_with_columnar_forced_on
     cargo run --release -p braid-bench --bin report -- --quick --only E20
 
-# Multi-process load generator (DESIGN.md §13): fork real client
+# Multi-process load generator (DESIGN.md §12): fork real client
 # processes against a braid server, closed- or open-loop, every digest
 # checked against the reference model. `just load 8 4000` runs 8
 # processes at 4000 arrivals/s per process; rate 0 is closed loop.
@@ -111,6 +121,6 @@ server-chaos:
     cargo test --release --test server_chaos -q
 
 # Narrated braid-server demo: N TCP clients multiplexed as resumable
-# session state machines on a fixed worker pool (DESIGN.md §12).
+# session state machines on a fixed worker pool (DESIGN.md §7).
 serve:
     cargo run --release --example serve

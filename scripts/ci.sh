@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# The repo's CI gate: formatting, build, full test suite, the executor
-# differential suite, the trace/EXPLAIN suite, the network suite (frame
-# codec, fault proxy, socket chaos round), lint-as-error, and quick
-# smoke runs of the fault-tolerance (E11) and tracing-overhead (E14)
-# experiments. Run from anywhere.
+# The repo's CI gate: formatting, build, ONE pass of the whole test
+# suite, then only the runs whose invocation differs from that pass — a
+# serialized harness, release-mode chaos suites, binaries and examples,
+# the sim sweep and the all-lanes soak — lint-as-error, and quick smoke
+# runs of the experiment reports. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,40 +13,19 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test"
+echo "==> cargo test (every suite, once)"
 cargo test --workspace -q
-
-echo "==> executor differential suite"
-cargo test --test executor_differential -q
-
-echo "==> columnar differential suite (row ≡ columnar, round trips)"
-cargo test --test columnar_differential -q
-
-echo "==> concurrent sessions suite (parallel harness)"
-cargo test --test concurrent_sessions -q
 
 echo "==> concurrent sessions suite (serialized harness)"
 RUST_TEST_THREADS=1 cargo test --test concurrent_sessions -q -- --test-threads=1
 
-echo "==> cooperative sessions suite (fixed worker pool)"
-cargo test --test cooperative_sessions -q
-
-echo "==> trace/EXPLAIN observability suite"
-cargo test --test trace_observability -q
-cargo test -p braid-trace -q
-
-echo "==> simulation oracle suite (differential + golden EXPLAIN)"
-cargo test --test sim_oracle -q
-cargo test -p braid-sim -q
-
 echo "==> simulation smoke (fixed seed set, 50 scenarios)"
 SIM_SEED_START=0 SIM_ROUNDS=50 cargo run --release -p braid-bench --bin sim
 
-echo "==> cooperative soak smoke (10 seeds, all four lanes + procs lane)"
+echo "==> soak smoke (10 seeds, every sim lane + columnar rerun + procs lane)"
 SIM_SEED_START=0 SIM_ROUNDS=10 SIM_PROCS=2 cargo run --release -p braid-bench --bin sim -- --soak
 
-echo "==> network suite (codec, proxy, pool) + one proxy chaos round"
-cargo test -p braid-net -q
+echo "==> socket chaos suite (release) + TCP session example"
 cargo test --release --test net_chaos -q
 cargo run --release --example tcp_session > /dev/null
 

@@ -1,5 +1,5 @@
 //! Differential battery for the columnar representation and its
-//! vectorized kernels (DESIGN.md §15).
+//! vectorized kernels (DESIGN.md §14).
 //!
 //! Two independent obligations are checked here:
 //!

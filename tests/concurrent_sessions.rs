@@ -55,7 +55,7 @@ fn assert_concurrent_matches_serial(sc: &Scenario, sessions: usize, shards: usiz
     let per_session: Vec<Vec<Vec<Tuple>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..sessions)
             .map(|si| {
-                let mut sess = system.session();
+                let mut sess = system.session_owned();
                 let queries = &sc.queries;
                 s.spawn(move || {
                     // Rotated issue order; answers are indexed back to
@@ -152,7 +152,7 @@ fn simultaneous_equivalent_misses_share_one_fetch() {
         let barrier = Arc::new(Barrier::new(SESSIONS));
         std::thread::scope(|s| {
             for _ in 0..SESSIONS {
-                let mut sess = system.session();
+                let mut sess = system.session_owned();
                 let barrier = Arc::clone(&barrier);
                 s.spawn(move || {
                     barrier.wait();

@@ -160,3 +160,113 @@ proptest! {
         assert_coop_matches_serial(&sc, sessions, 1, 1, 2);
     }
 }
+
+/// One cache, one cold miss, two kinds of session: a blocking caller on a
+/// plain thread and a [`SessionTask`] on a worker pool. Whichever gets
+/// there first leads the fetch; the other joins it — the blocking caller
+/// by parking its thread, the task by parking the session — and both
+/// read the same bytes off one remote request.
+#[test]
+fn blocking_and_pool_sessions_share_one_fetch() {
+    use braid::{BraidSystem, LatencyModel};
+    use braid_relational::{tuple, Relation, Schema};
+
+    const QUERY: &str = "?- look(k3, V).";
+    const ATTEMPTS: usize = 10;
+
+    let system = || {
+        let mut fam = Relation::new(Schema::of_strs("fam", &["k", "v"]));
+        for i in 0..400 {
+            fam.insert(tuple![format!("k{}", i % 8), format!("v{i}")])
+                .unwrap();
+        }
+        let mut db = braid::Catalog::new();
+        db.install(fam);
+        let mut kb = braid::KnowledgeBase::new();
+        kb.declare_base("fam", 2);
+        kb.add_program("look(K, V) :- fam(K, V).").unwrap();
+        let mut config = BraidConfig::with_cms(CmsConfig::braid().with_prefetching(false));
+        // A sleeping latency model keeps the leader's fetch in flight
+        // long enough for the other session to arrive.
+        config.latency = LatencyModel::Real { unit_micros: 10 };
+        BraidSystem::new(db, kb, config)
+    };
+    // Spin until the first session's flight is open (or, if we blinked,
+    // already over — the attempt then retries).
+    let leader_registered = |system: &BraidSystem| {
+        while system.cms().open_flights() == 0 && system.metrics().cms.flight_fetches == 0 {
+            std::thread::yield_now();
+        }
+    };
+
+    for pool_leads in [false, true] {
+        let mut overlapped = false;
+        for _ in 0..ATTEMPTS {
+            let system = system();
+            let pool = WorkerPool::with_metrics(
+                PoolConfig {
+                    workers: 1,
+                    step_budget: 4,
+                },
+                system.cms().metrics_handle(),
+            );
+            let pooled: Arc<Mutex<Option<Vec<Tuple>>>> = Arc::default();
+            let task = {
+                let sink = Arc::clone(&pooled);
+                Box::new(SessionTask::new(
+                    system.session_owned(),
+                    vec![QUERY.to_string()],
+                    STRATEGY,
+                    move |_, r| {
+                        *sink.lock().unwrap() = Some(r.expect("pool session solves").solutions)
+                    },
+                ))
+            };
+            let mut blocking = system.session_owned();
+            let blocked = std::thread::scope(|s| {
+                if pool_leads {
+                    pool.spawn(task);
+                    leader_registered(&system);
+                    blocking.solve_all(QUERY, STRATEGY)
+                } else {
+                    let caller = s.spawn(|| blocking.solve_all(QUERY, STRATEGY));
+                    leader_registered(&system);
+                    pool.spawn(task);
+                    caller.join().unwrap()
+                }
+            })
+            .expect("blocking session solves");
+            pool.join();
+            pool.shutdown();
+
+            let pooled = pooled.lock().unwrap().take().expect("task answered");
+            assert_eq!(blocked, pooled, "both sessions read the same answer");
+            assert_eq!(blocked.len(), 400 / 8);
+            let m = system.metrics();
+            assert_eq!(m.cms.wakes, m.cms.sessions_parked, "leaked waker");
+            assert_eq!(system.cms().open_flights(), 0, "leaked flight");
+            // A joining task parks its session; a joining blocking caller
+            // parks its thread and counts the shared fetch on the spot.
+            // (A task's `dedup_hits` bump is not a reliable witness: its
+            // re-poll may find the leader's result already cached.)
+            let joined = if pool_leads {
+                m.cms.dedup_hits == 1
+            } else {
+                m.cms.sessions_parked == 1
+            };
+            if !joined {
+                // The leader landed before the joiner arrived; the second
+                // session was served from the cache instead. Try again.
+                continue;
+            }
+            assert_eq!(m.cms.flight_fetches, 1, "one leader");
+            assert_eq!(m.remote.requests, 1, "one round trip for both");
+            overlapped = true;
+            break;
+        }
+        assert!(
+            overlapped,
+            "no overlap in {ATTEMPTS} attempts (pool_leads = {pool_leads})"
+        );
+    }
+}

@@ -202,7 +202,7 @@ fn concurrent_sessions_survive_chaos_with_honest_completeness() {
     let outcomes: Vec<Vec<Result<CheckedSolutions, BraidError>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..SESSIONS)
             .map(|_| {
-                let mut sess = system.session();
+                let mut sess = system.session_owned();
                 let queries = &sc.queries;
                 s.spawn(move || {
                     queries

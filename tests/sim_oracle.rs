@@ -7,8 +7,8 @@
 
 use braid::Strategy;
 use braid_sim::{
-    build_system, regression_test, run_scenario, shrink, Dataset, FaultSpec, SimBug, SimOptions,
-    SimReport, SimScenario, ViolationKind,
+    build_system, regression_test, run_scenario, shrink, Dataset, FaultSpec, Lane, SimBug,
+    SimOptions, SimReport, SimScenario, ViolationKind,
 };
 
 // ---------------------------------------------------------------------
@@ -20,7 +20,7 @@ fn forty_seeded_scenarios_pass_every_oracle() {
     let opts = SimOptions::default();
     for seed in 1000..1040u64 {
         let sc = SimScenario::generate(seed);
-        let report = run_scenario(&sc, &opts).expect("harness runs");
+        let report = run_scenario(&sc, Lane::Stepped, &opts).expect("harness runs");
         assert!(
             report.passed(),
             "seed {seed} failed:\n{:#?}\nscenario: {}",
@@ -40,7 +40,7 @@ fn forty_seeded_scenarios_pass_with_columnar_forced_on() {
     for seed in 1000..1040u64 {
         let mut sc = SimScenario::generate(seed);
         sc.columnar = true;
-        let report = run_scenario(&sc, &opts).expect("harness runs");
+        let report = run_scenario(&sc, Lane::Stepped, &opts).expect("harness runs");
         assert!(
             report.passed(),
             "seed {seed} (columnar forced) failed:\n{:#?}\nscenario: {}",
@@ -86,7 +86,8 @@ fn meaty_quiet_scenario() -> SimScenario {
         .find(|sc| {
             !sc.faults_active()
                 && sc.query_count() >= 6
-                && run_scenario(sc, &opts).is_ok_and(|r| r.passed() && r.nonempty_answers > 1)
+                && run_scenario(sc, Lane::Stepped, &opts)
+                    .is_ok_and(|r| r.passed() && r.nonempty_answers > 1)
         })
         .expect("seeds 0..200 contain a meaty fault-free scenario")
 }
@@ -99,7 +100,7 @@ fn injected_bug_is_caught_and_shrunk_to_a_tiny_repro() {
         ..SimOptions::default()
     };
 
-    let buggy: SimReport = run_scenario(&sc, &opts).expect("harness runs");
+    let buggy: SimReport = run_scenario(&sc, Lane::Stepped, &opts).expect("harness runs");
     assert!(
         buggy
             .violations
@@ -120,7 +121,7 @@ fn injected_bug_is_caught_and_shrunk_to_a_tiny_repro() {
     assert!(!final_report.passed(), "shrunk scenario must still fail");
 
     // Fully deterministic: catching and shrinking again is identical.
-    let buggy2 = run_scenario(&sc, &opts).expect("harness runs");
+    let buggy2 = run_scenario(&sc, Lane::Stepped, &opts).expect("harness runs");
     assert_eq!(buggy, buggy2, "bug detection must replay bit-for-bit");
     let shrunk2 = shrink(&sc, &opts);
     assert_eq!(shrunk2.scenario, shrunk.scenario);
@@ -152,11 +153,15 @@ fn solve_explained_matches_solve_checked_under_faults() {
 
     let checked_sys = build_system(&sc);
     let explained_sys = build_system(&sc);
-    let mut checked_sessions: Vec<_> = sc.sessions.iter().map(|_| checked_sys.session()).collect();
+    let mut checked_sessions: Vec<_> = sc
+        .sessions
+        .iter()
+        .map(|_| checked_sys.session_owned())
+        .collect();
     let mut explained_sessions: Vec<_> = sc
         .sessions
         .iter()
-        .map(|_| explained_sys.session())
+        .map(|_| explained_sys.session_owned())
         .collect();
 
     let mut cursors = vec![0usize; sc.sessions.len()];
@@ -224,7 +229,7 @@ fn golden_explain_summary_for_a_degraded_solve() {
         }),
     };
     let system = build_system(&sc);
-    let mut session = system.session();
+    let mut session = system.session_owned();
     let got = session
         .solve_explained("?- grandparent(p0, Y).", sc.strategy)
         .expect("degraded mode answers instead of erroring")
@@ -249,7 +254,7 @@ fn golden_explain_summary_for_a_degraded_solve() {
     // The run is deterministic, so the whole summary golden-compares.
     let replay_system = build_system(&sc);
     let again = replay_system
-        .session()
+        .session_owned()
         .solve_explained("?- grandparent(p0, Y).", sc.strategy)
         .expect("replay answers")
         .report

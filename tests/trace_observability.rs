@@ -46,7 +46,7 @@ fn counters_are_monotone_under_concurrent_sessions() {
         let workers: Vec<_> = (0..4)
             .map(|si| {
                 s.spawn(move || {
-                    let mut sess = system.session();
+                    let mut sess = system.session_owned();
                     for round in 0..3 {
                         for (qi, q) in queries.iter().enumerate() {
                             let _ = (round, si, qi);
