@@ -10,15 +10,12 @@
 //! ```
 //!
 //! `SIM_SEED_START` and `SIM_ROUNDS` set the defaults (the `just soak`
-//! lane drives seed ranges through them). `SIM_PROCS > 0` additionally
-//! routes a sample of quiet (fault-free) scenarios through the
-//! multi-process harness: sessions split across that many real forked
-//! client processes against a `BraidServer`, per-session digests
-//! checked against the same reference model. Exit status is non-zero
-//! iff any scenario fails its oracle.
+//! lane drives seed ranges through them); `SIM_WORKERS` sizes the pool
+//! and procs lanes' worker pool and `SIM_PROCS` the procs lane's client
+//! count — under `--soak` those clients are forked copies of this
+//! binary. Exit status is non-zero iff any scenario fails its oracle.
 
-use braid_load::{run_scenario_procs, SpawnMode};
-use braid_sim::{regression_test, run_scenario, shrink, Lane, SimOptions, SimScenario};
+use braid_sim::{regression_test, run_scenario, shrink, Lane, SimOptions, SimScenario, SpawnMode};
 use std::time::Instant;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -36,7 +33,7 @@ fn arg_u64(args: &[String], flag: &str) -> Option<u64> {
 }
 
 fn main() {
-    // The SIM_PROCS lane forks this binary as its worker processes.
+    // The procs lane forks this binary as its worker processes.
     braid_load::maybe_worker();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,8 +50,13 @@ fn main() {
         .position(|a| a == "--replay")
         .and_then(|i| args.get(i + 1));
 
-    let opts = SimOptions::default();
-    let procs = env_u64("SIM_PROCS", 0) as usize;
+    let defaults = SimOptions::default();
+    let opts = SimOptions {
+        workers: env_u64("SIM_WORKERS", defaults.workers as u64).max(1) as usize,
+        procs: env_u64("SIM_PROCS", defaults.procs as u64) as usize,
+        spawn: std::env::current_exe().map_or(SpawnMode::Thread, SpawnMode::Process),
+        ..defaults
+    };
 
     if let Some(path) = replay {
         let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -65,48 +67,42 @@ fn main() {
             eprintln!("sim: cannot parse {path}: {e}");
             std::process::exit(2);
         });
-        std::process::exit(run_one(&sc, &opts, true, soak, procs));
+        std::process::exit(run_one(&sc, &opts, true, soak).0);
     }
 
     eprintln!(
-        "sim: seeds {seed_start}..{} ({rounds} rounds{}{})",
+        "sim: seeds {seed_start}..{} ({rounds} rounds{})",
         seed_start + rounds,
         if soak {
-            ", stepped + columnar + threads + socket + pool"
+            ", stepped + columnar + threads + socket + pool + procs"
         } else {
             ""
-        },
-        if procs > 0 {
-            format!(", procs lane x{procs}")
-        } else {
-            String::new()
         }
     );
     let start = Instant::now();
-    let mut solves = 0usize;
-    let mut failed = 0usize;
+    let (mut solves, mut runs, mut failed) = (0usize, 0usize, 0usize);
     for seed in seed_start..seed_start + rounds {
         let sc = SimScenario::generate(seed);
         solves += sc.query_count();
-        if run_one(&sc, &opts, single, soak, procs) != 0 {
-            failed += 1;
-        }
+        let (status, lanes) = run_one(&sc, &opts, single, soak);
+        runs += lanes;
+        failed += usize::from(status != 0);
     }
     let dt = start.elapsed().as_secs_f64();
-    let runs_per_seed = if soak { 5.0 } else { 1.0 };
     eprintln!(
-        "sim: {rounds} scenarios, {solves} solves, {:.1} scenarios/s, {failed} failed",
-        (rounds as f64 * runs_per_seed) / dt.max(1e-9)
+        "sim: {rounds} scenarios, {solves} solves, {runs} runs, {:.1} runs/s, {failed} failed",
+        runs as f64 / dt.max(1e-9)
     );
     std::process::exit(i32::from(failed > 0));
 }
 
 /// Run one scenario on the stepped lane — plus, under `--soak`, a
-/// columnar-forced stepped rerun and every other lane. Stepped failures
-/// are shrunk to a replayable repro; the other lanes are not replayable
-/// step-for-step, so their failures print the scenario for the stepped
-/// lane to chase. Returns the exit status contribution.
-fn run_one(sc: &SimScenario, opts: &SimOptions, verbose: bool, soak: bool, procs: usize) -> i32 {
+/// columnar-forced stepped rerun and every other lane that accepts it.
+/// Stepped failures are shrunk to a replayable repro; the other lanes are
+/// not replayable step-for-step, so their failures print the scenario for
+/// the stepped lane to chase. Returns the exit status contribution and
+/// how many runs it took.
+fn run_one(sc: &SimScenario, opts: &SimOptions, verbose: bool, soak: bool) -> (i32, usize) {
     // Columnar lane: the identical scenario with the column-major
     // representation forced on. Fully deterministic and replayable, and
     // the answer digest must agree bit-for-bit with the row run —
@@ -122,9 +118,11 @@ fn run_one(sc: &SimScenario, opts: &SimOptions, verbose: bool, soak: bool, procs
         runs.extend(
             Lane::ALL[1..]
                 .iter()
+                .filter(|lane| lane.accepts(sc))
                 .map(|&lane| (format!("{lane:?}"), sc, lane)),
         );
     }
+    let ran = runs.len();
 
     let mut status = 0;
     let mut row_digest = None;
@@ -175,34 +173,7 @@ fn run_one(sc: &SimScenario, opts: &SimOptions, verbose: bool, soak: bool, procs
             }
         }
     }
-    // Process lane (SIM_PROCS knob): a sample of quiet scenarios with
-    // their sessions split across real forked client processes against
-    // a braid server, per-session digests checked against the same
-    // model. Fault scenarios stay out — this lane has no fault
-    // tolerance, so an injected error would read as a bug.
-    if procs > 0 && !sc.faults_active() && sc.seed.is_multiple_of(8) {
-        let spawn = match std::env::current_exe() {
-            Ok(exe) => SpawnMode::Process(exe),
-            Err(_) => SpawnMode::Thread,
-        };
-        match run_scenario_procs(sc, procs, 4, &spawn) {
-            Ok(out) if !out.passed() => {
-                status = 1;
-                eprintln!(
-                    "sim: seed {}: PROCS run failed:\n{:#?}\nscenario: {}",
-                    sc.seed,
-                    out.violations,
-                    sc.to_json()
-                );
-            }
-            Ok(_) => {}
-            Err(e) => {
-                status = 1;
-                eprintln!("sim: seed {}: procs harness error: {e}", sc.seed);
-            }
-        }
-    }
-    status
+    (status, ran)
 }
 
 fn report_failure(

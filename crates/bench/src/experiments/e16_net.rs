@@ -1,9 +1,9 @@
 //! E16 — the CMS over real sockets: pooled TCP transport under
 //! wire-level chaos.
 //!
-//! E11 injects faults *inside* the simulated engine and E13 scales
-//! sessions over the in-process call path; this experiment combines the
-//! two over an actual loopback TCP link. The remote engine sits behind a
+//! E11 injects faults *inside* the simulated engine, over the in-process
+//! call path; this experiment scales sessions and injects faults over an
+//! actual loopback TCP link. The remote engine sits behind a
 //! [`RemoteTcpServer`]; a [`FaultProxy`] in front of it injects
 //! connection resets, torn frames (byte-level truncation) and outage
 //! windows; N concurrent CMS sessions drive the same selection workload
@@ -104,7 +104,7 @@ pub fn run_workload(rows: usize, queries: usize, sessions: usize, lane: &Lane) -
         .with_transport(transport);
     let cms = Cms::new(RemoteDbms::with_defaults(catalog(rows)), config);
 
-    // Same workload per session (the sharing best case, as in E13):
+    // Same workload per session (the sharing best case):
     // distinct key selections that repeat past 24 keys.
     let rules: Vec<String> = (0..queries)
         .map(|i| format!("r{0}(V) :- fam(k{0}, V).", i % 24))

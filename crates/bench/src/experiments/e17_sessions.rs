@@ -1,7 +1,7 @@
 //! E17 — resumable sessions on a fixed worker pool vs thread-per-session.
 //!
-//! The paper's front-end is "a set of sessions" (§3), and E13 already
-//! showed what N *threads* sharing one cache buy. But a workstation
+//! The paper's front-end is "a set of sessions" (§3), and N *threads*
+//! sharing one cache already do the remote work of one. But a workstation
 //! serving many clients cannot afford a kernel thread per session: the
 //! cooperative lane runs each session as a resumable [`SessionTask`]
 //! state machine on a fixed [`WorkerPool`], parking at single-flight
@@ -172,8 +172,8 @@ pub fn run(quick: bool) -> Table {
     let pool_sessions = if quick { 1_000 } else { 10_000 };
     let thread_sessions = if quick { 128 } else { 512 };
     let workers = 8;
-    // The same tiny per-unit sleep as E13: wide enough fetch windows that
-    // cold-cache misses overlap and joiners actually park.
+    // A tiny per-unit sleep: wide enough fetch windows that cold-cache
+    // misses overlap and joiners actually park.
     let latency = LatencyModel::Real { unit_micros: 2 };
 
     let mut t = Table::new(

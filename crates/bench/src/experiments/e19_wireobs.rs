@@ -1,7 +1,7 @@
 //! E19 — the price of watching: wire observability overhead.
 //!
-//! E18 established the multi-process load baseline; this experiment
-//! reruns its closed-loop lane with the observability machinery
+//! E18 drives the multi-process load harness open-loop; this experiment
+//! runs the same harness closed-loop with the observability machinery
 //! switched on: wire tracing (the server ships a traced query's span
 //! records in a `TRACE` frame and the client grafts them into its own
 //! span forest — `solve_explained`) and a live STATS poller (a side
@@ -15,47 +15,27 @@
 //! every lane still runs the full digest oracle — observability that
 //! changes answers is a bug, not an overhead.
 
+use crate::experiments::support::load_lane;
 use crate::table::Table;
-use braid_load::{run_load, LoadConfig, LoadOutcome, SpawnMode};
-use braid_sim::Dataset;
+use braid_load::{LoadConfig, LoadOutcome};
 
-fn dataset() -> Dataset {
-    Dataset::Genealogy {
-        generations: 3,
-        branching: 2,
-        seed: 11,
-    }
-}
-
-/// The E18 closed-loop lane with the observability knobs exposed.
+/// The load harness's closed-loop lane with the observability knobs
+/// exposed; the oracle check doubles as "watching changed no answer".
 fn lane(trace: bool, sample: u32, poll_hz: u32, quick: bool) -> LoadOutcome {
-    let spawn = if quick {
-        SpawnMode::Thread
-    } else {
-        SpawnMode::Process(std::env::current_exe().expect("own binary path"))
-    };
-    let out = run_load(&LoadConfig {
-        dataset: dataset(),
-        procs: if quick { 2 } else { 4 },
-        conns: 2,
-        queries_per_proc: if quick { 40 } else { 250 },
-        rate_per_sec: 0,
-        seed: 19,
-        workers: 4,
-        spawn,
-        wire_trace: trace,
-        trace_sample: sample,
-        stats_poll_hz: poll_hz,
-        ..LoadConfig::default()
-    })
-    .expect("load harness runs");
-    assert!(
-        out.digest_mismatches.is_empty(),
-        "observability changed answers: {:?}",
-        out.digest_mismatches
-    );
-    assert!(out.passed(), "load run failed: {out:?}");
-    out
+    load_lane(
+        quick,
+        LoadConfig {
+            procs: if quick { 2 } else { 4 },
+            conns: 2,
+            queries_per_proc: if quick { 40 } else { 250 },
+            rate_per_sec: 0,
+            seed: 19,
+            wire_trace: trace,
+            trace_sample: sample,
+            stats_poll_hz: poll_hz,
+            ..LoadConfig::default()
+        },
+    )
 }
 
 /// Signed percent delta vs the baseline, rendered with one decimal.
@@ -103,8 +83,8 @@ fn paired_overhead(lane: &[LoadOutcome], base: &[LoadOutcome]) -> String {
 }
 
 /// One lane's result folded over its interleaved repetitions: wall time
-/// is best-of-reps (the E14 idiom — the minimum strips box-level noise
-/// the lanes did not cause), percentiles come from the merged
+/// is best-of-reps (the minimum strips box-level noise the lanes did
+/// not cause), percentiles come from the merged
 /// histograms of every rep (3× the samples per bucket), and the gauge
 /// peaks take the cross-rep maximum.
 struct Measured {
@@ -153,7 +133,7 @@ fn row(t: &mut Table, label: &str, out: &Measured, base: &Measured, elapsed_over
 /// Run E19.
 pub fn run(quick: bool) -> Table {
     let mut t = Table::new(
-        "E19 wire observability overhead — E18's closed-loop lane rerun with \
+        "E19 wire observability overhead — the load harness's closed-loop lane with \
          wire tracing (1-in-8 deployed sampling and trace-everything audit) \
          and a 10 Hz STATS poller, vs the dark baseline; interleaved \
          best-of-5 (best-of-3 in quick mode)"

@@ -12,14 +12,10 @@ pub mod e08_icrange;
 pub mod e09_parallel;
 pub mod e10_pipeline;
 pub mod e11_faults;
-pub mod e12_executor;
-pub mod e13_concurrency;
-pub mod e14_tracing;
 pub mod e15_sim;
 pub mod e16_net;
 pub mod e17_sessions;
 pub mod e18_load;
 pub mod e19_wireobs;
-pub mod e20_columnar;
 
 pub(crate) mod support;

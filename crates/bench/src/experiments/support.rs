@@ -1,5 +1,6 @@
 //! Shared helpers for the experiment suite.
 
+use braid_load::{run_load, LoadConfig, LoadOutcome, SpawnMode};
 use braid_relational::{Relation, Schema, Tuple, Value};
 use braid_remote::Catalog;
 use rand::rngs::StdRng;
@@ -45,4 +46,25 @@ pub fn ratio(num: f64, den: f64) -> String {
     } else {
         format!("{:.1}x", num / den)
     }
+}
+
+/// Run one load-harness lane (E18, E19) and hold it to the oracle: every
+/// process digest matches the reference model and the server drained.
+/// Non-quick runs fork real processes via self-exec (the report binary
+/// installs the worker hook); quick runs and unit tests stay in-process
+/// with thread workers, since a libtest binary cannot self-exec.
+pub fn load_lane(quick: bool, cfg: LoadConfig) -> LoadOutcome {
+    let spawn = if quick {
+        SpawnMode::Thread
+    } else {
+        SpawnMode::Process(std::env::current_exe().expect("own binary path"))
+    };
+    let out = run_load(&LoadConfig { spawn, ..cfg }).expect("load harness runs");
+    assert!(
+        out.digest_mismatches.is_empty(),
+        "process digests diverged from the reference model: {:?}",
+        out.digest_mismatches
+    );
+    assert!(out.passed(), "load run failed: {out:?}");
+    out
 }

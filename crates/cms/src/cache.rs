@@ -177,29 +177,20 @@ impl CacheManager {
     /// refreshes its LRU stamp.
     pub fn get_mut(&mut self, id: ElemId) -> Option<&mut CacheElement> {
         let now = self.tick();
-        let used_before: usize;
-        {
-            let e = self.elements.get(&id)?;
-            used_before = e.approx_bytes();
-        }
         let e = self.elements.get_mut(&id)?;
         e.last_used = now;
-        // Caller may materialize/index; bytes are reconciled on next
-        // `reconcile` call.
-        let _ = used_before;
+        // Caller may materialize/index; bytes are reconciled on the next
+        // `reconcile_bytes` call.
         Some(e)
     }
 
     /// Recompute `used_bytes` after in-place mutations (materialization or
     /// indexing changes an element's footprint).
     pub fn reconcile_bytes(&mut self) {
+        // One re-sum: from here `remove` keeps `used_bytes` exact, so the
+        // eviction loop needs no further scans.
         self.used_bytes = self.elements.values().map(|e| e.approx_bytes()).sum();
-        while self.used_bytes > self.capacity_bytes {
-            if !self.evict_one() {
-                break;
-            }
-            self.used_bytes = self.elements.values().map(|e| e.approx_bytes()).sum();
-        }
+        while self.used_bytes > self.capacity_bytes && self.evict_one() {}
     }
 
     /// Record a derivation hit on an element (LRU + statistics).
@@ -487,6 +478,45 @@ mod tests {
         assert!(c.get(b).is_none(), "LRU element must be evicted");
         assert!(c.get(d).is_some());
         assert_eq!(c.evictions(), 1);
+    }
+
+    #[test]
+    fn reconcile_after_an_overshoot_evicts_each_victim_once() {
+        let unit =
+            CacheElement::materialized(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
+        let mut c = CacheManager::new(unit * 4 + 256);
+        for i in 0..4 {
+            c.insert(
+                def(&format!("v{i}(X, Y) :- b{i}(X, Y).")),
+                ElementBuilder::Materialized(rel(3)),
+            )
+            .unwrap();
+        }
+        let lazy = c
+            .insert(
+                def("big(X, Y) :- b9(X, Y)."),
+                ElementBuilder::Lazy(Generator::scan(std::sync::Arc::new(rel(9)))),
+            )
+            .unwrap();
+        assert_eq!((c.len(), c.evictions()), (5, 0));
+
+        // Materializing in place grows the element by about three units
+        // behind the accounting's back; one reconcile must evict that
+        // many LRU victims and leave the byte count exact.
+        c.get_mut(lazy).unwrap().ensure_extension().unwrap();
+        c.reconcile_bytes();
+        let evicted = 5 - c.len();
+        assert!(evicted >= 2, "overshoot spans several elements: {evicted}");
+        assert_eq!(c.evictions(), evicted as u64, "each victim counted once");
+        assert!(
+            c.get(lazy).is_some(),
+            "the just-used element is not the victim"
+        );
+        assert_eq!(
+            c.used_bytes(),
+            c.elements().map(CacheElement::approx_bytes).sum::<usize>()
+        );
+        assert!(c.used_bytes() <= unit * 4 + 256);
     }
 
     #[test]

@@ -621,14 +621,17 @@ impl Cms {
         }
 
         // Eager path: execute the full plan (pins stay held across the
-        // execution, then release when this function returns).
+        // execution and release once the result is materialized).
         if let Some(mut fields) = decision_fields.take() {
             fields.push(("mode", "eager".to_string()));
             self.tracer
                 .event(TraceKind::PlanDecision, q.head.to_string(), fields);
         }
-        let executed = match monitor::execute(&plan, &*self.shared.cache, &self.exec_env()) {
-            Ok(ex) => ex,
+        // Result caching (§5.3): only when the plan touched the remote
+        // system — an all-cache answer adds no new information.
+        let cache = self.config.result_caching && !all_cache;
+        let (executed, vars) = match self.execute_and_cache(q, &plan, pins, cache) {
+            Ok(done) => done,
             // Graceful degradation (§ failure model, DESIGN.md): the
             // remote stayed unreachable through every retry. Answer from
             // what is provable locally and tag the stream Partial.
@@ -637,26 +640,6 @@ impl Cms {
             }
             Err(e) => return Err(e),
         };
-        drop(pins);
-        self.shared.metrics.add_local_ops(executed.local_tuple_ops);
-        self.shared.metrics.add_exec_stats(executed.exec_stats);
-        self.shared
-            .metrics
-            .add_columnar_hits(executed.columnar_parts);
-
-        let vars: Vec<String> = executed
-            .joined
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-
-        // Result caching (§5.3): only when the plan touched the remote
-        // system — an all-cache answer adds no new information.
-        if self.config.result_caching && !all_cache {
-            self.cache_result(q, &executed.joined, &vars);
-        }
 
         let head = monitor::project_head(&executed.joined, &vars, &q.head)?;
         let tuples = head.to_vec();
@@ -698,6 +681,37 @@ impl Cms {
                 missing_subqueries: missing,
             }),
         )
+    }
+
+    /// Run `plan` with its cache elements pinned, book the executor's
+    /// counters, and — when `cache` — store the joined result as a new
+    /// element. Returns the execution and the joined relation's column
+    /// (variable) names.
+    fn execute_and_cache(
+        &mut self,
+        q: &ConjunctiveQuery,
+        plan: &Plan,
+        pins: Vec<PinGuard>,
+        cache: bool,
+    ) -> Result<(monitor::Executed, Vec<String>)> {
+        let executed = monitor::execute(plan, &*self.shared.cache, &self.exec_env())?;
+        drop(pins);
+        self.shared.metrics.add_local_ops(executed.local_tuple_ops);
+        self.shared.metrics.add_exec_stats(executed.exec_stats);
+        self.shared
+            .metrics
+            .add_columnar_hits(executed.columnar_parts);
+        let vars: Vec<String> = executed
+            .joined
+            .schema()
+            .columns()
+            .iter()
+            .map(|c| c.name.clone())
+            .collect();
+        if cache {
+            self.cache_result(q, &executed.joined, &vars);
+        }
+        Ok((executed, vars))
     }
 
     /// Store the (pre-head-projection) result as a new cache element under
@@ -758,7 +772,6 @@ impl Cms {
         // specifications)".
         let mut wants_index = false;
         if self.config.index_advice {
-            let _ = vars;
             let advice = self.advice.advice();
             let to_index: Vec<usize> = self
                 .shared
@@ -884,24 +897,10 @@ impl Cms {
         if plan.all_cache() {
             return Ok(());
         }
-        let executed = monitor::execute(&plan, &*self.shared.cache, &self.exec_env())?;
-        drop(pins);
-        self.shared.metrics.add_local_ops(executed.local_tuple_ops);
-        self.shared.metrics.add_exec_stats(executed.exec_stats);
+        let (executed, _) = self.execute_and_cache(q, &plan, pins, true)?;
         self.shared
             .metrics
             .add_remote_subqueries(executed.remote_subqueries);
-        self.shared
-            .metrics
-            .add_columnar_hits(executed.columnar_parts);
-        let vars: Vec<String> = executed
-            .joined
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-        self.cache_result(q, &executed.joined, &vars);
         if count_prefetch {
             self.shared.metrics.add_prefetched(1);
         }
@@ -948,24 +947,10 @@ impl Cms {
                 if plan.all_cache() {
                     continue;
                 }
-                let executed = monitor::execute(&plan, &*self.shared.cache, &self.exec_env())?;
-                drop(pins);
-                self.shared.metrics.add_local_ops(executed.local_tuple_ops);
-                self.shared.metrics.add_exec_stats(executed.exec_stats);
+                let (executed, _) = self.execute_and_cache(&whole, &plan, pins, true)?;
                 self.shared
                     .metrics
                     .add_remote_subqueries(executed.remote_subqueries);
-                self.shared
-                    .metrics
-                    .add_columnar_hits(executed.columnar_parts);
-                let vars: Vec<String> = executed
-                    .joined
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect();
-                self.cache_result(&whole, &executed.joined, &vars);
             }
         }
         Ok(())

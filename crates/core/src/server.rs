@@ -478,12 +478,17 @@ pub struct BraidServer {
 
 impl BraidServer {
     /// Bind, start the pool and the accept loop, and return immediately.
-    /// The server owns `system`; sessions forked per connection share
-    /// its cache, single-flight table and metrics.
+    /// The server owns `system` (or shares it, when handed an `Arc` the
+    /// caller keeps a clone of); sessions forked per connection share its
+    /// cache, single-flight table and metrics.
     ///
     /// # Errors
     /// Socket bind/listen failures.
-    pub fn start(system: BraidSystem, config: BraidServerConfig) -> io::Result<BraidServer> {
+    pub fn start(
+        system: impl Into<Arc<BraidSystem>>,
+        config: BraidServerConfig,
+    ) -> io::Result<BraidServer> {
+        let system: Arc<BraidSystem> = system.into();
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let pool = Arc::new(WorkerPool::with_metrics(
@@ -499,7 +504,7 @@ impl BraidServer {
             active: AtomicUsize::new(0),
             queries: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            system: Arc::new(system),
+            system,
             pool: Arc::downgrade(&pool),
             recorder: FlightRecorder::new(),
             samples: Mutex::new(VecDeque::new()),
@@ -576,6 +581,30 @@ impl BraidServer {
     /// benchmarks (read-only access through `&self` methods).
     pub fn system(&self) -> &BraidSystem {
         &self.shared.system
+    }
+
+    /// Wait (up to `timeout`) for the server to go idle once its clients
+    /// have said goodbye — connection tasks observe their closed inboxes
+    /// asynchronously — then name every gauge that has not drained.
+    /// Empty ⇒ quiescent: no active connection, every pool task finished,
+    /// none parked.
+    pub fn quiesce(&self, timeout: Duration) -> Vec<String> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let (active, pool) = (self.stats().active, self.pool.snapshot());
+            let undrained: Vec<String> = [
+                (active != 0).then(|| format!("{active} connection task(s) still active")),
+                (pool.spawned != pool.finished).then(|| format!("pool not drained: {pool:?}")),
+                (pool.parked != 0).then(|| format!("{} pool task(s) still parked", pool.parked)),
+            ]
+            .into_iter()
+            .flatten()
+            .collect();
+            if undrained.is_empty() || Instant::now() >= deadline {
+                return undrained;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 
     /// Stop accepting, cut every open connection, and drain the pool.
@@ -1134,14 +1163,7 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.connections_accepted, 8);
         assert_eq!(stats.queries, 8);
-        // Wait for the connection tasks to observe the closed inboxes.
-        for _ in 0..1000 {
-            if server.stats().active == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(server.stats().active, 0, "all connection tasks drained");
+        assert_eq!(server.quiesce(Duration::from_secs(2)), Vec::<String>::new());
         server.shutdown();
     }
 

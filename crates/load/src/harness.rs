@@ -3,36 +3,18 @@
 //! process digest against the reference model.
 
 use crate::spec::{query_pool, LoadSpec};
-use crate::worker::{run_load_worker, WORKER_FLAG};
+use crate::worker::run_load_worker;
 use braid::{
     BraidClient, BraidConfig, BraidServer, BraidServerConfig, BraidServerStats, CheckedSolutions,
     CombinedMetrics, Completeness, Strategy,
 };
 use braid_cms::sched::PoolSnapshot;
-use braid_net::{read_frame, write_frame, MAX_FRAME_BYTES};
-use braid_remote::clientproto::{decode_load_report, encode_spec, kind, LoadReport};
-use braid_sim::{digest_answer, Dataset, RefModel, DIGEST_SEED};
+use braid_remote::clientproto::{decode_load_report, kind, LoadReport};
+use braid_sim::{digest_answer, fork_workers, Dataset, RefModel, SpawnMode, DIGEST_SEED};
 use braid_trace::HistogramSnapshot;
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How the harness runs its workers.
-#[derive(Debug, Clone)]
-pub enum SpawnMode {
-    /// In-process threads calling [`run_load_worker`] directly. No
-    /// process isolation, but usable from unit tests (whose libtest
-    /// binary cannot be re-executed as a worker) and cheap for smoke
-    /// runs.
-    Thread,
-    /// Fork real worker processes by re-executing the given binary with
-    /// [`WORKER_FLAG`]. The binary's `main` must call
-    /// [`crate::maybe_worker`] first. Use
-    /// `std::env::current_exe()` for self-exec.
-    Process(PathBuf),
-}
 
 /// One load run's shape.
 #[derive(Debug, Clone)]
@@ -163,40 +145,6 @@ fn expected_digest(model: &RefModel, spec: &LoadSpec) -> Result<u64, String> {
     Ok(total)
 }
 
-fn spawn_process(program: &PathBuf, spec: &LoadSpec) -> Result<std::process::Child, String> {
-    let mut child = Command::new(program)
-        .arg(WORKER_FLAG)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .map_err(|e| format!("spawn {program:?} failed: {e}"))?;
-    let mut stdin = child.stdin.take().ok_or("child stdin missing")?;
-    write_frame(&mut stdin, kind::LOAD_SPEC, &encode_spec(&spec.to_json()))
-        .map_err(|e| format!("spec write to worker {} failed: {e}", spec.proc))?;
-    // Dropping stdin closes the pipe; the worker has its spec.
-    Ok(child)
-}
-
-fn collect_process(mut child: std::process::Child, proc: u32) -> Result<LoadReport, String> {
-    let mut stdout = child.stdout.take().ok_or("child stdout missing")?;
-    let frame = read_frame(&mut stdout, MAX_FRAME_BYTES)
-        .map_err(|e| format!("report read from worker {proc} failed: {e}"))?
-        .ok_or_else(|| format!("worker {proc} exited without a report"))?;
-    let status = child
-        .wait()
-        .map_err(|e| format!("wait on worker {proc} failed: {e}"))?;
-    if !status.success() {
-        return Err(format!("worker {proc} exited with {status}"));
-    }
-    if frame.kind != kind::LOAD_REPORT {
-        return Err(format!(
-            "worker {proc} sent frame kind {:#x}, want LOAD_REPORT",
-            frame.kind
-        ));
-    }
-    decode_load_report(&frame.payload).map_err(|e| format!("worker {proc} report corrupt: {e}"))
-}
-
 /// Run one load configuration end to end: server up, workers out,
 /// reports in, digests checked, gauges drained, server down.
 ///
@@ -274,17 +222,11 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, String> {
                 .collect::<Result<Vec<_>, String>>()
         })?,
         SpawnMode::Process(program) => {
-            // Fork every worker before collecting any, so processes
-            // genuinely overlap.
-            let children: Vec<_> = specs
+            let texts: Vec<String> = specs.iter().map(LoadSpec::to_json).collect();
+            fork_workers(program, kind::LOAD_SPEC, &texts, kind::LOAD_REPORT)?
                 .iter()
-                .map(|spec| spawn_process(program, spec))
-                .collect::<Result<_, _>>()?;
-            children
-                .into_iter()
-                .zip(&specs)
-                .map(|(child, spec)| collect_process(child, spec.proc))
-                .collect::<Result<_, _>>()?
+                .map(|p| decode_load_report(p).map_err(|e| format!("load report corrupt: {e}")))
+                .collect::<Result<_, String>>()?
         }
     };
     let elapsed = start.elapsed();
@@ -307,11 +249,9 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, String> {
     });
 
     // Every client said goodbye; give the connection tasks a bounded
-    // moment to observe their closed inboxes before reading the gauges.
-    let quiesce = Instant::now();
-    while server.stats().active != 0 && quiesce.elapsed() < Duration::from_secs(10) {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    // moment to observe their closed inboxes before reading the gauges
+    // (`LoadOutcome::passed` judges what is left).
+    server.quiesce(Duration::from_secs(10));
     let stats = server.stats();
     let pool = server.pool_snapshot();
     let metrics = server.metrics();

@@ -1,16 +1,13 @@
 //! # braid-load — multi-process load generation for the braid server
 //!
-//! PR 7's [`BraidServer`](braid::BraidServer) multiplexes N TCP
-//! connections onto a fixed worker pool, but a load test that lives in
-//! the server's own process shares its allocator, its scheduler run
-//! queue and its page cache — exactly the contention it is supposed to
-//! measure from the outside. This crate forks **real client
-//! processes**: the harness re-executes its own binary with
-//! [`WORKER_FLAG`], ships each child a [`LoadSpec`] as a
-//! length-prefixed frame over stdin (pipes tear the same way sockets
-//! do, so the PR-6 codec covers both), and reads one
-//! [`LoadReport`](braid_remote::clientproto::LoadReport) frame back
-//! over stdout.
+//! A load test that lives in the server's own process shares its
+//! allocator, its scheduler run queue and its page cache — exactly the
+//! contention it is supposed to measure from the outside. This crate
+//! forks **real client processes** against a
+//! [`BraidServer`](braid::BraidServer) through the self-exec worker
+//! protocol ([`braid_sim::fork_workers`]): each child gets a [`LoadSpec`]
+//! frame on stdin and answers with one
+//! [`LoadReport`](braid_remote::clientproto::LoadReport) frame on stdout.
 //!
 //! Three properties make a run a *measurement* rather than a demo:
 //!
@@ -31,24 +28,18 @@
 //!   cross-process p99 is computed from data, not averaged from
 //!   per-process percentiles.
 //!
-//! [`run_scenario_procs`] reuses the same pipe protocol to route whole
-//! simulation scenarios through real processes: each scenario session
-//! becomes one client connection in some worker process, and the
-//! per-session step-ordered digests are checked against the reference
-//! model — the soak lane's `SIM_PROCS` knob ends here.
-//!
 //! Call [`maybe_worker`] first thing in `main` of any binary that wants
 //! to act as a fork target (the `load` bin and the bench `report`/`sim`
-//! bins all do).
+//! bins all do); it serves both this crate's load specs and the sim
+//! oracle's procs lane (`braid_sim::Lane::Procs`).
 
 pub mod harness;
 pub mod schedule;
-pub mod simproc;
 pub mod spec;
 pub mod worker;
 
-pub use harness::{run_load, LoadConfig, LoadOutcome, SpawnMode};
+pub use braid_sim::{SpawnMode, WORKER_FLAG};
+pub use harness::{run_load, LoadConfig, LoadOutcome};
 pub use schedule::arrival_offsets_us;
-pub use simproc::{run_scenario_procs, SimProcsOutcome};
 pub use spec::{query_pool, LoadSpec};
-pub use worker::{maybe_worker, run_load_worker, WORKER_FLAG};
+pub use worker::{maybe_worker, run_load_worker};

@@ -7,25 +7,20 @@
 //! inherited).
 
 use crate::schedule::arrival_offsets_us;
-use crate::simproc::{run_sim_worker, SimProcSpec};
 use crate::spec::{query_pool, LoadSpec};
 use braid::BraidClient;
 use braid_cms::Completeness;
 use braid_net::{read_frame, write_frame, MAX_FRAME_BYTES};
 use braid_remote::clientproto::{
-    decode_spec, encode_load_report, encode_sim_report, kind, LoadReport, LOAD_HIST_BUCKETS,
+    decode_spec, encode_load_report, kind, LoadReport, LOAD_HIST_BUCKETS,
 };
-use braid_sim::{digest_answer, DIGEST_SEED};
+use braid_sim::{digest_answer, DIGEST_SEED, WORKER_FLAG};
 use braid_trace::Histogram;
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Argv flag that turns any [`maybe_worker`]-calling binary into a load
-/// worker process.
-pub const WORKER_FLAG: &str = "--braid-load-worker";
 
 /// Call this first thing in `main`: if the process was started as a
 /// fork target (argv contains [`WORKER_FLAG`]), run the worker protocol
@@ -37,57 +32,41 @@ pub fn maybe_worker() {
 }
 
 fn worker_main() -> i32 {
-    let mut stdin = std::io::stdin().lock();
-    let frame = match read_frame(&mut stdin, MAX_FRAME_BYTES) {
-        Ok(Some(f)) => f,
-        Ok(None) => {
-            eprintln!("braid-load worker: stdin closed before a spec frame");
-            return 2;
-        }
+    match serve_one_spec() {
+        Ok(()) => 0,
         Err(e) => {
-            eprintln!("braid-load worker: bad spec frame: {e}");
-            return 2;
+            eprintln!("braid-load worker: {e}");
+            2
         }
-    };
-    let text = match decode_spec(&frame.payload) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("braid-load worker: bad spec payload: {e}");
-            return 2;
-        }
-    };
+    }
+}
+
+/// One spec frame in, the matching worker run, one report frame out.
+fn serve_one_spec() -> Result<(), String> {
+    let frame = read_frame(&mut std::io::stdin().lock(), MAX_FRAME_BYTES)
+        .map_err(|e| format!("bad spec frame: {e}"))?
+        .ok_or("stdin closed before a spec frame")?;
+    let text = decode_spec(&frame.payload).map_err(|e| format!("bad spec payload: {e}"))?;
     let (report_kind, payload) = match frame.kind {
-        kind::LOAD_SPEC => match LoadSpec::from_json(&text) {
-            Ok(spec) => (
+        kind::LOAD_SPEC => {
+            let spec = LoadSpec::from_json(&text).map_err(|e| format!("bad load spec: {e}"))?;
+            (
                 kind::LOAD_REPORT,
                 encode_load_report(&run_load_worker(&spec)),
-            ),
-            Err(e) => {
-                eprintln!("braid-load worker: bad load spec: {e}");
-                return 2;
-            }
-        },
-        kind::SIM_SPEC => match SimProcSpec::from_json(&text) {
-            Ok(spec) => (kind::SIM_REPORT, encode_sim_report(&run_sim_worker(&spec))),
-            Err(e) => {
-                eprintln!("braid-load worker: bad sim spec: {e}");
-                return 2;
-            }
-        },
-        other => {
-            eprintln!("braid-load worker: unexpected spec kind {other:#x}");
-            return 2;
+            )
         }
+        kind::SIM_SPEC => (
+            kind::SIM_REPORT,
+            braid_sim::procs_worker(&text).map_err(|e| format!("bad sim spec: {e}"))?,
+        ),
+        other => return Err(format!("unexpected spec kind {other:#x}")),
     };
     let mut stdout = std::io::stdout().lock();
-    if let Err(e) = write_frame(&mut stdout, report_kind, &payload) {
-        eprintln!("braid-load worker: report write failed: {e}");
-        return 2;
-    }
-    if stdout.flush().is_err() {
-        return 2;
-    }
-    0
+    write_frame(&mut stdout, report_kind, &payload)
+        .map_err(|e| format!("report write failed: {e}"))?;
+    stdout
+        .flush()
+        .map_err(|e| format!("report flush failed: {e}"))
 }
 
 /// Execute one [`LoadSpec`] in this process: open `conns` connections,

@@ -4,8 +4,8 @@
 //! down stdin, report frame up stdout — plus the oracle and the
 //! server's gauge drain, with real process isolation.
 
-use braid_load::{run_load, run_scenario_procs, LoadConfig, SpawnMode};
-use braid_sim::{Dataset, SimScenario};
+use braid_load::{run_load, LoadConfig, SpawnMode};
+use braid_sim::{run_scenario, Dataset, Lane, SimOptions, SimScenario};
 use std::path::PathBuf;
 
 fn worker_binary() -> PathBuf {
@@ -94,16 +94,25 @@ fn process_and_thread_modes_agree_on_digests() {
 
 #[test]
 fn sim_scenarios_route_through_real_processes() {
+    let opts = SimOptions {
+        workers: 2,
+        procs: 2,
+        spawn: SpawnMode::Process(worker_binary()),
+        ..SimOptions::default()
+    };
     let mut checked = 0;
     for seed in 0..32u64 {
         let sc = SimScenario::generate(seed);
         if sc.faults_active() || sc.sessions.len() < 2 {
             continue;
         }
-        let out =
-            run_scenario_procs(&sc, 2, 2, &SpawnMode::Process(worker_binary())).expect("lane runs");
-        assert!(out.passed(), "seed {seed} violations: {:?}", out.violations);
-        assert_eq!(out.solves as usize, sc.query_count(), "seed {seed}");
+        let report = run_scenario(&sc, Lane::Procs, &opts).expect("lane runs");
+        assert!(
+            report.passed(),
+            "seed {seed} violations: {:?}",
+            report.violations
+        );
+        assert_eq!(report.solves, sc.query_count(), "seed {seed}");
         checked += 1;
         if checked == 3 {
             return;

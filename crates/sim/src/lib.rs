@@ -23,7 +23,10 @@
 //!   the remote request clock — and every seeded fault decision — is a
 //!   pure function of the scenario. The other lanes (OS threads, OS
 //!   threads over real sockets behind a fault proxy, a fixed worker
-//!   pool) trade that replayability for real schedule diversity.
+//!   pool, client connections to a `BraidServer` from threads or forked
+//!   processes) trade that replayability for real schedule diversity.
+//! * [`fork`] — the parent side of the self-exec worker protocol the
+//!   procs lane and the `braid-load` harness both fork through.
 //! * [`shrink`] — delta-debugging minimization of failing scenarios
 //!   (drop queries, then faults, then sessions; capacity last) plus
 //!   [`shrink::regression_test`] to emit a ready-to-paste test.
@@ -34,6 +37,7 @@
 //! invariants (pin balance, metrics conservation, span-forest
 //! well-formedness) must hold.
 
+pub mod fork;
 pub mod gen;
 pub mod json;
 pub mod model;
@@ -41,12 +45,13 @@ pub mod run;
 pub mod scenario;
 pub mod shrink;
 
+pub use fork::{fork_workers, SpawnMode, WORKER_FLAG};
 pub use gen::SimRng;
 pub use json::Json;
 pub use model::RefModel;
 pub use run::{
-    build_system, digest_answer, run_scenario, Lane, SimBug, SimOptions, SimReport, Violation,
-    ViolationKind, DIGEST_SEED,
+    build_system, digest_answer, procs_worker, run_scenario, Lane, SimBug, SimOptions, SimReport,
+    Violation, ViolationKind, DIGEST_SEED,
 };
 pub use scenario::{Dataset, FaultSpec, SimScenario};
 pub use shrink::{regression_test, shrink, ShrinkOutcome};

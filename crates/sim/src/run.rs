@@ -10,18 +10,25 @@
 //! request clock then ticks in program order, every seeded `FaultPlan`
 //! decision is a pure function of the scenario, and a failing seed
 //! replays exactly. The other lanes trade that determinism for real
-//! schedule diversity (the soak runs all of them).
+//! schedule diversity (the soak runs all of them); the last of them,
+//! [`Lane::Procs`], is the one that enters through the TCP front door.
 
+use crate::fork::{fork_workers, SpawnMode};
+use crate::json::Json;
 use crate::model::RefModel;
 use crate::scenario::SimScenario;
 use braid::{
-    BraidConfig, BraidSystem, CheckedSolutions, CmsConfig, Completeness, PoolConfig, RemoteDbms,
-    RemoteTcpServer, RingSink, SessionHandle, SessionTask, TcpClientConfig, TcpServerConfig,
-    TransportConfig, Tuple, WorkerPool,
+    BraidClient, BraidConfig, BraidServer, BraidServerConfig, BraidSystem, CheckedSolutions,
+    CmsConfig, Completeness, PoolConfig, RemoteDbms, RemoteTcpServer, RingSink, SessionHandle,
+    SessionTask, TcpClientConfig, TcpServerConfig, TransportConfig, Tuple, WorkerPool,
 };
 use braid_net::{FaultProxy, ProxyPlan};
+use braid_remote::clientproto::{
+    decode_sim_report, encode_sim_report, kind, SimProcReport, SimSessionDigest,
+};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// A deliberately-injected defect, used by meta-tests to prove the
 /// oracle catches real bugs and the shrinker minimizes them.
@@ -47,6 +54,14 @@ pub struct SimOptions {
     /// Ring capacity for the span log (events beyond it disable the
     /// span-forest check rather than failing it).
     pub trace_events: usize,
+    /// Worker-pool threads: the pool itself on [`Lane::Pool`], the
+    /// server's pool on [`Lane::Procs`].
+    pub workers: usize,
+    /// Client workers the scenario's sessions are dealt across on
+    /// [`Lane::Procs`] (clamped to the session count).
+    pub procs: usize,
+    /// Whether those client workers are threads or forked processes.
+    pub spawn: SpawnMode,
 }
 
 impl Default for SimOptions {
@@ -54,6 +69,9 @@ impl Default for SimOptions {
         SimOptions {
             bug: SimBug::None,
             trace_events: 1 << 16,
+            workers: 4,
+            procs: 2,
+            spawn: SpawnMode::Thread,
         }
     }
 }
@@ -76,14 +94,34 @@ pub enum Lane {
     /// that no connection leaks.
     Socket,
     /// Sessions as [`SessionTask`] state machines on a fixed
-    /// [`WorkerPool`] (`SIM_WORKERS` threads, default 4): joins park the
+    /// [`WorkerPool`] ([`SimOptions::workers`] threads): joins park the
     /// session, not a thread. Adds the invariant that no task panicked.
     Pool,
+    /// The front door: the system behind a [`BraidServer`], each session
+    /// one [`BraidClient`] connection, the connections dealt across
+    /// [`SimOptions::procs`] workers — threads, or real forked processes
+    /// ([`SimOptions::spawn`]). Workers report one digest per session,
+    /// checked against the model's; adds the invariant that the server
+    /// drains. Has no fault tolerance (an injected error would read as a
+    /// bug), so it refuses fault-injecting scenarios.
+    Procs,
 }
 
 impl Lane {
     /// Every lane, in the order the soak runs them.
-    pub const ALL: [Lane; 4] = [Lane::Stepped, Lane::Threads, Lane::Socket, Lane::Pool];
+    pub const ALL: [Lane; 5] = [
+        Lane::Stepped,
+        Lane::Threads,
+        Lane::Socket,
+        Lane::Pool,
+        Lane::Procs,
+    ];
+
+    /// Can this lane run `sc`? Every lane takes every scenario except
+    /// [`Lane::Procs`], which takes only fault-free ones.
+    pub fn accepts(self, sc: &SimScenario) -> bool {
+        self != Lane::Procs || !sc.faults_active()
+    }
 }
 
 /// What went wrong, attributed to the step that exposed it.
@@ -299,6 +337,7 @@ fn end(kind: ViolationKind, detail: String) -> Violation {
 /// dropped (their streams release pins on drop).
 fn check_invariants(
     sc: &SimScenario,
+    lane: Lane,
     system: &BraidSystem,
     rings: &[Arc<RingSink>],
     tolerated_errors: usize,
@@ -388,7 +427,8 @@ fn check_invariants(
 
     // Quiescence: every flight published and retired its entry, every
     // scheduler park was matched by exactly one wake (both zero off the
-    // pool lane), and every remote connection is back in its pool.
+    // pool and procs lanes), and every remote connection is back in its
+    // pool.
     let open = system.cms().open_flights();
     if open != 0 {
         violations.push(end(
@@ -396,7 +436,13 @@ fn check_invariants(
             format!("{open} single-flight entr(ies) still open after quiescence"),
         ));
     }
-    if m.cms.wakes != m.cms.sessions_parked {
+    // At the front door a socket reader wakes its connection task on
+    // every inbound frame, parked or not, so there wakes may exceed parks.
+    let leaked = match lane {
+        Lane::Procs => m.cms.wakes < m.cms.sessions_parked,
+        _ => m.cms.wakes != m.cms.sessions_parked,
+    };
+    if leaked {
         violations.push(end(
             ViolationKind::MetricsConservation,
             format!(
@@ -516,16 +562,6 @@ fn drive_threads(system: &BraidSystem, sc: &SimScenario, opts: &SimOptions) -> D
     })
 }
 
-/// Worker count for the pool lane: the `SIM_WORKERS` env knob,
-/// defaulting to 4.
-fn sim_workers() -> usize {
-    std::env::var("SIM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n >= 1)
-        .unwrap_or(4)
-}
-
 /// [`Lane::Pool`]: every session a [`SessionTask`] on one worker pool.
 /// Solves come back session-major, whatever interleaving the pool chose.
 fn drive_pool(
@@ -536,7 +572,7 @@ fn drive_pool(
 ) -> Driven {
     let pool = WorkerPool::with_metrics(
         PoolConfig {
-            workers: sim_workers(),
+            workers: opts.workers,
             step_budget: 8,
         },
         system.cms().metrics_handle(),
@@ -575,6 +611,216 @@ fn drive_pool(
     let mut solves = std::mem::take(&mut *log.lock().unwrap_or_else(|p| p.into_inner()));
     solves.sort_by_key(|s| (s.session, s.step));
     (solves, rings)
+}
+
+/// One [`Lane::Procs`] worker's orders: where the server listens, which
+/// share of the scenario's sessions is its own (`session % procs ==
+/// proc`), and the scenario itself.
+struct ProcSpec {
+    addr: String,
+    proc: u32,
+    procs: u32,
+    scenario: SimScenario,
+}
+
+impl ProcSpec {
+    fn to_json(&self) -> String {
+        Json::Obj(vec![
+            ("addr".into(), Json::Str(self.addr.clone())),
+            ("proc".into(), Json::UInt(self.proc.into())),
+            ("procs".into(), Json::UInt(self.procs.into())),
+            ("scenario".into(), Json::Str(self.scenario.to_json())),
+        ])
+        .render()
+    }
+
+    fn from_json(src: &str) -> Result<ProcSpec, String> {
+        let v = Json::parse(src)?;
+        let u32_of = |key: &str| {
+            v.req(key)?
+                .as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or(format!("{key} must be a u32"))
+        };
+        let str_of = |key: &str| {
+            v.req(key)?
+                .as_str()
+                .ok_or(format!("{key} must be a string"))
+        };
+        Ok(ProcSpec {
+            addr: str_of("addr")?.to_string(),
+            proc: u32_of("proc")?,
+            procs: u32_of("procs")?.max(1),
+            scenario: SimScenario::from_json(str_of("scenario")?)?,
+        })
+    }
+
+    /// Run this worker's sessions — one connection each, queries in
+    /// stream order — chaining every answer into a per-session digest.
+    /// A failed solve ends its session (the transport is usually gone).
+    fn run(&self) -> SimProcReport {
+        let sc = &self.scenario;
+        let addr: Option<std::net::SocketAddr> = self.addr.parse().ok();
+        let mine = (self.proc..sc.sessions.len() as u32).step_by(self.procs as usize);
+        let sessions = mine
+            .map(|session| {
+                let queries = &sc.sessions[session as usize];
+                let mut out = SimSessionDigest {
+                    session,
+                    solves: 0,
+                    errors: 0,
+                    digest: DIGEST_SEED,
+                };
+                let Some(mut client) = addr
+                    .and_then(|a| BraidClient::connect_timeout(a, Duration::from_secs(10)).ok())
+                else {
+                    out.errors = queries.len() as u64;
+                    return out;
+                };
+                for q in queries {
+                    match client.solve_checked(q, sc.strategy) {
+                        Ok(checked) => {
+                            out.solves += 1;
+                            digest_answer(&mut out.digest, q, &checked);
+                        }
+                        Err(e) => {
+                            eprintln!("sim worker {}: session {session}: {e}", self.proc);
+                            out.errors += 1;
+                            break;
+                        }
+                    }
+                }
+                client.goodbye();
+                out
+            })
+            .collect();
+        SimProcReport {
+            proc: self.proc,
+            sessions,
+        }
+    }
+}
+
+/// The child side of [`Lane::Procs`] in [`SpawnMode::Process`]: run the
+/// worker a `SIM_SPEC` frame's text describes and encode its `SIM_REPORT`
+/// payload.
+///
+/// # Errors
+/// A spec that does not parse.
+pub fn procs_worker(spec_json: &str) -> Result<Vec<u8>, String> {
+    Ok(encode_sim_report(&ProcSpec::from_json(spec_json)?.run()))
+}
+
+/// [`Lane::Procs`]: `system` behind a [`BraidServer`], every session a
+/// client connection to it, dealt across worker threads or forked
+/// processes. Workers send back digests, not answers, so a session whose
+/// digest equals the model's chain comes back as the model's
+/// (byte-identical) answers and any other session as errors naming the
+/// discrepancy. The server is drained and shut down before returning, so
+/// every connection's session is gone when the invariants are checked.
+fn drive_procs(
+    system: &Arc<BraidSystem>,
+    sc: &SimScenario,
+    model: &RefModel,
+    opts: &SimOptions,
+    violations: &mut Vec<Violation>,
+) -> Result<Vec<Solve>, String> {
+    let config = BraidServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: opts.workers,
+        step_budget: 8,
+    };
+    let server = BraidServer::start(Arc::clone(system), config)
+        .map_err(|e| format!("procs lane: server start failed: {e}"))?;
+    let procs = opts.procs.clamp(1, sc.sessions.len().max(1)) as u32;
+    let specs: Vec<ProcSpec> = (0..procs)
+        .map(|proc| ProcSpec {
+            addr: server.local_addr().to_string(),
+            proc,
+            procs,
+            scenario: sc.clone(),
+        })
+        .collect();
+    let reports: Vec<SimProcReport> = match &opts.spawn {
+        SpawnMode::Thread => std::thread::scope(|scope| {
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|spec| scope.spawn(|| spec.run()))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().map_err(|_| "sim worker thread panicked".into()))
+                .collect::<Result<_, String>>()
+        })?,
+        SpawnMode::Process(program) => {
+            let texts: Vec<String> = specs.iter().map(ProcSpec::to_json).collect();
+            fork_workers(program, kind::SIM_SPEC, &texts, kind::SIM_REPORT)?
+                .iter()
+                .map(|p| decode_sim_report(p).map_err(|e| format!("sim report corrupt: {e}")))
+                .collect::<Result<_, String>>()?
+        }
+    };
+
+    let mut solves = Vec::new();
+    for (report, s) in reports
+        .iter()
+        .flat_map(|r| r.sessions.iter().map(move |s| (r, s)))
+    {
+        let session = s.session as usize;
+        let queries = sc
+            .sessions
+            .get(session)
+            .ok_or_else(|| format!("proc {} reports unknown session {session}", report.proc))?;
+        let mut want = DIGEST_SEED;
+        let mut answers = Vec::with_capacity(queries.len());
+        for q in queries {
+            let answer = CheckedSolutions {
+                solutions: model.solve_text(q)?,
+                completeness: Completeness::Exact,
+            };
+            digest_answer(&mut want, q, &answer);
+            answers.push(answer);
+        }
+        let verdict = if s.errors > 0 || s.solves != queries.len() as u64 {
+            Err(format!(
+                "proc {}: session completed {} of {} queries with {} error(s)",
+                report.proc,
+                s.solves,
+                queries.len(),
+                s.errors
+            ))
+        } else if s.digest != want {
+            Err(format!(
+                "proc {}: session digest {:016x} != model {want:016x}",
+                report.proc, s.digest
+            ))
+        } else {
+            Ok(())
+        };
+        solves.extend(
+            queries
+                .iter()
+                .zip(answers)
+                .enumerate()
+                .map(|(step, (query, answer))| Solve {
+                    step,
+                    session,
+                    query: query.clone(),
+                    outcome: verdict.clone().map(|()| answer),
+                }),
+        );
+    }
+    solves.sort_by_key(|s| (s.session, s.step));
+    // Every client said goodbye; the connection tasks must now retire on
+    // their own, before shutdown would cut them.
+    violations.extend(
+        server
+            .quiesce(Duration::from_secs(10))
+            .into_iter()
+            .map(|gauge| end(ViolationKind::MetricsConservation, gauge)),
+    );
+    server.shutdown();
+    Ok(solves)
 }
 
 /// The one tally–digest–check pass over a lane's solves.
@@ -693,6 +939,11 @@ fn serve_remote(sc: &SimScenario) -> Result<(RemoteTcpServer, FaultProxy), Strin
 /// [`SimReport`], not as errors.
 pub fn run_scenario(sc: &SimScenario, lane: Lane, opts: &SimOptions) -> Result<SimReport, String> {
     sc.validate()?;
+    if !lane.accepts(sc) {
+        return Err(format!(
+            "fault-injecting scenarios cannot run on the {lane:?} lane"
+        ));
+    }
     let model = RefModel::new(&sc.dataset.catalog(), &sc.dataset.knowledge_base())?;
     let wire = match lane {
         Lane::Socket => Some(serve_remote(sc)?),
@@ -708,17 +959,23 @@ pub fn run_scenario(sc: &SimScenario, lane: Lane, opts: &SimOptions) -> Result<S
         }
         None => TransportConfig::InProcess,
     };
-    let system = build_system_over(sc, transport);
+    // An `Arc` so the procs lane's front door can share it.
+    let system = Arc::new(build_system_over(sc, transport));
 
     let mut violations = Vec::new();
     let (solves, rings) = match lane {
         Lane::Stepped => drive_stepped(&system, sc, opts),
         Lane::Threads | Lane::Socket => drive_threads(&system, sc, opts),
         Lane::Pool => drive_pool(&system, sc, opts, &mut violations),
+        Lane::Procs => (
+            drive_procs(&system, sc, &model, opts, &mut violations)?,
+            Vec::new(),
+        ),
     };
     let mut report = tally(sc, &model, opts, solves, &mut violations);
     check_invariants(
         sc,
+        lane,
         &system,
         &rings,
         report.tolerated_errors,
@@ -815,6 +1072,35 @@ mod tests {
             .expect("generator produces faulted scenarios");
         let r = run_scenario(&faulted, Lane::Pool, &SimOptions::default()).expect("harness runs");
         assert!(r.passed(), "faulted violations: {:#?}", r.violations);
+    }
+
+    #[test]
+    fn procs_lane_digest_matches_the_threads_lane() {
+        // Thread spawn mode: the libtest binary cannot self-exec as a
+        // worker (crates/load/tests/multiprocess.rs forks real ones).
+        let (sc, _) = quiet_seed_with_answers();
+        let opts = SimOptions::default();
+        let procs = run_scenario(&sc, Lane::Procs, &opts).expect("harness runs");
+        assert!(procs.passed(), "violations: {:#?}", procs.violations);
+        assert_eq!(procs.solves, sc.query_count());
+        let threads = run_scenario(&sc, Lane::Threads, &opts).expect("harness runs");
+        assert_eq!(
+            procs.digest, threads.digest,
+            "quiet session-major digests agree across lanes"
+        );
+    }
+
+    #[test]
+    fn proc_spec_json_round_trips() {
+        let spec = ProcSpec {
+            addr: "127.0.0.1:9".into(),
+            proc: 1,
+            procs: 3,
+            scenario: SimScenario::generate(42),
+        };
+        let back = ProcSpec::from_json(&spec.to_json()).expect("parses");
+        assert_eq!((back.addr, back.proc, back.procs), (spec.addr, 1, 3));
+        assert_eq!(back.scenario, spec.scenario);
     }
 
     #[test]

@@ -63,12 +63,7 @@ fn main() {
 
     // Goodbyes are processed asynchronously by the pool; give the last
     // connection tasks a moment to retire before reading the gauges.
-    for _ in 0..200 {
-        if server.stats().active == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    server.quiesce(std::time::Duration::from_secs(2));
     let stats = server.stats();
     let pool = server.pool_snapshot();
     println!(

@@ -16,7 +16,7 @@ build:
     cargo build --release --workspace
 
 test:
-    cargo test --workspace -q
+    cargo test -q
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
@@ -44,13 +44,13 @@ bench-compare a b:
     bash benchmark/run.sh compare {{a}} {{b}}
 
 # The observability invariants (monotone counters, span forests,
-# histogram algebra, EXPLAIN stability) plus the tracing-overhead smoke.
+# histogram algebra, EXPLAIN stability); the overhead budget is the
+# pinned benchmark's `trace.overhead_ratio` (`just bench`).
 trace-check:
     cargo test --test trace_observability -q
     cargo test -p braid-trace -q
-    cargo run -p braid-bench --bin report -- --quick --only E14
 
-# Live server dashboard over the wire STATS protocol (DESIGN.md §13).
+# Live server dashboard over the wire STATS protocol (DESIGN.md §11).
 # `just top` attaches to a running server; `just top-demo` brings its
 # own server + traffic; `just top-smoke` is the one-shot CI check.
 top addr="127.0.0.1:7878":
@@ -83,30 +83,30 @@ sim start="0" rounds="200":
 # Soak: the same seeds through every sim lane — the stepped schedule, a
 # columnar-forced stepped rerun digest-compared against the row run,
 # threads (one OS thread per session over the shared cache), socket
-# (the same over a real TCP listener behind the fault proxy) and pool
-# (sessions as resumable state machines on a fixed worker pool —
-# `workers` sets its size via SIM_WORKERS) — in release so threads
-# genuinely interleave. Loom is not vendorable offline (DESIGN.md §7),
-# so schedule coverage comes from seeded repetition.
-soak start="0" rounds="400" workers="4" procs="0":
+# (the same over a real TCP listener behind the fault proxy), pool
+# (sessions as resumable state machines on a fixed worker pool) and
+# procs (every session a client connection through the TCP front door,
+# dealt across `procs` forked copies of the sim binary; quiet scenarios
+# only) — `workers` sizes the pool and the procs lane's server pool. In
+# release so threads genuinely interleave. Loom is not vendorable
+# offline (DESIGN.md §7), so schedule coverage comes from seeded
+# repetition.
+soak start="0" rounds="400" workers="4" procs="2":
     SIM_SEED_START={{start}} SIM_ROUNDS={{rounds}} SIM_WORKERS={{workers}} SIM_PROCS={{procs}} \
         cargo run --release -p braid-bench --bin sim -- --soak
     cargo test --release --test concurrent_sessions -q
     cargo test --release --test cooperative_sessions -q
 
-# Back-compat alias for the old stress entry point.
-stress: soak
-
-# The columnar-representation battery (DESIGN.md §14): the differential
+# The columnar-representation battery (DESIGN.md §12): the differential
 # proptest suite (row ≡ columnar across batch sizes, round trips,
-# dictionary/NULL edge cases), the sim oracle sweep with columnar
-# forced on, and the E20 row-vs-columnar speedup table.
+# dictionary/NULL edge cases) and the sim oracle sweep with columnar
+# forced on; the row-vs-columnar speedup is the pinned `scan_derive`
+# workload (`relational.exec_us` vs `relational.exec_columnar_us`).
 columnar:
     cargo test --test columnar_differential -q
     cargo test --test sim_oracle -q forty_seeded_scenarios_pass_with_columnar_forced_on
-    cargo run --release -p braid-bench --bin report -- --quick --only E20
 
-# Multi-process load generator (DESIGN.md §12): fork real client
+# Multi-process load generator (DESIGN.md §11): fork real client
 # processes against a braid server, closed- or open-loop, every digest
 # checked against the reference model. `just load 8 4000` runs 8
 # processes at 4000 arrivals/s per process; rate 0 is closed loop.

@@ -14,7 +14,7 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test (every suite, once)"
-cargo test --workspace -q
+cargo test -q
 
 echo "==> concurrent sessions suite (serialized harness)"
 RUST_TEST_THREADS=1 cargo test --test concurrent_sessions -q -- --test-threads=1
@@ -22,8 +22,8 @@ RUST_TEST_THREADS=1 cargo test --test concurrent_sessions -q -- --test-threads=1
 echo "==> simulation smoke (fixed seed set, 50 scenarios)"
 SIM_SEED_START=0 SIM_ROUNDS=50 cargo run --release -p braid-bench --bin sim
 
-echo "==> soak smoke (10 seeds, every sim lane + columnar rerun + procs lane)"
-SIM_SEED_START=0 SIM_ROUNDS=10 SIM_PROCS=2 cargo run --release -p braid-bench --bin sim -- --soak
+echo "==> soak smoke (10 seeds; stepped + columnar rerun, threads, socket, pool, procs on forked clients)"
+SIM_SEED_START=0 SIM_ROUNDS=10 cargo run --release -p braid-bench --bin sim -- --soak
 
 echo "==> socket chaos suite (release) + TCP session example"
 cargo test --release --test net_chaos -q
@@ -54,19 +54,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> E11 smoke report"
 cargo run -p braid-bench --bin report -- --quick --only E11
 
-echo "==> E14 tracing-overhead smoke report"
-cargo run -p braid-bench --bin report -- --quick --only E14
-
 echo "==> E17 session-scheduling smoke report"
 cargo run -p braid-bench --bin report -- --quick --only E17
 
-echo "==> E18 multi-process load smoke report"
+echo "==> E18 open-loop load smoke report"
 cargo run -p braid-bench --bin report -- --quick --only E18
 
 echo "==> E19 observability-overhead smoke report"
 cargo run -p braid-bench --bin report -- --quick --only E19
-
-echo "==> E20 columnar-kernels smoke report"
-cargo run --release -p braid-bench --bin report -- --quick --only E20
 
 echo "==> ci OK"

@@ -8,7 +8,8 @@
 //!    whatever the interleaving, whatever another session did to the
 //!    cache.
 //! 2. Single-flight: sessions missing on the same subquery at the same
-//!    instant share one remote fetch (`dedup_hits > 0`).
+//!    instant share one remote fetch (`dedup_hits > 0`), and a shared
+//!    cache never costs the remote more than independent caches would.
 //! 3. Pinning: an open lazy stream keeps its cache element resident
 //!    through a concurrent eviction storm, and releases the pin on drop.
 //! 4. Structural: shared-cache accounting survives concurrent hammering
@@ -178,6 +179,61 @@ fn simultaneous_equivalent_misses_share_one_fetch() {
         eprintln!("attempt {attempt}: no overlap this round, retrying");
     }
     panic!("no single-flight dedup in {ATTEMPTS} barrier-synchronized attempts");
+}
+
+#[test]
+fn shared_cache_does_no_more_remote_work_than_independent_caches() {
+    // N sessions over one shared cache against N private systems running
+    // the same key look-ups: whichever session misses first fetches for
+    // everyone, so the shared run's server work is bounded by the
+    // independent runs' sum (and equals it for a single session).
+    const KEYS: usize = 16;
+    let queries: Vec<String> = (0..24)
+        .map(|i| format!("?- look(k{}, V).", i % KEYS))
+        .collect();
+    let system = |shards: usize| {
+        let mut kb = braid::KnowledgeBase::new();
+        kb.declare_base("fam", 2);
+        kb.add_program("look(K, V) :- fam(K, V).").unwrap();
+        let config = BraidConfig::with_cms(
+            CmsConfig::braid()
+                .with_prefetching(false)
+                .with_generalization(false)
+                .with_shards(shards),
+        );
+        BraidSystem::new(lookup_catalog(160, KEYS), kb, config)
+    };
+    let mut alone = system(1);
+    for q in &queries {
+        alone.solve_all(q, STRATEGY).expect("healthy link");
+    }
+    let independent = alone.metrics().remote.server_tuple_ops;
+
+    for sessions in [1usize, 2, 4] {
+        let shared = system(sessions);
+        std::thread::scope(|s| {
+            for _ in 0..sessions {
+                let (mut sess, queries) = (shared.session_owned(), &queries);
+                s.spawn(move || {
+                    for q in queries {
+                        sess.solve_all(q, STRATEGY).expect("healthy link");
+                    }
+                });
+            }
+        });
+        let m = shared.metrics();
+        assert!(
+            m.remote.server_tuple_ops <= independent * sessions as u64,
+            "sessions={sessions}: shared {} > independent {}",
+            m.remote.server_tuple_ops,
+            independent * sessions as u64
+        );
+        if sessions == 1 {
+            assert_eq!(m.remote.server_tuple_ops, independent);
+        }
+        // Every remote fetch went through the flight table.
+        assert!(m.cms.flight_fetches > 0);
+    }
 }
 
 // ---------------------------------------------------------------------

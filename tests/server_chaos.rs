@@ -19,7 +19,7 @@ use braid_remote::clientproto::{self, kind, ClientQuery};
 use braid_remote::Catalog;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn system() -> BraidSystem {
     let mut db = Catalog::new();
@@ -61,24 +61,8 @@ fn server() -> BraidServer {
 /// server-side gauges are at zero. Called at the end of every scenario:
 /// whatever the fault did, the server must come back to quiescence.
 fn assert_drained(server: &BraidServer) {
-    let start = Instant::now();
-    while server.stats().active != 0 && start.elapsed() < Duration::from_secs(10) {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let stats = server.stats();
-    assert_eq!(stats.active, 0, "connection tasks stranded: {stats:?}");
-    let start = Instant::now();
-    loop {
-        let snap = server.pool_snapshot();
-        if snap.spawned == snap.finished && snap.parked == 0 {
-            break;
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "pool never drained: {snap:?}"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let undrained = server.quiesce(Duration::from_secs(10));
+    assert!(undrained.is_empty(), "server never drained: {undrained:?}");
 }
 
 fn is_typed_server_error(err: &BraidError) -> bool {

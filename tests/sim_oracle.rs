@@ -51,6 +51,53 @@ fn forty_seeded_scenarios_pass_with_columnar_forced_on() {
 }
 
 // ---------------------------------------------------------------------
+// Front-door coverage: the procs lane drives client codec → `BraidServer`
+// → `ConnTask`, the path the pinned benchmark times. Thread spawn mode
+// here (a libtest binary cannot self-exec as a worker process);
+// crates/load/tests/multiprocess.rs runs the same lane on real forks.
+// ---------------------------------------------------------------------
+
+#[test]
+fn quiet_multi_session_seeds_pass_through_the_front_door() {
+    let opts = SimOptions::default();
+    let quiet: Vec<SimScenario> = (0..64u64)
+        .map(SimScenario::generate)
+        .filter(|sc| !sc.faults_active() && sc.sessions.len() >= 2)
+        .take(5)
+        .collect();
+    assert_eq!(
+        quiet.len(),
+        5,
+        "seeds 0..64 hold five quiet multi-session scenarios"
+    );
+    for sc in &quiet {
+        let report = run_scenario(sc, Lane::Procs, &opts).expect("harness runs");
+        assert!(
+            report.passed(),
+            "seed {} failed:\n{:#?}\nscenario: {}",
+            sc.seed,
+            report.violations,
+            sc.to_json()
+        );
+        assert_eq!(report.solves, sc.query_count(), "seed {}", sc.seed);
+        assert_eq!(report.exact, report.solves, "quiet answers are all Exact");
+    }
+}
+
+#[test]
+fn the_procs_lane_refuses_fault_injecting_scenarios() {
+    let faulted = (0..200u64)
+        .map(SimScenario::generate)
+        .find(SimScenario::faults_active)
+        .expect("generator produces faulted scenarios");
+    assert!(!Lane::Procs.accepts(&faulted));
+    assert!(Lane::ALL[..4].iter().all(|lane| lane.accepts(&faulted)));
+    let err = run_scenario(&faulted, Lane::Procs, &SimOptions::default())
+        .expect_err("an injected error would read as a bug on this lane");
+    assert!(err.contains("fault-injecting"), "{err}");
+}
+
+// ---------------------------------------------------------------------
 // Seed stability: the scenario generated for a fixed seed is pinned, so
 // any change to the generator (new knobs, reordered draws) is a visible,
 // deliberate diff — otherwise every "replayable" seed silently changes

@@ -255,10 +255,7 @@ fn uptime_and_connections_accepted_are_monotone() {
     c2.goodbye();
     // Closing connections drains `active` but never rolls back the
     // lifetime accept counter.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.stats().active != 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    assert_eq!(server.quiesce(Duration::from_secs(5)), Vec::<String>::new());
     let last = server.stats();
     assert_eq!(last.connections_accepted, 2);
     assert_eq!(last.active, 0);
