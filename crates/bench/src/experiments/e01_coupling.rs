@@ -6,8 +6,8 @@
 //! against the identical remote database.
 
 use crate::table::Table;
-use braid::{BraidConfig, BraidSystem, Strategy};
-use braid_workload::baseline::{run_all, CouplingMode};
+use braid::{BraidConfig, BraidSystem, CmsConfig, Strategy};
+use braid_workload::baseline::{run_all, Coupling};
 use braid_workload::genealogy;
 use std::time::Instant;
 
@@ -53,9 +53,8 @@ pub fn run(quick: bool) -> Table {
     // fit. This is where "cached elements contain only single relations"
     // (§5.3.2) stops being a viable design.
     let capacity = 1024;
-    for mode in [CouplingMode::SingleRelation, CouplingMode::Braid] {
-        let mut cms = mode.cms_config();
-        cms.cache_capacity_bytes = capacity;
+    for mode in [Coupling::SingleRelation, Coupling::Braid] {
+        let cms = CmsConfig::coupled(mode).with_capacity(capacity);
         let mut system: BraidSystem = scenario.system(BraidConfig::with_cms(cms));
         let start = Instant::now();
         let mut solutions = 0usize;

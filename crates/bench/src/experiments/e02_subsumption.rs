@@ -11,7 +11,7 @@
 //! repeats; subsumption answers *every* probe from the general result.
 
 use crate::table::Table;
-use braid::{BraidConfig, CmsConfig, Strategy};
+use braid::{BraidConfig, CmsConfig, Coupling, Strategy};
 use braid_workload::{genealogy, QueryWorkload};
 
 /// Run E2.
@@ -42,7 +42,7 @@ pub fn run(quick: bool) -> Table {
         let mut cells = vec![format!("{locality:.1}")];
         let mut hits = Vec::new();
         for cms in [
-            CmsConfig::exact_match(),
+            CmsConfig::coupled(Coupling::ExactMatch),
             CmsConfig::braid()
                 .with_prefetching(false)
                 .with_generalization(false),

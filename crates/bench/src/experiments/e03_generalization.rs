@@ -9,8 +9,8 @@
 
 use crate::experiments::support::single_relation_catalog;
 use crate::table::Table;
-use braid_advice::{parse_view_spec, Advice};
-use braid_caql::parse_rule;
+use braid_advice::{parse_path_expr, parse_view_spec, Advice};
+use braid_caql::parse_atom;
 use braid_cms::{Cms, CmsConfig};
 use braid_remote::RemoteDbms;
 
@@ -35,23 +35,23 @@ pub fn run(quick: bool) -> Table {
         let mut tuples = Vec::new();
         for on in [true, false] {
             let remote = RemoteDbms::with_defaults(single_relation_catalog("b", rows, keys, 5));
-            let mut config = CmsConfig::braid()
+            let config = CmsConfig::braid()
                 .with_prefetching(false)
                 .with_generalization(on);
-            // No path-expression reuse signal in this synthetic stream:
-            // the "on" arm generalizes unconditionally.
-            config.generalization_min_predicted_reuse = 0;
             let mut cms = Cms::new(remote, config);
             // Advice: the general template dq(X?, V^) =def b(X?, V^) —
-            // the subsuming view spec of §5.3.1.
+            // the subsuming view spec of §5.3.1 — and a path expression
+            // predicting a run of dq probes, the reuse signal that makes
+            // fetching the whole extension worthwhile.
             let mut advice = Advice::none();
             advice
                 .view_specs
                 .push(parse_view_spec("dq(X?, V^) =def b(X?, V^)").unwrap());
+            advice.path = Some(parse_path_expr("(dq(X?, V^))<1,*>").unwrap());
             cms.begin_session(advice);
             for i in 0..m {
-                let q = parse_rule(&format!("q(V) :- b(k{}, V).", i % keys)).unwrap();
-                cms.query(q).expect("probe solves").drain();
+                let probe = parse_atom(&format!("dq(k{}, V)", i % keys)).unwrap();
+                cms.query_head(&probe).expect("probe solves").drain();
             }
             let rm = cms.remote().metrics();
             cells.push(rm.requests.to_string());
@@ -83,13 +83,13 @@ mod tests {
     #[test]
     fn generalization_saves_requests_at_scale() {
         let t = super::run(true);
-        let last = t.rows.last().unwrap();
-        let on: u64 = last[1].parse().unwrap();
-        let off: u64 = last[2].parse().unwrap();
-        assert!(on < off, "m=20: gen-on {on} < gen-off {off}");
-        // Tuples shipped: gen-on constant across m.
-        let t1: u64 = t.rows[0][3].parse().unwrap();
-        let t20: u64 = t.rows.last().unwrap()[3].parse().unwrap();
-        assert_eq!(t1, t20);
+        // Columns m, gen-on req, gen-off req, gen-on tuples, gen-off
+        // tuples: one request and a constant 400 tuples with
+        // generalization, one request per probe without.
+        let column = |c: usize| t.rows.iter().map(|r| r[c].as_str()).collect::<Vec<_>>();
+        assert_eq!(column(1), ["1"; 5]);
+        assert_eq!(column(2), ["1", "2", "5", "10", "20"]);
+        assert_eq!(column(3), ["400"; 5]);
+        assert_eq!(column(4), ["5", "12", "54", "92", "194"]);
     }
 }

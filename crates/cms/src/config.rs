@@ -1,16 +1,76 @@
-//! CMS configuration: the experiment switchboard.
+//! CMS configuration: sizes, the [`Coupling`] (which of the paper's
+//! Figure 1 bridges this CMS is), and the technique switches a sim lane
+//! or an experiment still tells apart.
 //!
-//! Every technique in the paper's Figure 2 ("Alleviating the Impedance
-//! Mismatch") and §5.3 is independently toggleable so the benchmark
-//! harness can run ablations: result caching, subsumption reuse, query
-//! generalization, prefetching, advice-driven indexing and replacement,
-//! lazy evaluation, and parallel cache/remote execution.
+//! The paper's CMS decides from advice (§4.2), and so does this one:
+//! under [`Coupling::Braid`] a consumer (`?`) annotation builds an
+//! attribute index, and path-expression predictions pin elements against
+//! replacement and gate generalization. An experiment ablates them by
+//! sending different advice, not by setting a flag. DESIGN.md §3
+//! "Configuration" says what distinguishes every field.
 
 use crate::resilience::ResilienceConfig;
 use braid_relational::ExecConfig;
 use braid_remote::TransportConfig;
 use braid_trace::{SinkHandle, TraceSink};
 use std::sync::Arc;
+
+/// The AI/DB bridges of the paper's Figure 1 taxonomy, as the CMS
+/// realizes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Coupling {
+    /// Full BrAID: view-level result caching, with the session's advice
+    /// deciding attribute indexing (consumer annotations, §4.2.1) and
+    /// replacement pins (path-expression predictions, §5.4).
+    #[default]
+    Braid,
+    /// The BERMUDA-style bridge: results are cached and reused only "if
+    /// an exact match of a later query occurs" (§2); advice is ignored.
+    ExactMatch,
+    /// Single-relation buffering (\[CERI86\]): whole base relations are
+    /// cached on first touch and queries evaluate locally; "cached
+    /// elements contain only single relations" (§5.3.2).
+    SingleRelation,
+    /// Figure 1's loose coupling: every IE request goes to the DBMS.
+    Loose,
+}
+
+impl Coupling {
+    /// Every coupling, in taxonomy order.
+    pub const ALL: [Coupling; 4] = [
+        Coupling::Loose,
+        Coupling::ExactMatch,
+        Coupling::SingleRelation,
+        Coupling::Braid,
+    ];
+
+    /// Short label for report tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            Coupling::Loose => "loose-coupling",
+            Coupling::ExactMatch => "exact-match",
+            Coupling::SingleRelation => "single-relation",
+            Coupling::Braid => "braid",
+        }
+    }
+
+    /// Are the results of evaluated queries stored as cache elements
+    /// (§5.3 "result caching")?
+    pub fn caches_results(self) -> bool {
+        matches!(self, Coupling::Braid | Coupling::ExactMatch)
+    }
+
+    /// Are base relations buffered whole on first touch?
+    pub fn buffers_relations(self) -> bool {
+        self == Coupling::SingleRelation
+    }
+
+    /// Does the session's advice decide attribute indexing and
+    /// replacement pins?
+    pub fn follows_advice(self) -> bool {
+        self == Coupling::Braid
+    }
+}
 
 /// Tunable CMS behaviour.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,45 +83,23 @@ pub struct CmsConfig {
     /// behaviour is byte-identical to the unsharded CMS; concurrent
     /// multi-session runs raise this to reduce lock contention.
     pub cache_shards: usize,
-    /// Cache the results of evaluated queries (§5.3 "result caching").
-    pub result_caching: bool,
+    /// Which of Figure 1's bridges this CMS is: what it caches, and
+    /// whether advice steers indexing and replacement.
+    pub coupling: Coupling,
     /// Reuse cached elements via subsumption and local compensation
     /// (§5.3.2). With this off, only exact-match reuse happens — the
     /// BERMUDA/\[SELL87\] baseline behaviour.
     pub subsumption: bool,
-    /// Generalize IE-queries when advice shows a subsuming view spec
-    /// (§5.3.1): fetch more, reuse later.
+    /// Generalize IE-queries when advice shows a subsuming view spec and
+    /// the path expression predicts the view it came from (§5.3.1):
+    /// fetch more, reuse later.
     pub generalization: bool,
     /// Prefetch predicted-next queries from the path expression (§4.2).
     pub prefetching: bool,
-    /// Build hash indices on consumer-annotated (`?`) attributes
-    /// (§4.2.1).
-    pub index_advice: bool,
-    /// Modify LRU replacement with path-expression predictions (§5.4:
-    /// "an LRU scheme which may be modified due to advi\[c\]e").
-    pub advice_replacement: bool,
     /// Answer cache-only queries with lazy generators (§5.1).
     pub lazy_evaluation: bool,
     /// Execute remote and cache subqueries in parallel (§5 feature (e)).
     pub parallel_execution: bool,
-    /// Use pipelined (streaming) transfer from the remote DBMS (§5.5);
-    /// otherwise store-and-forward.
-    pub pipelining: bool,
-    /// Transfer buffer size, in tuples (§5.5 buffering).
-    pub transfer_buffer_tuples: usize,
-    /// How many predicted queries ahead an element is pinned against
-    /// replacement (the paper's "d1 is not the best candidate" horizon).
-    pub pin_horizon: usize,
-    /// Upper bound, in milliseconds, on how long a single-flight *joiner*
-    /// waits for its leader to publish before presuming the leader
-    /// wedged, evicting the stale flight entry, and surfacing a
-    /// transient [`CmsError::FlightStranded`](crate::CmsError). 0 ⇒ wait
-    /// forever. Bounds a blocking caller parked on its own thread; a
-    /// polled session is parked by its scheduler, which has no timer.
-    pub flight_join_timeout_ms: u64,
-    /// Estimated number of future hits needed to make generalization
-    /// worthwhile (cost heuristic of §5.3.1 step 1).
-    pub generalization_min_predicted_reuse: usize,
     /// §5.3.3 cost-based placement: when a plan mixes cache and remote
     /// parts, estimate the mixed plan against exporting the whole query
     /// to the DBMS ("(b) Export b2(X,Y) & b3(Z,c2,c6) to the DBMS") and
@@ -79,11 +117,6 @@ pub struct CmsConfig {
     /// bit-identical either way. Off by default so the representation
     /// choice is an explicit ablation knob.
     pub columnar: bool,
-    /// Cache *whole base relations* on first touch and answer locally —
-    /// the single-relation buffering strategy of Ceri, Gottlob &
-    /// Wiederhold \[CERI86\] that the paper contrasts with ("in \[CERI86\],
-    /// cached elements contain only single relations", §5.3.2).
-    pub whole_relation_caching: bool,
     /// Remote-fault handling: retries, deadlines, circuit breaking and
     /// cache-only degraded answers (see [`ResilienceConfig`]).
     pub resilience: ResilienceConfig,
@@ -110,22 +143,14 @@ impl Default for CmsConfig {
         CmsConfig {
             cache_capacity_bytes: usize::MAX,
             cache_shards: 1,
-            result_caching: true,
+            coupling: Coupling::Braid,
             subsumption: true,
             generalization: true,
             prefetching: true,
-            index_advice: true,
-            advice_replacement: true,
             lazy_evaluation: true,
             parallel_execution: true,
-            pipelining: true,
-            transfer_buffer_tuples: 64,
-            pin_horizon: 2,
-            flight_join_timeout_ms: 30_000,
-            generalization_min_predicted_reuse: 1,
             cost_based_placement: false,
             columnar: false,
-            whole_relation_caching: false,
             resilience: ResilienceConfig::default(),
             transport: TransportConfig::InProcess,
             exec: ExecConfig::default(),
@@ -135,62 +160,40 @@ impl Default for CmsConfig {
 }
 
 impl CmsConfig {
-    /// Everything off: the loose-coupling baseline (every IE request goes
-    /// to the remote DBMS; nothing is cached).
-    pub fn loose_coupling() -> Self {
-        CmsConfig {
-            cache_capacity_bytes: 0,
-            cache_shards: 1,
-            result_caching: false,
-            subsumption: false,
-            generalization: false,
-            prefetching: false,
-            index_advice: false,
-            advice_replacement: false,
-            lazy_evaluation: false,
-            parallel_execution: false,
-            pipelining: false,
-            transfer_buffer_tuples: 1,
-            pin_horizon: 0,
-            flight_join_timeout_ms: 30_000,
-            generalization_min_predicted_reuse: usize::MAX,
-            cost_based_placement: false,
-            columnar: false,
-            whole_relation_caching: false,
-            resilience: ResilienceConfig::default(),
-            transport: TransportConfig::InProcess,
-            exec: ExecConfig::default(),
-            trace: SinkHandle::noop(),
-        }
-    }
-
-    /// Exact-match result caching only — the BERMUDA-style bridge
-    /// baseline: results are cached and reused only "if an exact match of
-    /// a later query occurs" (§2).
-    pub fn exact_match() -> Self {
-        CmsConfig {
-            subsumption: false,
-            generalization: false,
-            prefetching: false,
-            index_advice: false,
-            advice_replacement: false,
-            lazy_evaluation: false,
+    /// The CMS realizing one of Figure 1's bridges. Beyond what
+    /// [`Coupling`] itself decides, the baselines run without the
+    /// techniques they predate: exact-match reuse only and no advice
+    /// techniques for [`Coupling::ExactMatch`], no advice techniques for
+    /// [`Coupling::SingleRelation`], and for [`Coupling::Loose`] no cache
+    /// at all.
+    pub fn coupled(coupling: Coupling) -> Self {
+        let braid = CmsConfig {
+            coupling,
             ..CmsConfig::default()
-        }
-    }
-
-    /// Single-relation buffering (the \[CERI86\] baseline): whole base
-    /// relations are cached on first touch and queries evaluate locally;
-    /// no view-level result caching, no advice-driven techniques.
-    pub fn single_relation() -> Self {
-        CmsConfig {
-            result_caching: false,
-            generalization: false,
-            prefetching: false,
-            index_advice: false,
-            advice_replacement: false,
-            whole_relation_caching: true,
-            ..CmsConfig::default()
+        };
+        match coupling {
+            Coupling::Braid => braid,
+            Coupling::ExactMatch => CmsConfig {
+                subsumption: false,
+                generalization: false,
+                prefetching: false,
+                lazy_evaluation: false,
+                ..braid
+            },
+            Coupling::SingleRelation => CmsConfig {
+                generalization: false,
+                prefetching: false,
+                ..braid
+            },
+            Coupling::Loose => CmsConfig {
+                cache_capacity_bytes: 0,
+                subsumption: false,
+                generalization: false,
+                prefetching: false,
+                lazy_evaluation: false,
+                parallel_execution: false,
+                ..braid
+            },
         }
     }
 
@@ -217,33 +220,15 @@ impl CmsConfig {
         self
     }
 
-    /// Toggle advice-driven indexing.
-    pub fn with_index_advice(mut self, on: bool) -> Self {
-        self.index_advice = on;
-        self
-    }
-
     /// Toggle lazy evaluation.
     pub fn with_lazy(mut self, on: bool) -> Self {
         self.lazy_evaluation = on;
         self
     }
 
-    /// Toggle advice-modified replacement.
-    pub fn with_advice_replacement(mut self, on: bool) -> Self {
-        self.advice_replacement = on;
-        self
-    }
-
     /// Toggle parallel subquery execution.
     pub fn with_parallel(mut self, on: bool) -> Self {
         self.parallel_execution = on;
-        self
-    }
-
-    /// Toggle pipelined (streaming) transfer from the remote DBMS.
-    pub fn with_pipelining(mut self, on: bool) -> Self {
-        self.pipelining = on;
         self
     }
 
@@ -280,13 +265,6 @@ impl CmsConfig {
     /// elements keep indexed rows).
     pub fn with_columnar(mut self, on: bool) -> Self {
         self.columnar = on;
-        self
-    }
-
-    /// Bound how long a single-flight joiner waits for its leader
-    /// (milliseconds; 0 ⇒ wait forever).
-    pub fn with_flight_join_timeout_ms(mut self, ms: u64) -> Self {
-        self.flight_join_timeout_ms = ms;
         self
     }
 
@@ -327,10 +305,14 @@ mod tests {
     fn presets_differ_as_documented() {
         let braid = CmsConfig::braid();
         assert!(braid.subsumption && braid.prefetching && braid.lazy_evaluation);
-        let exact = CmsConfig::exact_match();
-        assert!(exact.result_caching && !exact.subsumption && !exact.prefetching);
-        let loose = CmsConfig::loose_coupling();
-        assert!(!loose.result_caching && loose.cache_capacity_bytes == 0);
+        assert_eq!(braid.coupling, Coupling::Braid);
+        let exact = CmsConfig::coupled(Coupling::ExactMatch);
+        assert!(exact.coupling.caches_results() && !exact.subsumption && !exact.prefetching);
+        let single = CmsConfig::coupled(Coupling::SingleRelation);
+        assert!(single.coupling.buffers_relations() && !single.coupling.caches_results());
+        let loose = CmsConfig::coupled(Coupling::Loose);
+        assert!(!loose.coupling.caches_results() && loose.cache_capacity_bytes == 0);
+        assert!(braid.coupling.follows_advice() && !exact.coupling.follows_advice());
     }
 
     #[test]
@@ -346,7 +328,7 @@ mod tests {
     #[test]
     fn shard_knob_defaults_to_one_and_clamps() {
         assert_eq!(CmsConfig::braid().cache_shards, 1);
-        assert_eq!(CmsConfig::loose_coupling().cache_shards, 1);
+        assert_eq!(CmsConfig::coupled(Coupling::Loose).cache_shards, 1);
         assert_eq!(CmsConfig::braid().with_shards(0).cache_shards, 1);
         assert_eq!(CmsConfig::braid().with_shards(4).cache_shards, 4);
     }
@@ -356,5 +338,27 @@ mod tests {
         assert_eq!(CmsConfig::braid().exec.batch_size, 256);
         assert_eq!(CmsConfig::braid().with_batch_size(0).exec.batch_size, 1);
         assert_eq!(CmsConfig::braid().with_batch_size(32).exec.batch_size, 32);
+    }
+
+    /// No `..`: a new field does not compile until it is listed here
+    /// with what tells its values apart (and in DESIGN.md §3).
+    #[test]
+    fn every_field_is_accounted_for() {
+        let CmsConfig {
+            cache_capacity_bytes: _, // E7; the sim's capacity caps; `cold_fetch`
+            cache_shards: _,         // sim knob `shards`; `cms.shard_lock_waits`
+            coupling: _,             // E1's six rows
+            subsumption: _,          // sim knob; E2
+            generalization: _,       // sim knob; E3
+            prefetching: _,          // sim knob `prefetch`; E4
+            lazy_evaluation: _,      // sim knob `lazy`; E5
+            parallel_execution: _,   // `Lane::Stepped` needs `deterministic()`; E9
+            cost_based_placement: _, // E9's placement rows
+            columnar: _,             // sim knob and the soak's columnar rerun
+            resilience: _,           // E11; `tests/fault_tolerance.rs`
+            transport: _,            // `Lane::Socket`; E16; the pinned benchmark
+            exec: _,                 // sim knob `batch_size`
+            trace: _,                // `tests/trace_observability.rs`; `trace.overhead_ratio`
+        } = CmsConfig::braid();
     }
 }

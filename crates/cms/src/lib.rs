@@ -24,8 +24,8 @@
 //! | Cache Manager (+ Query Processor) | [`cache`], [`element`] |
 //! | cache model             | [`model`]     |
 //!
-//! plus [`config`] (the experiment switchboard for every technique in the
-//! paper's Figure 2), [`stream`] (the tuple-at-a-time answer streams
+//! plus [`config`] (sizes, the Figure 1 [`Coupling`], and the technique
+//! switches advice does not decide), [`stream`] (the tuple-at-a-time answer streams
 //! handed to the IE) and [`metrics`] (workstation-side cost accounting).
 
 pub mod advice_mgr;
@@ -48,7 +48,7 @@ pub mod stream;
 
 pub use cache::CacheRead;
 pub use cms::Cms;
-pub use config::CmsConfig;
+pub use config::{CmsConfig, Coupling};
 pub use element::{CacheElement, ElemId, Repr};
 pub use error::{CmsError, Result};
 pub use flight::{SingleFlight, Waker};

@@ -151,10 +151,15 @@ impl ParkCtx {
     }
 }
 
+/// How long a joiner parked on its own thread waits for its leader
+/// before presuming the leader wedged and surfacing the transient
+/// [`CmsError::FlightStranded`]. A polled session is parked by its
+/// scheduler instead, which has no timer.
+const FLIGHT_JOIN_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Everything a plan execution needs besides the plan and the cache —
-/// bundling the remote handle, resilience policy, single-flight table
-/// and transfer knobs keeps [`execute`]'s signature stable as the
-/// environment grows.
+/// bundling the remote handle, resilience policy and single-flight table
+/// keeps [`execute`]'s signature stable as the environment grows.
 #[derive(Clone, Copy)]
 pub struct ExecEnv<'a> {
     /// The remote fetch path: the in-process engine handle, or a pooled
@@ -171,17 +176,9 @@ pub struct ExecEnv<'a> {
     /// scheduler), and holds work done by earlier attempts of a polled
     /// query.
     pub park: &'a ParkCtx,
-    /// Bound on how long a joiner parked on its own thread waits for its
-    /// leader before surfacing [`CmsError::FlightStranded`]; `None`
-    /// waits forever.
-    pub flight_join_timeout: Option<Duration>,
     /// Fan remote fetches out to worker threads (blocking callers only:
     /// a polled session runs its parts serially, see [`ParkCtx`]).
     pub parallel: bool,
-    /// Pipelined (vs. buffered) remote transfer.
-    pub pipelined: bool,
-    /// Transfer buffer size in tuples.
-    pub buffer: usize,
     /// Local batched-executor configuration.
     pub exec: ExecConfig,
     /// Session tracer: the monitor opens an `exec.run` span per plan and
@@ -209,9 +206,8 @@ pub struct Executed {
 
 /// Execute every part of a plan and join the results.
 ///
-/// `env.parallel` runs remote parts concurrently (§5 feature (e));
-/// `env.pipelined` and `env.buffer` control the transfer mode of each
-/// remote stream (§5.5). Every remote fetch goes through
+/// `env.parallel` runs remote parts concurrently (§5 feature (e)); each
+/// remote stream is pipelined (§5.5). Every remote fetch goes through
 /// `env.resilience` (retry/backoff, deadline, circuit breaker) — the
 /// breaker state is shared across the parallel fetch threads — and
 /// through the single-flight table, so concurrent sessions fetching the
@@ -496,8 +492,7 @@ fn fetch_remote(part: &PlanPart, env: &ExecEnv<'_>, parent: Option<u64>) -> Resu
         match env.flight.enter(&key, || env.park.waker()) {
             // Leading is real work this session does inline.
             Entered::Lead(guard) => {
-                let result =
-                    fetch_attempts(part, transport, resilience, &t, env.pipelined, env.buffer);
+                let result = fetch_attempts(part, transport, resilience, &t);
                 guard.publish(&result);
                 resilience.metrics().add_flight_fetches(1);
                 if env.park.parks_session() {
@@ -520,7 +515,7 @@ fn fetch_remote(part: &PlanPart, env: &ExecEnv<'_>, parent: Option<u64>) -> Resu
             Entered::Parked(ticket) => {
                 let shared = env
                     .flight
-                    .park_on(&ticket, env.flight_join_timeout)
+                    .park_on(&ticket, Some(FLIGHT_JOIN_TIMEOUT))
                     .map_err(|to| CmsError::FlightStranded {
                         waited_ms: to.waited.as_millis() as u64,
                     })?;
@@ -548,17 +543,12 @@ fn fetch_attempts(
     transport: &dyn RemoteTransport,
     resilience: &Resilience,
     t: &rdi::Translated,
-    pipelined: bool,
-    buffer: usize,
 ) -> Result<FetchedPart> {
     // One attempt = one round trip; the resilience policy retries
     // transient faults with backoff charged in cost units, and enforces
     // the per-attempt latency deadline against the stream's receipt.
     let rel = resilience.run(|| {
-        // Buffered/pipelined transfer (§5.5): the RDI "buffers the data
-        // returned by the DBMS prior to passing buffer control to the
-        // Cache Manager".
-        let mut stream = transport.open_stream(&t.sql, buffer, pipelined)?;
+        let mut stream = transport.open_stream(&t.sql)?;
         if part.vars.is_empty() {
             // Fully ground subquery: an existence test. The DML has no
             // zero-column SELECT, so reduce the stream to a 0-ary relation
@@ -743,10 +733,7 @@ mod tests {
             resilience,
             flight: &session.flight,
             park: &session.park,
-            flight_join_timeout: None,
             parallel,
-            pipelined: true,
-            buffer: 8,
             exec: ExecConfig::default(),
             trace,
         }

@@ -324,6 +324,21 @@ mod tests {
         Resilience::new(cfg, Arc::new(CmsMetrics::new()))
     }
 
+    /// No `..`: a new field does not compile until it is listed here
+    /// with what tells its values apart (and in DESIGN.md §3).
+    #[test]
+    fn every_field_is_accounted_for() {
+        let ResilienceConfig {
+            max_retries: _,        // E11's retry rows
+            backoff_base_units: _, // `backoff_is_charged_and_capped`; E11's wasted units
+            backoff_cap_units: _,  // `backoff_is_charged_and_capped`
+            deadline_units: _,     // nothing yet: no caller sets it (ROADMAP item 10)
+            breaker_threshold: _,  // `breaker_opens_after_threshold_and_recovers_on_probe`
+            breaker_cooldown: _,   // the same; E11's breaker row
+            degraded_mode: _,      // E11's partial column; `tests/fault_tolerance.rs`
+        } = ResilienceConfig::default();
+    }
+
     #[test]
     fn first_success_needs_no_retry() {
         let r = res(ResilienceConfig::default());

@@ -404,6 +404,16 @@ mod tests {
         Box::new(FnTask(Box::new(f)))
     }
 
+    /// No `..`: a new field does not compile until it is listed here
+    /// with what tells its values apart (and in DESIGN.md §3).
+    #[test]
+    fn every_field_is_accounted_for() {
+        let PoolConfig {
+            workers: _,     // E17's pool row; `Lane::Pool`; `core.queue_peak`
+            step_budget: _, // budgets of 1, 2, 4 here and in `cooperative_sessions`
+        } = PoolConfig::default();
+    }
+
     #[test]
     fn tasks_run_to_completion_on_one_worker() {
         let pool = WorkerPool::new(PoolConfig {

@@ -76,7 +76,8 @@ pub use braid_caql::{
     Subst, Term,
 };
 pub use braid_cms::{
-    AnswerStream, Cms, CmsConfig, Completeness, PoolConfig, ResilienceConfig, Waker, WorkerPool,
+    AnswerStream, Cms, CmsConfig, Completeness, Coupling, PoolConfig, ResilienceConfig, Waker,
+    WorkerPool,
 };
 pub use braid_ie::{IeError, InferenceEngine, KnowledgeBase, Rule, Soa, Strategy};
 pub use braid_relational::{Relation, Schema, Tuple, Value};

@@ -1084,6 +1084,17 @@ mod tests {
         crate::system::tests::system(BraidConfig::default())
     }
 
+    /// No `..`: a new field does not compile until it is listed here
+    /// with what tells its values apart (and in DESIGN.md §3).
+    #[test]
+    fn every_field_is_accounted_for() {
+        let BraidServerConfig {
+            addr: _,        // a deployment setting
+            workers: _,     // the pinned benchmark's 2; `Lane::Procs`; `braid-load --workers`
+            step_budget: _, // nothing yet: no caller sets it (ROADMAP item 10)
+        } = BraidServerConfig::default();
+    }
+
     #[test]
     fn client_round_trips_queries_over_tcp() {
         let expected = {

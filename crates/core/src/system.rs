@@ -203,7 +203,8 @@ impl std::ops::DerefMut for BraidSystem {
 /// The blocking methods and [`SessionHandle::poll_checked`] run the same
 /// solve; they differ in who sleeps when a remote fetch joins one that
 /// another session is already leading. A blocking call parks the calling
-/// thread (bounded by `flight_join_timeout_ms`); a poll parks the
+/// thread (for at most 30 s, after which the join surfaces the
+/// transient `CmsError::FlightStranded`); a poll parks the
 /// *session* and hands the thread back to its scheduler.
 pub struct SessionHandle {
     engine: Arc<InferenceEngine>,
@@ -433,6 +434,18 @@ pub(crate) mod tests {
         BraidSystem::new(db, kb, config)
     }
 
+    /// No `..`: a new field does not compile until it is listed here
+    /// with what tells its values apart (and in DESIGN.md §3).
+    #[test]
+    fn every_field_is_accounted_for() {
+        let BraidConfig {
+            cms: _,     // `braid_cms::config`'s own guard
+            cost: _,    // nothing yet: no caller sets it (ROADMAP item 10)
+            latency: _, // `Real` in `concurrent_sessions` and `cooperative_sessions`
+            faults: _,  // the sim's faulted scenarios; E11; `tests/fault_tolerance.rs`
+        } = BraidConfig::default();
+    }
+
     #[test]
     fn end_to_end_solve() {
         let mut b = system(BraidConfig::default());
@@ -459,7 +472,9 @@ pub(crate) mod tests {
 
     #[test]
     fn loose_coupling_config_disables_caching() {
-        let mut b = system(BraidConfig::with_cms(CmsConfig::loose_coupling()));
+        let mut b = system(BraidConfig::with_cms(CmsConfig::coupled(
+            braid_cms::Coupling::Loose,
+        )));
         b.solve_all("?- gp(ann, Y).", Strategy::ConjunctionCompiled)
             .unwrap();
         let after_first = b.metrics();

@@ -21,33 +21,31 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use braid_net::{bind_ephemeral, read_frame, write_frame, Frame, Listener, NetError};
+use braid_net::{
+    bind_ephemeral, read_frame, write_frame, Frame, Listener, NetError, MAX_FRAME_BYTES,
+};
 
 use crate::proto::{self, kind};
 use crate::server::RemoteDbms;
+
+/// How often a connection blocked on a request read wakes up to
+/// observe shutdown.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// Bound on a single blocked write (a stalled client cannot pin a
+/// handler thread forever).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpServerConfig {
     /// Connections beyond this are closed at accept time.
     pub max_connections: usize,
-    /// Per-frame payload cap (both directions).
-    pub max_frame_bytes: usize,
-    /// How often a connection blocked on a request read wakes up to
-    /// observe shutdown.
-    pub poll_interval_ms: u64,
-    /// Bound on a single blocked write (a stalled client cannot pin a
-    /// handler thread forever).
-    pub write_timeout_ms: u64,
 }
 
 impl Default for TcpServerConfig {
     fn default() -> TcpServerConfig {
         TcpServerConfig {
             max_connections: 64,
-            max_frame_bytes: braid_net::MAX_FRAME_BYTES,
-            poll_interval_ms: 25,
-            write_timeout_ms: 2_000,
         }
     }
 }
@@ -111,10 +109,10 @@ impl RemoteTcpServer {
                 stats.accepted.fetch_add(1, Ordering::Relaxed);
                 let active = stats.active.fetch_add(1, Ordering::SeqCst) + 1;
                 stats.peak_active.fetch_max(active, Ordering::SeqCst);
-                let (dbms, cfg) = (dbms.clone(), config.clone());
+                let dbms = dbms.clone();
                 let (stop, stats) = (Arc::clone(stop), Arc::clone(&stats));
                 Some(move || {
-                    serve_connection(stream, &dbms, &cfg, &stop, &stats);
+                    serve_connection(stream, &dbms, &stop, &stats);
                     stats.active.fetch_sub(1, Ordering::SeqCst);
                 })
             })?
@@ -152,18 +150,12 @@ impl RemoteTcpServer {
 
 /// Serve one connection: a loop of PING/REQUEST frames until the peer
 /// closes, a protocol error, or shutdown.
-fn serve_connection(
-    mut stream: TcpStream,
-    dbms: &RemoteDbms,
-    cfg: &TcpServerConfig,
-    stop: &AtomicBool,
-    stats: &Stats,
-) {
+fn serve_connection(mut stream: TcpStream, dbms: &RemoteDbms, stop: &AtomicBool, stats: &Stats) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.poll_interval_ms.max(1))));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms.max(1))));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     loop {
-        match read_frame(&mut stream, cfg.max_frame_bytes) {
+        match read_frame(&mut stream, MAX_FRAME_BYTES) {
             Ok(None) => break, // peer closed cleanly
             Ok(Some(frame)) => {
                 if handle_frame(&mut stream, dbms, frame, stats).is_err() {
@@ -429,12 +421,18 @@ mod tests {
         assert_eq!(server.stats().decode_errors, 1);
     }
 
+    /// No `..`: a new field does not compile until it is listed here
+    /// with what tells its values apart (and in DESIGN.md §3).
+    #[test]
+    fn every_field_is_accounted_for() {
+        let TcpServerConfig {
+            max_connections: _, // `connection_limit_sheds_load_at_accept`
+        } = TcpServerConfig::default();
+    }
+
     #[test]
     fn connection_limit_sheds_load_at_accept() {
-        let cfg = TcpServerConfig {
-            max_connections: 1,
-            ..TcpServerConfig::default()
-        };
+        let cfg = TcpServerConfig { max_connections: 1 };
         let mut server = RemoteTcpServer::serve(RemoteDbms::with_defaults(catalog()), cfg).unwrap();
         let _keep = connect(server.addr());
         // Give the accept loop a beat to register the first connection.

@@ -51,9 +51,6 @@ pub enum SimBug {
 pub struct SimOptions {
     /// Injected defect (meta-testing only).
     pub bug: SimBug,
-    /// Ring capacity for the span log (events beyond it disable the
-    /// span-forest check rather than failing it).
-    pub trace_events: usize,
     /// Worker-pool threads: the pool itself on [`Lane::Pool`], the
     /// server's pool on [`Lane::Procs`].
     pub workers: usize,
@@ -68,7 +65,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             bug: SimBug::None,
-            trace_events: 1 << 16,
             workers: 4,
             procs: 2,
             spawn: SpawnMode::Thread,
@@ -487,9 +483,13 @@ struct Solve {
     outcome: Result<CheckedSolutions, String>,
 }
 
+/// Ring capacity of each session's span log (events beyond it disable
+/// the span-forest check rather than failing it).
+const TRACE_EVENTS: usize = 1 << 16;
+
 /// Fork a session with its own span ring attached.
-fn open_session(system: &BraidSystem, opts: &SimOptions) -> (SessionHandle, Arc<RingSink>) {
-    let ring = Arc::new(RingSink::new(opts.trace_events));
+fn open_session(system: &BraidSystem) -> (SessionHandle, Arc<RingSink>) {
+    let ring = Arc::new(RingSink::new(TRACE_EVENTS));
     let mut session = system.session_owned();
     session
         .cms_mut()
@@ -500,12 +500,9 @@ fn open_session(system: &BraidSystem, opts: &SimOptions) -> (SessionHandle, Arc<
 type Driven = (Vec<Solve>, Vec<Arc<RingSink>>);
 
 /// [`Lane::Stepped`]: the calling thread follows `sc.schedule`.
-fn drive_stepped(system: &BraidSystem, sc: &SimScenario, opts: &SimOptions) -> Driven {
-    let (mut sessions, rings): (Vec<_>, Vec<_>) = sc
-        .sessions
-        .iter()
-        .map(|_| open_session(system, opts))
-        .unzip();
+fn drive_stepped(system: &BraidSystem, sc: &SimScenario) -> Driven {
+    let (mut sessions, rings): (Vec<_>, Vec<_>) =
+        sc.sessions.iter().map(|_| open_session(system)).unzip();
     let mut cursors = vec![0usize; sc.sessions.len()];
     let solves = sc
         .schedule
@@ -529,7 +526,7 @@ fn drive_stepped(system: &BraidSystem, sc: &SimScenario, opts: &SimOptions) -> D
 }
 
 /// [`Lane::Threads`] / [`Lane::Socket`]: one OS thread per session.
-fn drive_threads(system: &BraidSystem, sc: &SimScenario, opts: &SimOptions) -> Driven {
+fn drive_threads(system: &BraidSystem, sc: &SimScenario) -> Driven {
     std::thread::scope(|scope| {
         let handles: Vec<_> = sc
             .sessions
@@ -537,7 +534,7 @@ fn drive_threads(system: &BraidSystem, sc: &SimScenario, opts: &SimOptions) -> D
             .enumerate()
             .map(|(session, queries)| {
                 scope.spawn(move || {
-                    let (mut handle, ring) = open_session(system, opts);
+                    let (mut handle, ring) = open_session(system);
                     let solves: Vec<Solve> = queries
                         .iter()
                         .enumerate()
@@ -580,7 +577,7 @@ fn drive_pool(
     let log: Arc<Mutex<Vec<Solve>>> = Arc::default();
     let mut rings = Vec::with_capacity(sc.sessions.len());
     for (session, queries) in sc.sessions.iter().enumerate() {
-        let (handle, ring) = open_session(system, opts);
+        let (handle, ring) = open_session(system);
         rings.push(ring);
         let (sink, texts) = (Arc::clone(&log), queries.clone());
         pool.spawn(Box::new(SessionTask::new(
@@ -964,8 +961,8 @@ pub fn run_scenario(sc: &SimScenario, lane: Lane, opts: &SimOptions) -> Result<S
 
     let mut violations = Vec::new();
     let (solves, rings) = match lane {
-        Lane::Stepped => drive_stepped(&system, sc, opts),
-        Lane::Threads | Lane::Socket => drive_threads(&system, sc, opts),
+        Lane::Stepped => drive_stepped(&system, sc),
+        Lane::Threads | Lane::Socket => drive_threads(&system, sc),
         Lane::Pool => drive_pool(&system, sc, opts, &mut violations),
         Lane::Procs => (
             drive_procs(&system, sc, &model, opts, &mut violations)?,
@@ -1117,6 +1114,18 @@ mod tests {
             a.digest, b.digest,
             "pool digest must not depend on interleaving"
         );
+    }
+
+    /// No `..`: a new field does not compile until it is listed here
+    /// with what tells its values apart (and in DESIGN.md §3).
+    #[test]
+    fn every_field_is_accounted_for() {
+        let SimOptions {
+            bug: _,     // `injected_bug_is_caught`; the shrinker's meta-tests
+            workers: _, // `SIM_WORKERS`: the pool and procs lanes' server pool
+            procs: _,   // `SIM_PROCS`: the procs lane's client count
+            spawn: _,   // threads under `cargo test`, processes under `sim --soak`
+        } = SimOptions::default();
     }
 
     #[test]

@@ -9,65 +9,16 @@
 
 use crate::scenario::Scenario;
 use braid::{BraidConfig, BraidSystem, CmsConfig, CombinedMetrics, Strategy};
-use std::fmt;
 use std::time::{Duration, Instant};
 
-/// An AI/DB integration approach from the paper's taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CouplingMode {
-    /// Figure 1 "loose coupling": every request goes to the DBMS.
-    LooseCoupling,
-    /// BERMUDA-style bridge: exact-match result caching only.
-    ExactMatch,
-    /// \[CERI86\]-style: whole base relations buffered on first touch.
-    SingleRelation,
-    /// Full BrAID: subsumption + advice + every §5.3 technique.
-    Braid,
-}
-
-impl CouplingMode {
-    /// All modes, in taxonomy order.
-    pub fn all() -> [CouplingMode; 4] {
-        [
-            CouplingMode::LooseCoupling,
-            CouplingMode::ExactMatch,
-            CouplingMode::SingleRelation,
-            CouplingMode::Braid,
-        ]
-    }
-
-    /// The CMS configuration realizing this mode.
-    pub fn cms_config(self) -> CmsConfig {
-        match self {
-            CouplingMode::LooseCoupling => CmsConfig::loose_coupling(),
-            CouplingMode::ExactMatch => CmsConfig::exact_match(),
-            CouplingMode::SingleRelation => CmsConfig::single_relation(),
-            CouplingMode::Braid => CmsConfig::braid(),
-        }
-    }
-
-    /// Short label for report tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            CouplingMode::LooseCoupling => "loose-coupling",
-            CouplingMode::ExactMatch => "exact-match",
-            CouplingMode::SingleRelation => "single-relation",
-            CouplingMode::Braid => "braid",
-        }
-    }
-}
-
-impl fmt::Display for CouplingMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
+/// The paper's taxonomy, declared once in the CMS configuration.
+pub use braid::Coupling;
 
 /// The outcome of running a workload under one coupling mode.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// The mode.
-    pub mode: CouplingMode,
+    pub mode: Coupling,
     /// Cost counters accumulated over the whole workload.
     pub metrics: CombinedMetrics,
     /// Total solutions produced (correctness cross-check).
@@ -80,8 +31,8 @@ pub struct RunResult {
 ///
 /// # Panics
 /// Panics if any workload query fails — workloads are constructed valid.
-pub fn run(scenario: &Scenario, mode: CouplingMode, strategy: Strategy) -> RunResult {
-    let mut system: BraidSystem = scenario.system(BraidConfig::with_cms(mode.cms_config()));
+pub fn run(scenario: &Scenario, mode: Coupling, strategy: Strategy) -> RunResult {
+    let mut system: BraidSystem = scenario.system(BraidConfig::with_cms(CmsConfig::coupled(mode)));
     let start = Instant::now();
     let mut solutions = 0usize;
     for q in &scenario.queries {
@@ -100,7 +51,7 @@ pub fn run(scenario: &Scenario, mode: CouplingMode, strategy: Strategy) -> RunRe
 
 /// Run all four coupling modes over a scenario.
 pub fn run_all(scenario: &Scenario, strategy: Strategy) -> Vec<RunResult> {
-    CouplingMode::all()
+    Coupling::ALL
         .into_iter()
         .map(|m| run(scenario, m, strategy))
         .collect()
@@ -120,7 +71,11 @@ mod tests {
         let results = run_all(&s, Strategy::ConjunctionCompiled);
         let first = results[0].solutions;
         for r in &results {
-            assert_eq!(r.solutions, first, "{} produced different answers", r.mode);
+            assert_eq!(
+                r.solutions, first,
+                "{:?} produced different answers",
+                r.mode
+            );
         }
     }
 
@@ -128,7 +83,7 @@ mod tests {
     fn braid_issues_fewest_requests() {
         let s = tiny();
         let results = run_all(&s, Strategy::ConjunctionCompiled);
-        let req = |m: CouplingMode| {
+        let req = |m: Coupling| {
             results
                 .iter()
                 .find(|r| r.mode == m)
@@ -136,13 +91,13 @@ mod tests {
                 .expect("mode present")
         };
         assert!(
-            req(CouplingMode::Braid) < req(CouplingMode::LooseCoupling),
+            req(Coupling::Braid) < req(Coupling::Loose),
             "braid ({}) must beat loose coupling ({})",
-            req(CouplingMode::Braid),
-            req(CouplingMode::LooseCoupling)
+            req(Coupling::Braid),
+            req(Coupling::Loose)
         );
         assert!(
-            req(CouplingMode::Braid) <= req(CouplingMode::ExactMatch),
+            req(Coupling::Braid) <= req(Coupling::ExactMatch),
             "subsumption reuse at least matches exact-match"
         );
     }
@@ -150,7 +105,7 @@ mod tests {
     #[test]
     fn mode_labels_unique() {
         let labels: std::collections::HashSet<&str> =
-            CouplingMode::all().iter().map(|m| m.label()).collect();
+            Coupling::ALL.iter().map(|m| m.label()).collect();
         assert_eq!(labels.len(), 4);
     }
 }

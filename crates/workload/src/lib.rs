@@ -25,6 +25,6 @@ pub mod scenario;
 pub mod suppliers;
 pub mod transit;
 
-pub use baseline::CouplingMode;
+pub use baseline::Coupling;
 pub use queries::QueryWorkload;
 pub use scenario::Scenario;

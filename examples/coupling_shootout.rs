@@ -6,7 +6,7 @@
 //! ```
 
 use braid::Strategy;
-use braid_workload::baseline::{run_all, CouplingMode};
+use braid_workload::baseline::{run_all, Coupling};
 use braid_workload::genealogy;
 
 fn main() {
@@ -38,11 +38,11 @@ fn main() {
 
     let loose = results
         .iter()
-        .find(|r| r.mode == CouplingMode::LooseCoupling)
+        .find(|r| r.mode == Coupling::Loose)
         .expect("loose run present");
     let braid = results
         .iter()
-        .find(|r| r.mode == CouplingMode::Braid)
+        .find(|r| r.mode == Coupling::Braid)
         .expect("braid run present");
     println!(
         "\nBrAID issues {:.1}x fewer remote requests than loose coupling \

@@ -3,7 +3,7 @@
 //! session protocol.
 
 use braid::{BraidConfig, CmsConfig, Strategy};
-use braid_workload::baseline::{run_all, CouplingMode};
+use braid_workload::baseline::{run_all, Coupling};
 use braid_workload::{genealogy, suppliers, transit};
 
 #[test]
@@ -46,7 +46,7 @@ fn ancestor_counts_match_tree_shape() {
 fn coupling_modes_ranked_by_remote_requests() {
     let s = genealogy::scenario(4, 2, 7, 24);
     let results = run_all(&s, Strategy::ConjunctionCompiled);
-    let req = |m: CouplingMode| {
+    let req = |m: Coupling| {
         results
             .iter()
             .find(|r| r.mode == m)
@@ -57,8 +57,8 @@ fn coupling_modes_ranked_by_remote_requests() {
     };
     // The paper's Figure 1 ordering claim, measurably: richer bridges use
     // the remote DBMS less.
-    assert!(req(CouplingMode::Braid) < req(CouplingMode::LooseCoupling));
-    assert!(req(CouplingMode::ExactMatch) <= req(CouplingMode::LooseCoupling));
+    assert!(req(Coupling::Braid) < req(Coupling::Loose));
+    assert!(req(Coupling::ExactMatch) <= req(Coupling::Loose));
     // Everyone computes the same answers.
     let sols: Vec<usize> = results.iter().map(|r| r.solutions).collect();
     assert!(sols.windows(2).all(|w| w[0] == w[1]));

@@ -5,7 +5,9 @@
 //! generalization, prefetching and lazy evaluation are pure
 //! optimizations. Plus algebraic invariants of the substrate.
 
-use braid::{BraidConfig, BraidSystem, CmsConfig, KnowledgeBase, Strategy as BraidStrategy};
+use braid::{
+    BraidConfig, BraidSystem, CmsConfig, Coupling, KnowledgeBase, Strategy as BraidStrategy,
+};
 use braid_caql::parse_rule;
 use braid_relational::{ops, tuple, Expr, Generator, Relation, Schema, Tuple, Value};
 use braid_subsume::{subsumes, Component, ViewDef};
@@ -161,13 +163,8 @@ proptest! {
         queries in proptest::collection::vec((0..3u8, 0..8u8), 1..6),
     ) {
         let mut reference: Option<Vec<Vec<Tuple>>> = None;
-        for cms in [
-            CmsConfig::loose_coupling(),
-            CmsConfig::exact_match(),
-            CmsConfig::single_relation(),
-            CmsConfig::braid(),
-        ] {
-            let mut sys = tiny_system(&rows, cms);
+        for coupling in Coupling::ALL {
+            let mut sys = tiny_system(&rows, CmsConfig::coupled(coupling));
             let mut answers = Vec::new();
             for (view, c) in &queries {
                 let v = match *view % 3 {
