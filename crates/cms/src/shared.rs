@@ -40,6 +40,7 @@ fn fnv1a(s: &str) -> u64 {
 #[derive(Debug)]
 pub struct SharedCache {
     shards: Vec<RwLock<CacheManager>>,
+    shard_capacity_bytes: usize,
     metrics: Arc<CmsMetrics>,
 }
 
@@ -64,8 +65,15 @@ impl SharedCache {
                     ))
                 })
                 .collect(),
+            shard_capacity_bytes: per_shard,
             metrics,
         }
+    }
+
+    /// The capacity of one shard: the most any single element can
+    /// occupy, since an element lives whole in its home shard.
+    pub fn shard_capacity_bytes(&self) -> usize {
+        self.shard_capacity_bytes
     }
 
     /// Number of shards.
