@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # The repo's CI gate: formatting, build, ONE pass of the whole test
-# suite, then only the runs whose invocation differs from that pass — a
-# serialized harness, release-mode chaos suites, binaries and examples,
-# the sim sweep and the all-lanes soak — lint-as-error, and quick smoke
-# runs of the experiment reports. Run from anywhere.
+# suite, then only the runs whose invocation differs from that pass — the
+# pinned benchmark package (its own manifest, so a break in an API it
+# uses fails here), a serialized harness, release-mode chaos suites,
+# binaries and examples, the sim sweep and the all-lanes soak —
+# lint-as-error, and quick smoke runs of the experiment reports. Run
+# from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +17,9 @@ cargo build --release --workspace
 
 echo "==> cargo test (every suite, once)"
 cargo test -q
+
+echo "==> pinned benchmark package: builds against the workspace, smoke test passes"
+(cd benchmark && cargo test --release --offline)
 
 echo "==> concurrent sessions suite (serialized harness)"
 RUST_TEST_THREADS=1 cargo test --test concurrent_sessions -q -- --test-threads=1

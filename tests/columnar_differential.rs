@@ -1,5 +1,5 @@
 //! Differential battery for the columnar representation and its
-//! vectorized kernels (DESIGN.md §14).
+//! vectorized kernels (DESIGN.md §12).
 //!
 //! Two independent obligations are checked here:
 //!
