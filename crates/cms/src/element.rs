@@ -264,6 +264,12 @@ impl CacheElement {
         self.sorted.len()
     }
 
+    /// Whether replacement may choose this element: neither advice nor an
+    /// open session holds it.
+    pub fn evictable(&self) -> bool {
+        !self.pinned && self.pin_count == 0
+    }
+
     /// Approximate bytes held (extension + definition overhead; a pure
     /// generator is nearly free — that is its point; a columnar extension
     /// reports its dictionary-compressed footprint).
