@@ -14,7 +14,7 @@ use crate::model::ModelRow;
 use braid_caql::ConjunctiveQuery;
 use braid_relational::Generator;
 use braid_subsume::{CandidateUse, Derivation, SubsumptionEngine, ViewDef};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The cache: elements, the subsumption index over their definitions, an
 /// exact-match index, and replacement machinery.
@@ -23,6 +23,16 @@ pub struct CacheManager {
     elements: BTreeMap<ElemId, CacheElement>,
     engine: SubsumptionEngine,
     exact: HashMap<String, ElemId>,
+    // element → the exact-match keys it registered (definition + aliases).
+    exact_keys: HashMap<ElemId, Vec<String>>,
+    // every element as `(last_used, id)`: the LRU order, oldest first.
+    lru: BTreeSet<(u64, ElemId)>,
+    // view name → the elements cached under it (what advice pins name).
+    by_name: HashMap<String, BTreeSet<ElemId>>,
+    // the view names whose elements carry the advice pin, and elements
+    // cached under one of them since the pins were last applied.
+    pinned_views: BTreeSet<String>,
+    pin_pending: BTreeSet<ElemId>,
     next_id: ElemId,
     id_stride: u64,
     clock: u64,
@@ -51,6 +61,11 @@ impl CacheManager {
             elements: BTreeMap::new(),
             engine: SubsumptionEngine::default(),
             exact: HashMap::new(),
+            exact_keys: HashMap::new(),
+            lru: BTreeSet::new(),
+            by_name: HashMap::new(),
+            pinned_views: BTreeSet::new(),
+            pin_pending: BTreeSet::new(),
             next_id: start,
             id_stride: stride.max(1),
             clock: 0,
@@ -80,10 +95,24 @@ impl CacheManager {
         self.evictions
     }
 
+    /// Containment tests the subsumption engine has run.
+    pub(crate) fn subsume_tests(&self) -> u64 {
+        self.engine.containment_tests()
+    }
+
     /// Advance and return the logical clock.
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
+    }
+
+    /// Move an element's LRU stamp to `now`.
+    fn restamp(&mut self, id: ElemId, now: u64) -> Option<&mut CacheElement> {
+        let e = self.elements.get_mut(&id)?;
+        self.lru.remove(&(e.last_used, id));
+        self.lru.insert((now, id));
+        e.last_used = now;
+        Some(e)
     }
 
     /// Canonical exact-match key: the head's *name* is arbitrary (the IE
@@ -123,10 +152,21 @@ impl CacheManager {
         }
         self.next_id += self.id_stride;
         self.used_bytes += bytes;
-        self.exact.insert(Self::exact_key(element.def.query()), id);
+        self.register_exact(Self::exact_key(element.def.query()), id);
         self.engine.insert(id, element.def.clone());
+        let name = element.def.name();
+        if self.pinned_views.contains(name) {
+            self.pin_pending.insert(id);
+        }
+        self.by_name.entry(name.to_string()).or_default().insert(id);
+        self.lru.insert((now, id));
         self.elements.insert(id, element);
         Some(id)
+    }
+
+    fn register_exact(&mut self, key: String, id: ElemId) {
+        self.exact.insert(key.clone(), id);
+        self.exact_keys.entry(id).or_default().push(key);
     }
 
     /// [`CacheManager::insert`], additionally registering the element
@@ -140,22 +180,21 @@ impl CacheManager {
     ) -> Option<ElemId> {
         let id = self.insert(def, build)?;
         for a in aliases {
-            self.exact.insert(a.clone(), id);
+            self.register_exact(a.clone(), id);
         }
         Some(id)
     }
 
-    /// Evict the least-recently-used unpinned element. Returns `false`
-    /// when nothing is evictable. Elements with open session pins
-    /// (`pin_count > 0`) are never victims: an open generator may still
-    /// be streaming from them.
+    /// Evict the least-recently-used unpinned element (the smallest id
+    /// among equal stamps). Returns `false` when nothing is evictable.
+    /// Elements with open session pins (`pin_count > 0`) are never
+    /// victims: an open generator may still be streaming from them.
     fn evict_one(&mut self) -> bool {
         let victim = self
-            .elements
-            .values()
-            .filter(|e| e.evictable())
-            .min_by_key(|e| e.last_used)
-            .map(|e| e.id);
+            .lru
+            .iter()
+            .map(|&(_, id)| id)
+            .find(|id| self.elements[id].evictable());
         match victim {
             Some(id) => {
                 self.remove(id);
@@ -171,7 +210,20 @@ impl CacheManager {
         let e = self.elements.remove(&id)?;
         self.used_bytes = self.used_bytes.saturating_sub(e.approx_bytes());
         self.engine.remove(id);
-        self.exact.retain(|_, v| *v != id);
+        self.lru.remove(&(e.last_used, id));
+        self.pin_pending.remove(&id);
+        if let Some(ids) = self.by_name.get_mut(e.def.name()) {
+            ids.remove(&id);
+            if ids.is_empty() {
+                self.by_name.remove(e.def.name());
+            }
+        }
+        // A key a later element re-registered stays with that element.
+        for key in self.exact_keys.remove(&id).unwrap_or_default() {
+            if self.exact.get(&key) == Some(&id) {
+                self.exact.remove(&key);
+            }
+        }
         Some(e)
     }
 
@@ -184,11 +236,9 @@ impl CacheManager {
     /// refreshes its LRU stamp.
     pub fn get_mut(&mut self, id: ElemId) -> Option<&mut CacheElement> {
         let now = self.tick();
-        let e = self.elements.get_mut(&id)?;
-        e.last_used = now;
         // Caller may materialize/index; bytes are reconciled on the next
         // `reconcile_bytes` call.
-        Some(e)
+        self.restamp(id, now)
     }
 
     /// Recompute `used_bytes` after in-place mutations (materialization or
@@ -203,28 +253,54 @@ impl CacheManager {
     /// Record a derivation hit on an element (LRU + statistics).
     pub fn touch(&mut self, id: ElemId) {
         let now = self.tick();
-        if let Some(e) = self.elements.get_mut(&id) {
-            e.last_used = now;
+        if let Some(e) = self.restamp(id, now) {
             e.hits += 1;
         }
     }
 
-    /// Set the advice-pinned flags: elements in `pinned` survive
-    /// replacement scans ("it is clear that d1 is not the best candidate",
-    /// §4.2.2). Pinning an element also refreshes its LRU stamp: advice
-    /// declaring an element worth keeping is a use signal, and without
-    /// the refresh a just-unpinned element would carry stale recency from
-    /// before it was pinned and be evicted first despite having been
-    /// protected (and presumably served) the whole time.
-    pub fn set_pins(&mut self, pinned: &[ElemId]) {
-        let now = self.tick();
-        for e in self.elements.values_mut() {
-            let pin = pinned.contains(&e.id);
-            if pin && !e.pinned {
-                e.last_used = now;
-            }
-            e.pinned = pin;
+    /// Whether [`CacheManager::pin_views`] would change any advice pin:
+    /// the named views differ from the applied ones, or an element was
+    /// cached under an applied name since.
+    pub(crate) fn pins_stale(&self, views: &BTreeSet<String>) -> bool {
+        *views != self.pinned_views || !self.pin_pending.is_empty()
+    }
+
+    /// Set the advice pins: exactly the elements cached under a view name
+    /// in `views` survive replacement scans ("it is clear that d1 is not
+    /// the best candidate", §4.2.2). Pinning an element also refreshes
+    /// its LRU stamp: advice declaring an element worth keeping is a use
+    /// signal, and without the refresh a just-unpinned element would
+    /// carry stale recency from before it was pinned and be evicted first
+    /// despite having been protected (and presumably served) the whole
+    /// time. Visits only the elements whose pin changes.
+    pub(crate) fn pin_views(&mut self, views: &BTreeSet<String>) {
+        if !self.pins_stale(views) {
+            return;
         }
+        let named = |v: &String| self.by_name.get(v).into_iter().flatten().copied();
+        let unpin: Vec<ElemId> = self
+            .pinned_views
+            .difference(views)
+            .flat_map(named)
+            .collect();
+        let pending = (self.pin_pending.iter().copied())
+            .filter(|id| views.contains(self.elements[id].def.name()));
+        let pin: Vec<ElemId> = (views.difference(&self.pinned_views).flat_map(named))
+            .chain(pending)
+            .collect();
+        for id in unpin {
+            if let Some(e) = self.elements.get_mut(&id) {
+                e.pinned = false;
+            }
+        }
+        let now = self.tick();
+        for id in pin {
+            if let Some(e) = self.restamp(id, now) {
+                e.pinned = true;
+            }
+        }
+        self.pinned_views.clone_from(views);
+        self.pin_pending.clear();
     }
 
     /// Take a session pin on an element: while `pin_count > 0` the
@@ -438,6 +514,10 @@ mod tests {
         r
     }
 
+    fn views(names: &[&str]) -> BTreeSet<String> {
+        names.iter().map(|v| v.to_string()).collect()
+    }
+
     #[test]
     fn insert_and_exact_lookup() {
         let mut c = CacheManager::new(usize::MAX);
@@ -544,7 +624,7 @@ mod tests {
             )
             .unwrap();
         // `a` is older but pinned: `b` gets evicted instead.
-        c.set_pins(&[a]);
+        c.pin_views(&views(&["a"]));
         let d = c
             .insert(
                 def("d(X, Y) :- b3(X, Y)."),
@@ -571,7 +651,7 @@ mod tests {
 
     #[test]
     fn pinning_refreshes_recency() {
-        // The touch/set_pins ordering bug: pin bookkeeping used to leave
+        // The touch/pin ordering bug: pin bookkeeping used to leave
         // `last_used` stale, so an element that had just been unpinned
         // was evicted ahead of elements it outlived while protected.
         let unit =
@@ -590,8 +670,8 @@ mod tests {
             )
             .unwrap();
         c.touch(b); // b is now more recent than a…
-        c.set_pins(&[a]); // …but pinning a counts as a use of a.
-        c.set_pins(&[]); // advice withdrawn: both unpinned again.
+        c.pin_views(&views(&["a"])); // …but pinning a counts as a use of a.
+        c.pin_views(&views(&[])); // advice withdrawn: both unpinned again.
         let d = c
             .insert(
                 def("d(X, Y) :- b3(X, Y)."),
@@ -716,6 +796,84 @@ mod tests {
         assert!(c.exact_lookup(&q).is_none());
         assert!(c.relevant(&q).is_empty());
         assert_eq!(c.used_bytes(), 0);
+    }
+
+    #[test]
+    fn removal_keeps_exact_keys_a_later_element_took_over() {
+        let mut c = CacheManager::new(usize::MAX);
+        let alias = |k: &str| vec![k.to_string(), format!("{k}_own")];
+        let a = c
+            .insert_with_aliases(
+                def("a(X, Y) :- b1(X, Y)."),
+                ElementBuilder::Materialized(rel(2)),
+                &alias("shared"),
+            )
+            .unwrap();
+        let b = c
+            .insert_with_aliases(
+                def("b(X, Y) :- b2(X, Y)."),
+                ElementBuilder::Materialized(rel(2)),
+                &["shared".to_string()],
+            )
+            .unwrap();
+        c.remove(a).unwrap();
+        assert_eq!(c.exact.get("shared"), Some(&b));
+        assert!(!c.exact.contains_key("shared_own"));
+        assert!(c
+            .exact_lookup(&parse_rule("q(A, B) :- b1(A, B).").unwrap())
+            .is_none());
+        assert_eq!(c.exact.len(), 2, "b's definition key and the shared alias");
+    }
+
+    #[test]
+    fn equal_stamps_evict_the_smallest_id_first() {
+        let unit =
+            CacheElement::materialized(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
+        let mut c = CacheManager::new(unit * 3 + 64);
+        let mut put = |src: &str| {
+            c.insert(def(src), ElementBuilder::Materialized(rel(3)))
+                .unwrap()
+        };
+        let (a, b, d) = (
+            put("v(X, Y) :- b1(X, Y)."),
+            put("w(X, Y) :- b2(X, Y)."),
+            put("v(X, Y) :- b3(X, Y)."),
+        );
+        // One pin_views call stamps a and d with one tick, after b.
+        c.pin_views(&views(&["v"]));
+        c.pin_views(&views(&[]));
+        assert_eq!(c.get(a).unwrap().last_used, c.get(d).unwrap().last_used);
+        for (src, gone) in [("x(X, Y) :- b4(X, Y).", b), ("y(X, Y) :- b5(X, Y).", a)] {
+            c.insert(def(src), ElementBuilder::Materialized(rel(3)))
+                .unwrap();
+            assert!(c.get(gone).is_none());
+        }
+        assert!(c.get(d).is_some(), "the larger id of the tie outlives a");
+        assert_eq!(c.lru.len(), c.len());
+    }
+
+    #[test]
+    fn pins_reach_elements_cached_under_a_pinned_name_later() {
+        let mut c = CacheManager::new(usize::MAX);
+        let pinned = views(&["d2"]);
+        c.pin_views(&pinned);
+        assert!(!c.pins_stale(&pinned));
+        let id = c
+            .insert(
+                def("d2(X, Y) :- b2(X, Y)."),
+                ElementBuilder::Materialized(rel(2)),
+            )
+            .unwrap();
+        assert!(
+            !c.get(id).unwrap().pinned,
+            "pinned when advice next applies"
+        );
+        assert!(c.pins_stale(&pinned));
+        c.pin_views(&pinned);
+        assert!(c.get(id).unwrap().pinned);
+        assert!(!c.pins_stale(&pinned), "nothing left to change");
+        c.pin_views(&views(&["d3"]));
+        assert!(!c.get(id).unwrap().pinned);
     }
 
     #[test]

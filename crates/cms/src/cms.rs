@@ -25,7 +25,6 @@ use braid_relational::Schema;
 use braid_remote::{PoolStats, RemoteDbms, RemoteTransport, TcpClientPool, TransportConfig};
 use braid_subsume::ViewDef;
 use braid_trace::{TraceKind, TraceSink, Tracer};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::task::Poll;
 use std::time::Instant;
@@ -910,12 +909,8 @@ impl Cms {
         if !self.config.coupling.follows_advice() {
             return;
         }
-        let views: BTreeSet<String> = self.advice.pinned_views(PIN_HORIZON);
-        let pinned = self
-            .shared
-            .cache
-            .ids_matching(|e| views.contains(e.def.name()));
-        self.shared.cache.set_pins(&pinned);
+        let views = self.advice.pinned_views(PIN_HORIZON);
+        self.shared.cache.pin_views(&views);
     }
 
     /// Fetch-and-cache the full extension of every base relation the
@@ -1112,6 +1107,40 @@ mod tests {
         let answers = cms.query(instance).unwrap().drain();
         assert_eq!(answers.len(), 1);
         assert_eq!(cms.remote().metrics().requests, before);
+    }
+
+    #[test]
+    fn a_warm_probe_runs_as_many_containment_tests_at_any_population() {
+        // One point view per key, as `look(k, V)` probes leave behind: the
+        // candidate index hands the lookups one view however many are
+        // cached, so the work STATS reports does not grow with the cache.
+        let mut per_probe = Vec::new();
+        for population in [100usize, 1_000, 10_000] {
+            let mut cms = Cms::new(remote(), CmsConfig::braid());
+            for k in 0..population {
+                let def = ViewDef::new(parse_rule(&format!("look(V) :- b1(k{k}, V).")).unwrap());
+                let rows = Relation::from_tuples(
+                    Schema::of_strs("look", &["v"]),
+                    vec![tuple![format!("v{k}")]],
+                );
+                cms.shared_cache().insert_with_aliases(
+                    def.unwrap(),
+                    ElementBuilder::Materialized(rows.unwrap()),
+                    &[],
+                );
+            }
+            let requests = cms.remote().metrics().requests;
+            let before = cms.metrics().subsume_tests;
+            let probe = parse_rule("q(V) :- b1(k7, V).").unwrap();
+            assert_eq!(cms.query(probe).unwrap().drain(), vec![tuple!["v7"]]);
+            assert_eq!(cms.remote().metrics().requests, requests, "a hit");
+            per_probe.push(cms.metrics().subsume_tests - before);
+        }
+        assert!((1..=2).contains(&per_probe[0]), "{per_probe:?}");
+        assert!(
+            per_probe.iter().all(|n| *n == per_probe[0]),
+            "{per_probe:?}"
+        );
     }
 
     #[test]

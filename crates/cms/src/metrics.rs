@@ -190,6 +190,9 @@ cms_metrics! {
         /// Elements kept as indexed rows despite columnar mode, because
         /// consumer (`?`) annotations predicted point probes.
         columnar_fallbacks => add_columnar_fallbacks,
+        /// Containment tests the subsumption engine ran: candidates that
+        /// passed the candidate index and got the full `subsumes` check.
+        subsume_tests => add_subsume_tests,
     }
     gauges {
         /// High-water mark of the worker pool's run-queue depth.
@@ -300,7 +303,7 @@ mod tests {
                 * std::mem::size_of::<u64>()
                 + CmsMetricsSnapshot::HISTOGRAM_FIELDS * std::mem::size_of::<HistogramSnapshot>(),
         );
-        assert_eq!(CmsMetricsSnapshot::COUNTER_FIELDS, 29);
+        assert_eq!(CmsMetricsSnapshot::COUNTER_FIELDS, 30);
         assert_eq!(CmsMetricsSnapshot::GAUGE_FIELDS, 1);
         assert_eq!(CmsMetricsSnapshot::HISTOGRAM_FIELDS, 2);
     }

@@ -23,6 +23,8 @@ use crate::model::ModelRow;
 use braid_caql::ConjunctiveQuery;
 use braid_relational::{Generator, Relation};
 use braid_subsume::{base_footprint, CandidateUse, Derivation, ViewDef};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// FNV-1a: deterministic across processes (unlike `DefaultHasher`), so
@@ -40,6 +42,8 @@ fn fnv1a(s: &str) -> u64 {
 #[derive(Debug)]
 pub struct SharedCache {
     shards: Vec<RwLock<CacheManager>>,
+    // per shard: the containment-test count already added to `metrics`.
+    tests_published: Vec<AtomicU64>,
     shard_capacity_bytes: usize,
     metrics: Arc<CmsMetrics>,
 }
@@ -65,9 +69,19 @@ impl SharedCache {
                     ))
                 })
                 .collect(),
+            tests_published: (0..n).map(|_| AtomicU64::new(0)).collect(),
             shard_capacity_bytes: per_shard,
             metrics,
         }
+    }
+
+    /// Add the containment tests shard `idx` ran since the last publish
+    /// to the `subsume_tests` metric. Concurrent readers of one shard
+    /// race benignly: `fetch_max` hands each test to exactly one of them.
+    fn publish_tests(&self, idx: usize, mgr: &CacheManager) {
+        let total = mgr.subsume_tests();
+        let seen = self.tests_published[idx].fetch_max(total, Ordering::Relaxed);
+        self.metrics.add_subsume_tests(total.saturating_sub(seen));
     }
 
     /// The capacity of one shard: the most any single element can
@@ -192,13 +206,16 @@ impl SharedCache {
         self.write(self.shard_of_id(id)).touch(id);
     }
 
-    /// Set the advice-pinned flags globally: elements in `pinned` survive
-    /// replacement scans, all others are unpinned. Shards are updated one
-    /// at a time (advice pins are policy, not correctness — a momentary
-    /// cross-shard skew is harmless).
-    pub fn set_pins(&self, pinned: &[ElemId]) {
+    /// Set the advice pins globally: elements cached under a view name in
+    /// `views` survive replacement scans, all others are unpinned. Shards
+    /// are updated one at a time (advice pins are policy, not correctness
+    /// — a momentary cross-shard skew is harmless), and a shard where no
+    /// pin changes is never write-locked.
+    pub(crate) fn pin_views(&self, views: &BTreeSet<String>) {
         for i in 0..self.shards.len() {
-            self.write(i).set_pins(pinned);
+            if self.read(i).pins_stale(views) {
+                self.write(i).pin_views(views);
+            }
         }
     }
 
@@ -281,15 +298,10 @@ impl SharedCache {
     /// dropped this must be empty — the pin-balance invariant the
     /// simulation oracle (and the concurrency tests) check.
     pub fn leaked_session_pins(&self) -> Vec<ElemId> {
-        self.ids_matching(|e| e.pin_count > 0)
-    }
-
-    /// Ids of elements matching a predicate (for advice pin scoring).
-    pub fn ids_matching(&self, f: impl Fn(&CacheElement) -> bool) -> Vec<ElemId> {
         let mut ids: Vec<ElemId> = Vec::new();
         for i in 0..self.shards.len() {
             let mgr = self.read(i);
-            ids.extend(mgr.elements().filter(|e| f(e)).map(|e| e.id));
+            ids.extend(mgr.elements().filter(|e| e.pin_count > 0).map(|e| e.id));
         }
         ids.sort_unstable();
         ids
@@ -300,7 +312,9 @@ impl CacheRead for SharedCache {
     fn relevant(&self, q: &ConjunctiveQuery) -> Vec<CandidateUse> {
         let mut out = Vec::new();
         for idx in self.shards_of_query(q) {
-            out.extend(self.read(idx).relevant(q));
+            let mgr = self.read(idx);
+            out.extend(mgr.relevant(q));
+            self.publish_tests(idx, &mgr);
         }
         out
     }
@@ -308,7 +322,9 @@ impl CacheRead for SharedCache {
     fn whole_subsumers(&self, q: &ConjunctiveQuery) -> Vec<(ElemId, Derivation)> {
         let mut out = Vec::new();
         for idx in self.shards_of_query(q) {
-            out.extend(self.read(idx).whole_subsumers(q));
+            let mgr = self.read(idx);
+            out.extend(mgr.whole_subsumers(q));
+            self.publish_tests(idx, &mgr);
         }
         out
     }

@@ -9,18 +9,32 @@
 //! predicates in the cache element, then the cache element is more
 //! restricted, and cannot be used".
 //!
-//! [`SubsumptionEngine::find_relevant`] realizes this: the predicate-name
-//! index prefilters candidates per component (step 1); the full
-//! containment check of [`crate::subsumes`] — whose bijective atom
+//! [`SubsumptionEngine::find_relevant`] realizes this with the paper's
+//! step-1 key extended by what tells views of one predicate apart: a
+//! `(functor, arg position, constant)` candidate index (step 1), then the
+//! full containment check of [`crate::subsumes`] — whose bijective atom
 //! assignment is exactly the left/right-neighbour requirement, applied
-//! exhaustively — confirms or rejects each candidate (step 2).
+//! exhaustively — on each candidate (step 2).
+//!
+//! Each element is filed under one slot: the functor of one of its atoms
+//! plus that atom's first constant argument and its position, or the
+//! functor alone when no atom carries a constant. A query atom looks up
+//! its functor's constant-free slot and one slot per constant argument it
+//! has. That union misses no subsumer: the directional match lets an
+//! element constant match only the *same* query constant at the same
+//! position, so whichever query atom the element's filed atom maps onto
+//! holds the filed constant there. Constants key by [`braid_caql::Value`]
+//! itself, whose `Hash` agrees with the `==` the match applies (`1` and
+//! `1.0` stay distinct). A warm probe over a thousand `look(kᵢ, V)` views
+//! therefore tests one candidate, not a thousand.
 
 use crate::decompose::{decompose, Component};
 use crate::derive::Derivation;
 use crate::subsume::subsumes;
 use crate::view::ViewDef;
-use braid_caql::ConjunctiveQuery;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use braid_caql::{Atom, ConjunctiveQuery, Term, Value};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a registered element (assigned by the caller — the CMS
 /// uses its cache-element ids).
@@ -37,12 +51,44 @@ pub struct CandidateUse {
     pub derivation: Derivation,
 }
 
+/// A candidate-index slot under one predicate: the arity, plus the
+/// position and value of one constant argument (`None`: the atom has no
+/// constant).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Slot {
+    arity: usize,
+    bound: Option<(usize, Value)>,
+}
+
+/// The predicate and slot `def` is filed under: its first constant
+/// argument in body order, or its first atom's bare functor when no atom
+/// has a constant.
+fn filing(def: &ViewDef) -> (&str, Slot) {
+    let atoms = def.atoms();
+    let (a, bound) = atoms
+        .iter()
+        .find_map(|a| Some((*a, Some(constants(a).next()?))))
+        .unwrap_or((atoms[0], None));
+    let arity = a.arity();
+    (&a.pred, Slot { arity, bound })
+}
+
+/// The `(position, constant)` pairs among an atom's arguments.
+fn constants(a: &Atom) -> impl Iterator<Item = (usize, Value)> + '_ {
+    a.args.iter().enumerate().filter_map(|(pos, t)| match t {
+        Term::Const(c) => Some((pos, c.clone())),
+        Term::Var(_) => None,
+    })
+}
+
 /// An index of view definitions supporting relevant-element search.
 #[derive(Debug, Default)]
 pub struct SubsumptionEngine {
-    elements: BTreeMap<ElemId, ViewDef>,
-    // functor ("pred/arity") → elements whose definition mentions it.
-    pred_index: HashMap<String, BTreeSet<ElemId>>,
+    elements: HashMap<ElemId, ViewDef>,
+    // predicate → slot → the elements filed there (one slot each).
+    index: HashMap<String, HashMap<Slot, BTreeSet<ElemId>>>,
+    // containment tests run so far.
+    tests: AtomicU64,
 }
 
 impl SubsumptionEngine {
@@ -51,26 +97,42 @@ impl SubsumptionEngine {
         Self::default()
     }
 
-    /// Register an element's definition under `id`.
+    /// Register an element's definition under `id` (replacing any
+    /// definition already registered there).
     pub fn insert(&mut self, id: ElemId, def: ViewDef) {
-        for a in def.atoms() {
-            self.pred_index.entry(a.functor()).or_default().insert(id);
-        }
+        self.remove(id);
+        let (pred, slot) = filing(&def);
+        self.index
+            .entry(pred.to_string())
+            .or_default()
+            .entry(slot)
+            .or_default()
+            .insert(id);
         self.elements.insert(id, def);
     }
 
     /// Remove an element (e.g. after cache replacement).
     pub fn remove(&mut self, id: ElemId) -> Option<ViewDef> {
         let def = self.elements.remove(&id)?;
-        for a in def.atoms() {
-            if let Some(set) = self.pred_index.get_mut(&a.functor()) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.pred_index.remove(&a.functor());
+        let (pred, slot) = filing(&def);
+        if let Some(slots) = self.index.get_mut(pred) {
+            if let Some(ids) = slots.get_mut(&slot) {
+                ids.remove(&id);
+                if ids.is_empty() {
+                    slots.remove(&slot);
                 }
+            }
+            if slots.is_empty() {
+                self.index.remove(pred);
             }
         }
         Some(def)
+    }
+
+    /// Containment tests ([`crate::subsumes`] calls) the `find_*`
+    /// searches have run over this engine's lifetime.
+    pub fn containment_tests(&self) -> u64 {
+        self.tests.load(Ordering::Relaxed)
     }
 
     /// The definition registered under `id`.
@@ -94,35 +156,18 @@ impl SubsumptionEngine {
     /// Components are returned largest-first.
     pub fn find_relevant(&self, q: &ConjunctiveQuery) -> Vec<CandidateUse> {
         let mut out = Vec::new();
-        let components = decompose(q);
         let n_atoms = q.positive_atoms().len();
-        for component in components {
+        for component in decompose(q) {
+            // Step 1: the index.
+            let candidates = self.candidates(&component.atoms);
+            if candidates.is_empty() {
+                continue;
+            }
+            // Step 2 + full check.
             let needed = needed_vars(q, &component, n_atoms);
             let needed_refs: Vec<&str> = needed.iter().map(String::as_str).collect();
-            // Step 1: index prefilter — candidate elements must mention
-            // every functor in the component.
-            let mut candidates: Option<BTreeSet<ElemId>> = None;
-            for a in &component.atoms {
-                let set = self
-                    .pred_index
-                    .get(&a.functor())
-                    .cloned()
-                    .unwrap_or_default();
-                candidates = Some(match candidates {
-                    None => set,
-                    Some(prev) => prev.intersection(&set).copied().collect(),
-                });
-                if candidates.as_ref().map(BTreeSet::is_empty).unwrap_or(true) {
-                    break;
-                }
-            }
-            let Some(candidates) = candidates else {
-                continue;
-            };
-            // Step 2 + full check.
             for id in candidates {
-                let def = &self.elements[&id];
-                if let Some(derivation) = subsumes(def, &component, &needed_refs) {
+                if let Some(derivation) = self.test(id, &component, &needed_refs) {
                     out.push(CandidateUse {
                         element: id,
                         component: component.clone(),
@@ -139,15 +184,42 @@ impl SubsumptionEngine {
     /// [`SubsumptionEngine::find_relevant`] semantics for the common case.
     pub fn find_whole(&self, q: &ConjunctiveQuery) -> Vec<(ElemId, Derivation)> {
         let component = Component::whole(q);
-        let needed: Vec<String> = q.head.var_set().into_iter().map(str::to_string).collect();
-        let needed_refs: Vec<&str> = needed.iter().map(String::as_str).collect();
-        let mut out = Vec::new();
-        for (id, def) in &self.elements {
-            if let Some(d) = subsumes(def, &component, &needed_refs) {
-                out.push((*id, d));
+        let needed: Vec<&str> = q.head.var_set().into_iter().collect();
+        self.candidates(&component.atoms)
+            .into_iter()
+            .filter_map(|id| Some((id, self.test(id, &component, &needed)?)))
+            .collect()
+    }
+
+    /// Step 1 for a run of query atoms: the elements filed under a slot
+    /// one of the atoms satisfies and having as many atoms as the run (a
+    /// subsumer's atoms map bijectively onto it), in ascending id order.
+    fn candidates(&self, atoms: &[Atom]) -> Vec<ElemId> {
+        let mut ids = Vec::new();
+        for a in atoms {
+            let Some(slots) = self.index.get(&a.pred) else {
+                continue;
+            };
+            let arity = a.arity();
+            for bound in std::iter::once(None).chain(constants(a).map(Some)) {
+                if let Some(filed) = slots.get(&Slot { arity, bound }) {
+                    ids.extend(filed);
+                }
             }
         }
-        out
+        ids.sort_unstable();
+        ids.dedup();
+        ids.retain(|id| {
+            let body = &self.elements[id].query().body;
+            body.iter().filter(|l| l.as_atom().is_some()).count() == atoms.len()
+        });
+        ids
+    }
+
+    /// One counted containment test of element `id` against `component`.
+    fn test(&self, id: ElemId, component: &Component, needed: &[&str]) -> Option<Derivation> {
+        self.tests.fetch_add(1, Ordering::Relaxed);
+        subsumes(&self.elements[&id], component, needed)
     }
 }
 
@@ -294,5 +366,52 @@ mod tests {
         let q = parse_rule("q(X) :- b(X).").unwrap();
         assert!(engine.find_relevant(&q).is_empty());
         assert!(engine.is_empty());
+    }
+
+    #[test]
+    fn constants_narrow_the_candidates_to_the_matching_view() {
+        // A thousand point views over one predicate plus a general one:
+        // a probe tests the view with its constant and the general view,
+        // in each of the two searches, and nothing else.
+        let mut engine = SubsumptionEngine::new();
+        engine.insert(0, view("all(K, V) :- fam(K, V)."));
+        for k in 1..=1000 {
+            engine.insert(k, view(&format!("look(V) :- fam(k{k}, V).")));
+        }
+        let q = parse_rule("q(V) :- fam(k7, V).").unwrap();
+        let before = engine.containment_tests();
+        let whole: Vec<ElemId> = engine.find_whole(&q).iter().map(|(id, _)| *id).collect();
+        let relevant: Vec<ElemId> = engine.find_relevant(&q).iter().map(|u| u.element).collect();
+        assert_eq!(whole, vec![0, 7], "ascending ids");
+        assert_eq!(relevant, whole);
+        assert_eq!(engine.containment_tests() - before, 4);
+    }
+
+    #[test]
+    fn int_and_float_constants_file_apart() {
+        let mut engine = SubsumptionEngine::new();
+        engine.insert(1, view("i(V) :- num(1, V)."));
+        engine.insert(2, view("f(V) :- num(1.0, V)."));
+        let hits = |engine: &SubsumptionEngine, src: &str| -> Vec<ElemId> {
+            let q = parse_rule(src).unwrap();
+            engine.find_whole(&q).iter().map(|(id, _)| *id).collect()
+        };
+        assert_eq!(hits(&engine, "q(V) :- num(1, V)."), vec![1]);
+        assert_eq!(hits(&engine, "q(V) :- num(1.0, V)."), vec![2]);
+        engine.remove(1).unwrap();
+        assert!(hits(&engine, "q(V) :- num(1, V).").is_empty());
+        assert_eq!(hits(&engine, "q(V) :- num(1.0, V)."), vec![2]);
+    }
+
+    #[test]
+    fn reinserting_an_id_refiles_it() {
+        let mut engine = SubsumptionEngine::new();
+        engine.insert(1, view("a(V) :- p(c1, V)."));
+        engine.insert(1, view("b(V) :- p(c2, V)."));
+        assert_eq!(engine.len(), 1);
+        let q = parse_rule("q(V) :- p(c1, V).").unwrap();
+        assert!(engine.find_whole(&q).is_empty());
+        engine.remove(1).unwrap();
+        assert!(engine.index.is_empty(), "no empty buckets left behind");
     }
 }

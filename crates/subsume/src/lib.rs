@@ -22,8 +22,9 @@
 //! * [`decompose`] — enumeration of the conjunctive components of a query
 //!   (the paper's `n(n+1)/2` contiguous subqueries), and
 //! * [`SubsumptionEngine`] — the two-step relevant-element search of
-//!   §5.3.2 (predicate-name index prefilter, then neighbour/containment
-//!   check), producing every `(component, element, derivation)` triple.
+//!   §5.3.2 (a `(functor, position, constant)` candidate index, then the
+//!   neighbour/containment check), producing every
+//!   `(component, element, derivation)` triple.
 //!
 //! This strictly generalizes the reuse tests of the systems the paper
 //! compares against: "in \[SELL87\] and \[IOAN88\], the cached results must

@@ -76,10 +76,10 @@ pub fn subsumes(e: &ViewDef, component: &Component, needed: &[&str]) -> Option<D
     }
 
     // Quick multiset check on functors before searching.
-    let mut fe: Vec<String> = e_atoms.iter().map(|a| a.functor()).collect();
-    let mut fq: Vec<String> = q_atoms.iter().map(|a| a.functor()).collect();
-    fe.sort();
-    fq.sort();
+    let mut fe: Vec<(&str, usize)> = e_atoms.iter().map(|a| (&*a.pred, a.arity())).collect();
+    let mut fq: Vec<(&str, usize)> = q_atoms.iter().map(|a| (&*a.pred, a.arity())).collect();
+    fe.sort_unstable();
+    fq.sort_unstable();
     if fe != fq {
         return None;
     }

@@ -263,7 +263,7 @@ fn open_lazy_stream_survives_concurrent_eviction_storm() {
         .expect("lazy reopen");
 
     let cache = Arc::clone(cms.shared_cache());
-    let pinned: Vec<_> = cache.ids_matching(|e| e.pin_count > 0);
+    let pinned = cache.leaked_session_pins();
     assert_eq!(pinned.len(), 1, "the open stream holds exactly one pin");
     let pinned_id = pinned[0];
 

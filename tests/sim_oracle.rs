@@ -8,17 +8,63 @@
 use braid::Strategy;
 use braid_sim::{
     build_system, regression_test, run_scenario, shrink, Dataset, FaultSpec, Lane, SimBug,
-    SimOptions, SimReport, SimScenario, ViolationKind,
+    SimOptions, SimReport, SimRng, SimScenario, ViolationKind,
 };
 
 // ---------------------------------------------------------------------
 // Seeded smoke sweep (a disjoint seed range from the ci.sh sweep).
 // ---------------------------------------------------------------------
 
+/// The stepped digest of seeds 1000..1040, in seed order. A change that
+/// claims "answers unchanged" keeps this list; one that moves a digest
+/// must say why and update it.
+const FORTY_SEED_DIGESTS: [u64; 40] = [
+    0xca1c2bb2f825df17,
+    0xa39476ea13541936,
+    0x332bf0a6619c828d,
+    0x93bbfc362cea5147,
+    0xa9eb1c6c27c9d395,
+    0x9b03ea4563756df9,
+    0xc3830c62103cdf16,
+    0xddaedbae23d1188b,
+    0x8dfe34e7f44075ea,
+    0x0f755b310a7f2cb8,
+    0x3d4f006b1ce96229,
+    0xe1b725031b572da4,
+    0xc6bc0645fcd5e85e,
+    0xabf501557de9c016,
+    0x47e0fdacd3a5eb62,
+    0x9817d3affcb9b65c,
+    0xf8cb830b29901f78,
+    0x20c27f2b176f0209,
+    0x8c3d4c05611e8952,
+    0x3cdadaea351eadb1,
+    0x6b85a27c7e700e04,
+    0xf1dd52ba2d57f939,
+    0x02775b61c33fee58,
+    0xf271b72acf7411ca,
+    0xfcc7934f98b8bbc4,
+    0x0fc14405b66ff5f2,
+    0x324fe4c4b5698774,
+    0xa31b05c9a55d9538,
+    0xf0a1568972316b06,
+    0xb9f9e94460c29116,
+    0x8599ac6b081a2590,
+    0x012defa4da6a3392,
+    0x48368a58cc42969f,
+    0x2e5b8bafa153b5de,
+    0x95df286619c0c3e2,
+    0x20e03ba3aeb82d8d,
+    0xf53103a0700d0982,
+    0xa92feec00c7719eb,
+    0x0dcd21741db2e1da,
+    0x054f89831d6da64c,
+];
+
 #[test]
 fn forty_seeded_scenarios_pass_every_oracle() {
     let opts = SimOptions::default();
-    for seed in 1000..1040u64 {
+    for (seed, want) in (1000..1040u64).zip(FORTY_SEED_DIGESTS) {
         let sc = SimScenario::generate(seed);
         let report = run_scenario(&sc, Lane::Stepped, &opts).expect("harness runs");
         assert!(
@@ -27,6 +73,75 @@ fn forty_seeded_scenarios_pass_every_oracle() {
             report.violations,
             sc.to_json()
         );
+        assert_eq!(
+            report.digest, want,
+            "seed {seed}: stepped digest {:#018x} moved",
+            report.digest
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// A large cache: the generator's scenarios cache a handful of views, so
+// these two hand-built ones put the candidate index under a thousand
+// point views over one predicate — `grandparent(pᵢ, pⱼ)` for every pair
+// of a 31-person tree, then `grandparent(pᵢ, Y)` and `grandparent(X, pⱼ)`
+// (filed under constants in different positions and atoms), then all
+// 1,023 again in shuffled order. The bounded variant holds a fraction of
+// them, so evictions (and index removals) interleave with the lookups.
+// ---------------------------------------------------------------------
+
+fn large_cache_scenario(capacity_bytes: Option<u64>) -> SimScenario {
+    let persons = braid_workload::genealogy::person_count(4, 2);
+    let mut queries: Vec<String> = (0..persons)
+        .flat_map(|i| (0..persons).map(move |j| format!("?- grandparent(p{i}, p{j}).")))
+        .collect();
+    queries.extend((0..persons).map(|i| format!("?- grandparent(p{i}, Y).")));
+    queries.extend((0..persons).map(|j| format!("?- grandparent(X, p{j}).")));
+    let mut again = queries.clone();
+    let mut rng = SimRng::new(0x1a7e);
+    for i in (1..again.len()).rev() {
+        again.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    queries.extend(again);
+    SimScenario {
+        seed: 0,
+        dataset: Dataset::Genealogy {
+            generations: 4,
+            branching: 2,
+            seed: 11,
+        },
+        strategy: Strategy::ConjunctionCompiled,
+        schedule: vec![0; queries.len()],
+        sessions: vec![queries],
+        capacity_bytes,
+        shards: 2,
+        batch_size: 32,
+        lazy: true,
+        // No speculative fetches: every point query caches its own view.
+        prefetch: false,
+        generalization: false,
+        subsumption: true,
+        columnar: false,
+        faults: None,
+    }
+}
+
+#[test]
+fn a_thousand_point_views_answer_exactly_on_every_lane() {
+    let opts = SimOptions::default();
+    for capacity in [None, Some(48_000)] {
+        let sc = large_cache_scenario(capacity);
+        assert!(sc.query_count() >= 2_000);
+        for lane in Lane::ALL.into_iter().filter(|lane| lane.accepts(&sc)) {
+            let report = run_scenario(&sc, lane, &opts).expect("harness runs");
+            assert!(
+                report.passed(),
+                "{lane:?}, capacity {capacity:?}: {:#?}",
+                report.violations
+            );
+            assert_eq!(report.exact, sc.query_count(), "{lane:?}: all Exact");
+        }
     }
 }
 

@@ -5,14 +5,20 @@
 //!   variable merges) must be recognized as subsumed: the paper's whole
 //!   reuse story rests on instance queries hitting general cached views
 //!   (§5.3.1's `d1/d2/d3` are exactly such instances).
+//! * **The candidate index loses nothing** — under any interleaving of
+//!   inserts and removes, `SubsumptionEngine`'s indexed searches return
+//!   exactly what `decompose` + `subsumes` over every live definition
+//!   return: the same elements, in the same order, with the same
+//!   derivations.
 //! * **Round-trips of the advice notation** — display∘parse is the
 //!   identity on the path-expression language (the IE and CMS exchange
 //!   this text, §3).
 
 use braid_advice::{parse_path_expr, PathExpr, PatternArg, QueryPattern, RepBound, Repetition};
-use braid_caql::{parse_rule, Atom, ConjunctiveQuery, Literal, Subst, Term};
-use braid_subsume::{subsumes, Component, ViewDef};
+use braid_caql::{parse_rule, Atom, CmpOp, Comparison, ConjunctiveQuery, Literal, Subst, Term};
+use braid_subsume::{decompose, subsumes, Component, Derivation, SubsumptionEngine, ViewDef};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 // ---------- subsumption completeness ----------
 
@@ -115,6 +121,182 @@ proptest! {
         let q = parse_rule(&format!("q(A, B) :- p{pred}(A, B).")).unwrap();
         prop_assert!(subsumes(&e, &Component::whole(&q), &["A", "B"]).is_none());
     }
+}
+
+// ---------- indexed search ≡ exhaustive search ----------
+
+/// A term from a pool small enough that index buckets collide: three
+/// variables, two strings, and `1` beside `1.0` (equal in sort order,
+/// distinct as values).
+fn pooled_term() -> impl Strategy<Value = Term> {
+    (0..7u8).prop_map(|t| match t {
+        0..=2 => Term::var(format!("V{t}")),
+        3 => Term::val("c0"),
+        4 => Term::val("c1"),
+        5 => Term::val(Value::Int(1)),
+        _ => Term::val(Value::Float(1.0)),
+    })
+}
+
+/// A conjunctive body over `p0/2`, `p1/2` and `p2/1`, with up to two
+/// comparisons against small integers.
+fn pooled_body() -> impl Strategy<Value = Vec<Literal>> {
+    let atom = (0..3u8, pooled_term(), pooled_term()).prop_map(|(p, a, b)| match p {
+        2 => Atom::new("p2", vec![a]),
+        _ => Atom::new(format!("p{p}"), vec![a, b]),
+    });
+    let cmp = (0..3u8, 0..3u8, 0..3i64).prop_map(|(v, op, k)| Comparison {
+        op: [CmpOp::Lt, CmpOp::Ge, CmpOp::Eq][op as usize],
+        lhs: Term::var(format!("V{v}")).into(),
+        rhs: Term::val(k).into(),
+    });
+    (
+        proptest::collection::vec(atom, 1..4),
+        proptest::collection::vec(cmp, 0..3),
+    )
+        .prop_map(|(atoms, cmps)| {
+            let atoms = atoms.into_iter().map(Literal::Atom);
+            atoms.chain(cmps.into_iter().map(Literal::Cmp)).collect()
+        })
+}
+
+/// A query (or view definition) over a pooled body, its head every atom
+/// variable or all but the first.
+fn pooled_query() -> impl Strategy<Value = ConjunctiveQuery> {
+    (pooled_body(), 0..2u8).prop_map(|(body, drop)| {
+        let mut head: Vec<Term> = Vec::new();
+        for a in body.iter().filter_map(Literal::as_atom) {
+            for v in a.vars() {
+                if !head.iter().any(|t| t.as_var() == Some(v)) {
+                    head.push(Term::var(v));
+                }
+            }
+        }
+        let head = head.split_off(usize::from(drop).min(head.len()));
+        ConjunctiveQuery::new(Atom::new("q", head), body)
+    })
+}
+
+/// The variables a component must expose — the engine's contract,
+/// restated: head variables it covers plus its join variables with the
+/// rest of the query.
+fn needed_vars(q: &ConjunctiveQuery, c: &Component) -> Vec<String> {
+    let atoms = q.positive_atoms();
+    let mut outside: BTreeSet<&str> = q.head.var_set();
+    if !c.is_whole(atoms.len()) {
+        for (i, a) in atoms.iter().enumerate() {
+            if i < c.start || i >= c.end {
+                outside.extend(a.var_set());
+            }
+        }
+        for l in &q.body {
+            if let Literal::Cmp(cmp) = l {
+                if !c.cmps.contains(cmp) {
+                    outside.extend(cmp.lhs.vars());
+                    outside.extend(cmp.rhs.vars());
+                }
+            }
+        }
+    }
+    let inside = c.vars();
+    inside
+        .intersection(&outside)
+        .map(|v| v.to_string())
+        .collect()
+}
+
+/// Assert both indexed searches equal the exhaustive reference over
+/// `live` (ascending ids within each component, components largest
+/// first).
+fn assert_index_matches_reference(
+    engine: &SubsumptionEngine,
+    live: &BTreeMap<u64, ViewDef>,
+    q: &ConjunctiveQuery,
+) {
+    let whole = Component::whole(q);
+    let needed: Vec<&str> = q.head.var_set().into_iter().collect();
+    let want_whole: Vec<(u64, Derivation)> = live
+        .iter()
+        .filter_map(|(id, def)| Some((*id, subsumes(def, &whole, &needed)?)))
+        .collect();
+    assert_eq!(engine.find_whole(q), want_whole, "find_whole for `{q}`");
+
+    let mut want_relevant = Vec::new();
+    for c in decompose(q) {
+        let needed = needed_vars(q, &c);
+        let needed: Vec<&str> = needed.iter().map(String::as_str).collect();
+        for (id, def) in live {
+            if let Some(d) = subsumes(def, &c, &needed) {
+                want_relevant.push((*id, c.clone(), d));
+            }
+        }
+    }
+    let got: Vec<(u64, Component, Derivation)> = engine
+        .find_relevant(q)
+        .into_iter()
+        .map(|u| (u.element, u.component, u.derivation))
+        .collect();
+    assert_eq!(got, want_relevant, "find_relevant for `{q}`");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn indexed_search_equals_exhaustive_search(
+        steps in proptest::collection::vec((0..4u8, 0..24u64, pooled_query()), 1..24),
+        probes in proptest::collection::vec(pooled_query(), 3..5),
+    ) {
+        let mut engine = SubsumptionEngine::new();
+        let mut live: BTreeMap<u64, ViewDef> = BTreeMap::new();
+        for (op, id, view) in steps {
+            if op == 0 {
+                // Remove: a live id when there is one, else a no-op.
+                let id = live.keys().nth(id as usize % live.len().max(1)).copied().unwrap_or(id);
+                prop_assert_eq!(engine.remove(id), live.remove(&id));
+            } else if let Ok(def) = ViewDef::new(view) {
+                // Insert, re-registering the id if it is live already.
+                engine.insert(id, def.clone());
+                live.insert(id, def);
+            }
+            prop_assert_eq!(engine.len(), live.len());
+            for q in probes.iter().chain(live.values().map(ViewDef::query)) {
+                assert_index_matches_reference(&engine, &live, q);
+            }
+        }
+    }
+}
+
+#[test]
+fn int_and_float_constants_are_told_apart() {
+    let mut engine = SubsumptionEngine::new();
+    let mut live = BTreeMap::new();
+    for (id, src) in [
+        (1, "i(V) :- p1(1, V)."),
+        (2, "f(V) :- p1(1.0, V)."),
+        (3, "g(K, V) :- p1(K, V)."),
+    ] {
+        let def = ViewDef::new(parse_rule(src).unwrap()).unwrap();
+        engine.insert(id, def.clone());
+        live.insert(id, def);
+    }
+    for src in [
+        "q(V) :- p1(1, V).",
+        "q(V) :- p1(1.0, V).",
+        "q(V) :- p1(1, V), p1(V, 1.0).",
+    ] {
+        assert_index_matches_reference(&engine, &live, &parse_rule(src).unwrap());
+    }
+    let hits = |src: &str| -> Vec<u64> {
+        let q = parse_rule(src).unwrap();
+        engine
+            .find_whole(&q)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
+    };
+    assert_eq!(hits("q(V) :- p1(1, V)."), vec![1, 3]);
+    assert_eq!(hits("q(V) :- p1(1.0, V)."), vec![2, 3]);
 }
 
 // ---------- advice notation round-trips ----------
