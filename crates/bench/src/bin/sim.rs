@@ -74,7 +74,7 @@ fn main() {
         "sim: seeds {seed_start}..{} ({rounds} rounds{})",
         seed_start + rounds,
         if soak {
-            ", stepped + columnar + threads + socket + pool + procs"
+            ", stepped + threads + socket + pool + procs"
         } else {
             ""
         }
@@ -96,39 +96,26 @@ fn main() {
     std::process::exit(i32::from(failed > 0));
 }
 
-/// Run one scenario on the stepped lane — plus, under `--soak`, a
-/// columnar-forced stepped rerun and every other lane that accepts it.
-/// Stepped failures are shrunk to a replayable repro; the other lanes are
-/// not replayable step-for-step, so their failures print the scenario for
-/// the stepped lane to chase. Returns the exit status contribution and
+/// Run one scenario on the stepped lane — plus, under `--soak`, every
+/// other lane that accepts it. Stepped failures are shrunk to a
+/// replayable repro; the other lanes are not replayable step-for-step, so
+/// their failures print the scenario for the stepped lane to chase. Returns the exit status contribution and
 /// how many runs it took.
 fn run_one(sc: &SimScenario, opts: &SimOptions, verbose: bool, soak: bool) -> (i32, usize) {
-    // Columnar lane: the identical scenario with the column-major
-    // representation forced on. Fully deterministic and replayable, and
-    // the answer digest must agree bit-for-bit with the row run —
-    // representation invariance checked at soak scale.
-    let forced = (soak && !sc.columnar).then(|| SimScenario {
-        columnar: true,
-        ..sc.clone()
-    });
-    let mut runs: Vec<(String, &SimScenario, Lane)> =
-        vec![("deterministic".into(), sc, Lane::Stepped)];
+    let mut lanes = vec![Lane::Stepped];
     if soak {
-        runs.extend(forced.iter().map(|f| ("columnar".into(), f, Lane::Stepped)));
-        runs.extend(
-            Lane::ALL[1..]
-                .iter()
-                .filter(|lane| lane.accepts(sc))
-                .map(|&lane| (format!("{lane:?}"), sc, lane)),
-        );
+        lanes.extend(Lane::ALL[1..].iter().filter(|lane| lane.accepts(sc)));
     }
-    let ran = runs.len();
+    let ran = lanes.len();
 
     let mut status = 0;
-    let mut row_digest = None;
-    for (i, (label, scenario, lane)) in runs.into_iter().enumerate() {
-        let (row_run, columnar_rerun) = (i == 0, i > 0 && lane == Lane::Stepped);
-        let report = match run_scenario(scenario, lane, opts) {
+    for lane in lanes {
+        let label = if lane == Lane::Stepped {
+            "deterministic".to_string()
+        } else {
+            format!("{lane:?}")
+        };
+        let report = match run_scenario(sc, lane, opts) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("sim: seed {}: {label} harness error: {e}", sc.seed);
@@ -139,7 +126,7 @@ fn run_one(sc: &SimScenario, opts: &SimOptions, verbose: bool, soak: bool) -> (i
         if !report.passed() {
             status = 1;
             if lane == Lane::Stepped {
-                report_failure(scenario, opts, &report.violations, &label);
+                report_failure(sc, opts, &report.violations, &label);
             } else {
                 eprintln!(
                     "sim: seed {}: {label} run FAILED:\n{:#?}\nscenario: {}",
@@ -148,29 +135,17 @@ fn run_one(sc: &SimScenario, opts: &SimOptions, verbose: bool, soak: bool) -> (i
                     sc.to_json()
                 );
             }
-        } else if columnar_rerun && Some(report.digest) != row_digest {
-            status = 1;
-            eprintln!(
-                "sim: seed {}: COLUMNAR digest {:016x} != row digest {:016x}\nscenario: {}",
-                sc.seed,
-                report.digest,
-                row_digest.unwrap_or_default(),
-                scenario.to_json()
-            );
         }
-        if row_run {
-            row_digest = Some(report.digest);
-            if verbose {
-                eprintln!(
-                    "sim: seed {}: {} solves ({} exact, {} partial, {} tolerated errors), digest {:016x}",
-                    sc.seed,
-                    report.solves,
-                    report.exact,
-                    report.partial,
-                    report.tolerated_errors,
-                    report.digest
-                );
-            }
+        if lane == Lane::Stepped && verbose {
+            eprintln!(
+                "sim: seed {}: {} solves ({} exact, {} partial, {} tolerated errors), digest {:016x}",
+                sc.seed,
+                report.solves,
+                report.exact,
+                report.partial,
+                report.tolerated_errors,
+                report.digest
+            );
         }
     }
     (status, ran)

@@ -33,16 +33,6 @@ pub fn run(quick: bool) -> Table {
         for b in ["b1", "b2", "b3"] {
             catalog.install(binary_relation(b, rows, 16, 21));
         }
-        let remote = RemoteDbms::with_defaults(catalog);
-        // Size the cache to hold two of the three views (measured: each
-        // cached extension of 200 rows is ~13 KB).
-        let capacity = 32 * 1024;
-        let config = CmsConfig::braid()
-            .with_prefetching(false)
-            .with_generalization(false)
-            .with_lazy(false)
-            .with_capacity(capacity);
-        let mut cms = Cms::new(remote, config);
         let mut advice = Advice::none();
         for (d, b) in [("d1", "b1"), ("d2", "b2"), ("d3", "b3")] {
             advice
@@ -53,6 +43,23 @@ pub fn run(quick: bool) -> Table {
             advice.path =
                 Some(parse_path_expr("((d1(K^, V^), d2(K^, V^), d3(K^, V^))<1,*>)<1,1>").unwrap());
         }
+        let config = CmsConfig::braid()
+            .with_prefetching(false)
+            .with_generalization(false)
+            .with_lazy(false);
+        // Size the cache to hold two of the three equally-sized views,
+        // measured as the cache stores one of them.
+        let mut probe = Cms::new(RemoteDbms::with_defaults(catalog.clone()), config.clone());
+        probe.begin_session(advice.clone());
+        probe
+            .query_head(&parse_atom("d1(K, V)").unwrap())
+            .expect("probe query")
+            .drain();
+        let capacity = probe.shared_cache().used_bytes() * 5 / 2;
+        let mut cms = Cms::new(
+            RemoteDbms::with_defaults(catalog),
+            config.with_capacity(capacity),
+        );
         cms.begin_session(advice);
 
         for _ in 0..rounds {

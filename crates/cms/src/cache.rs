@@ -8,7 +8,7 @@
 //! sufficient historical meta-data to support cache replacement and
 //! accumulate performance measurement statistics" (§5.4).
 
-use crate::element::{CacheElement, ElemId};
+use crate::element::{CacheElement, ElemId, Repr};
 use crate::error::Result;
 use crate::model::ModelRow;
 use braid_caql::ConjunctiveQuery;
@@ -124,17 +124,15 @@ impl CacheManager {
         q.canonical_key()
     }
 
-    /// Install an element built by the caller. Returns `None` (and drops
-    /// the element, evicting nothing) if it cannot fit even once every
-    /// unpinned element is gone. Evicts LRU-first among unpinned elements
-    /// when needed — the paper's advice-modified LRU (§5.4).
-    pub fn insert(&mut self, def: ViewDef, build: ElementBuilder) -> Option<ElemId> {
+    /// Install an element in the form the caller chose. Returns `None`
+    /// (and drops the element, evicting nothing) if it cannot fit even
+    /// once every unpinned element is gone. Evicts LRU-first among
+    /// unpinned elements when needed — the paper's advice-modified LRU
+    /// (§5.4). An element's size is fixed here: nothing mutates it later.
+    pub fn insert(&mut self, def: ViewDef, repr: Repr) -> Option<ElemId> {
         let id = self.next_id;
         let now = self.tick();
-        let element = match build {
-            ElementBuilder::Materialized(rel) => CacheElement::materialized(id, def, rel, now),
-            ElementBuilder::Lazy(g) => CacheElement::lazy(id, def, g, now),
-        };
+        let element = CacheElement::new(id, def, repr, now);
         let bytes = element.approx_bytes();
         // Advice and session pins keep their bytes through any eviction:
         // refuse up front rather than evict every other element and still
@@ -175,10 +173,10 @@ impl CacheManager {
     pub fn insert_with_aliases(
         &mut self,
         def: ViewDef,
-        build: ElementBuilder,
+        repr: Repr,
         aliases: &[String],
     ) -> Option<ElemId> {
-        let id = self.insert(def, build)?;
+        let id = self.insert(def, repr)?;
         for a in aliases {
             self.register_exact(a.clone(), id);
         }
@@ -230,24 +228,6 @@ impl CacheManager {
     /// Borrow an element.
     pub fn get(&self, id: ElemId) -> Option<&CacheElement> {
         self.elements.get(&id)
-    }
-
-    /// Borrow an element mutably (for indexing/materialization); also
-    /// refreshes its LRU stamp.
-    pub fn get_mut(&mut self, id: ElemId) -> Option<&mut CacheElement> {
-        let now = self.tick();
-        // Caller may materialize/index; bytes are reconciled on the next
-        // `reconcile_bytes` call.
-        self.restamp(id, now)
-    }
-
-    /// Recompute `used_bytes` after in-place mutations (materialization or
-    /// indexing changes an element's footprint).
-    pub fn reconcile_bytes(&mut self) {
-        // One re-sum: from here `remove` keeps `used_bytes` exact, so the
-        // eviction loop needs no further scans.
-        self.used_bytes = self.elements.values().map(|e| e.approx_bytes()).sum();
-        while self.used_bytes > self.capacity_bytes && self.evict_one() {}
     }
 
     /// Record a derivation hit on an element (LRU + statistics).
@@ -337,78 +317,48 @@ impl CacheManager {
         self.engine.find_whole(q)
     }
 
-    /// Build the local compensation pipeline computing a derivation from
-    /// an element: scan/generator → residual filter → projection onto
-    /// `vars` (in order). This is the Query Processor at work (§5.4).
+    /// The stored form of an element, shared (an `Arc` clone). Elements
+    /// never change after insert, so a derivation may run over it after
+    /// the caller has let go of the cache.
     ///
     /// # Errors
-    /// Returns an error if a projection variable is unavailable.
-    pub fn derive(&self, id: ElemId, derivation: &Derivation, vars: &[&str]) -> Result<Generator> {
-        let e = self
-            .elements
+    /// Returns an error if the element is gone.
+    pub(crate) fn repr_of(&self, id: ElemId) -> Result<Repr> {
+        self.elements
             .get(&id)
-            .ok_or_else(|| crate::error::CmsError::Unplannable(format!("no element {id}")))?;
-        let cols = derivation.projection(vars).ok_or_else(|| {
-            crate::error::CmsError::Unplannable(format!(
-                "element {id} does not expose all of {vars:?}"
-            ))
-        })?;
-        let g = e.as_generator().filter(derivation.filter_expr());
-        g.project(&cols).map_err(crate::error::CmsError::from)
+            .map(|e| e.repr.clone())
+            .ok_or_else(|| crate::error::CmsError::Unplannable(format!("no element {id}")))
     }
 
-    /// Eagerly evaluate a derivation, exploiting a hash index on the
-    /// element's extension when the residual filters probe indexed
-    /// columns — the Query Processor "uses hash indices when available to
-    /// speed up joins and some selections" (§5.4).
+    /// [`derive`] over a cached element.
     ///
     /// # Errors
-    /// Returns an error if a projection variable is unavailable.
+    /// Returns an error if the element is gone or a projection variable
+    /// is unavailable.
+    pub fn derive(&self, id: ElemId, derivation: &Derivation, vars: &[&str]) -> Result<Generator> {
+        derive(id, &self.repr_of(id)?, derivation, vars)
+    }
+
+    /// [`derive_relation`] over a cached element.
+    ///
+    /// # Errors
+    /// Returns an error if the element is gone or a projection variable
+    /// is unavailable.
     pub fn derive_relation(
         &self,
         id: ElemId,
         derivation: &Derivation,
         vars: &[&str],
     ) -> Result<braid_relational::Relation> {
-        let e = self
-            .elements
-            .get(&id)
-            .ok_or_else(|| crate::error::CmsError::Unplannable(format!("no element {id}")))?;
-        let cols = derivation.projection(vars).ok_or_else(|| {
-            crate::error::CmsError::Unplannable(format!(
-                "element {id} does not expose all of {vars:?}"
-            ))
-        })?;
-        if let Some(ext) = e.extension() {
-            // Try an index probe over the equality residuals.
-            let probes = derivation.probe_cols();
-            if !probes.is_empty() {
-                let probe_cols: Vec<usize> = probes.iter().map(|(c, _)| *c).collect();
-                if ext.index_on(&probe_cols).is_some() {
-                    let key: Vec<braid_relational::Value> =
-                        probes.iter().map(|(_, v)| v.clone()).collect();
-                    let selected = braid_relational::ops::select_eq(
-                        ext,
-                        &probe_cols,
-                        &key,
-                        Some(&derivation.filter_expr()),
-                    )?;
-                    return Ok(braid_relational::ops::project(&selected, &cols)?);
-                }
-            }
-        }
-        // Fallback: the generic generator pipeline.
-        self.derive(id, derivation, vars)?
-            .materialize()
-            .map_err(crate::error::CmsError::from)
+        derive_relation(id, &self.repr_of(id)?, derivation, vars)
     }
 
-    /// Cardinality of an element's materialized extension, if any.
+    /// Cardinality of an element's extension, if the element exists.
     pub fn cardinality_of(&self, id: ElemId) -> Option<usize> {
-        self.elements.get(&id).and_then(|e| e.cardinality())
+        self.elements.get(&id).map(CacheElement::cardinality)
     }
 
-    /// Whether an element currently holds the column-major representation.
+    /// Whether an element is stored column-major.
     pub fn is_columnar(&self, id: ElemId) -> bool {
         self.elements.get(&id).is_some_and(|e| e.is_columnar())
     }
@@ -422,6 +372,68 @@ impl CacheManager {
     pub fn elements(&self) -> impl Iterator<Item = &CacheElement> {
         self.elements.values()
     }
+}
+
+fn projection(id: ElemId, derivation: &Derivation, vars: &[&str]) -> Result<Vec<usize>> {
+    derivation.projection(vars).ok_or_else(|| {
+        crate::error::CmsError::Unplannable(format!("element {id} does not expose all of {vars:?}"))
+    })
+}
+
+/// Build the local compensation pipeline computing a derivation from
+/// element `id`, stored as `repr`: scan/generator → residual filter →
+/// projection onto `vars` (in order). This is the Query Processor at work
+/// (§5.4).
+///
+/// # Errors
+/// Returns an error if a projection variable is unavailable.
+pub(crate) fn derive(
+    id: ElemId,
+    repr: &Repr,
+    derivation: &Derivation,
+    vars: &[&str],
+) -> Result<Generator> {
+    let cols = projection(id, derivation, vars)?;
+    let g = repr.as_generator().filter(derivation.filter_expr());
+    g.project(&cols).map_err(crate::error::CmsError::from)
+}
+
+/// Eagerly evaluate a derivation, exploiting a hash index on the
+/// element's extension when the residual filters probe indexed columns —
+/// the Query Processor "uses hash indices when available to speed up
+/// joins and some selections" (§5.4).
+///
+/// # Errors
+/// Returns an error if a projection variable is unavailable.
+pub(crate) fn derive_relation(
+    id: ElemId,
+    repr: &Repr,
+    derivation: &Derivation,
+    vars: &[&str],
+) -> Result<braid_relational::Relation> {
+    let cols = projection(id, derivation, vars)?;
+    if let Repr::Rows(ext) = repr {
+        // Try an index probe over the equality residuals.
+        let probes = derivation.probe_cols();
+        if !probes.is_empty() {
+            let probe_cols: Vec<usize> = probes.iter().map(|(c, _)| *c).collect();
+            if ext.index_on(&probe_cols).is_some() {
+                let key: Vec<braid_relational::Value> =
+                    probes.iter().map(|(_, v)| v.clone()).collect();
+                let selected = braid_relational::ops::select_eq(
+                    ext,
+                    &probe_cols,
+                    &key,
+                    Some(&derivation.filter_expr()),
+                )?;
+                return Ok(braid_relational::ops::project(&selected, &cols)?);
+            }
+        }
+    }
+    // Fallback: the generic generator pipeline.
+    derive(id, repr, derivation, vars)?
+        .materialize()
+        .map_err(crate::error::CmsError::from)
 }
 
 /// The read-side cache interface the planner and monitor run against.
@@ -439,7 +451,7 @@ pub trait CacheRead {
     fn exact_lookup(&self, q: &ConjunctiveQuery) -> Option<ElemId>;
     /// Cardinality of an element's materialized extension, if any.
     fn cardinality_of(&self, id: ElemId) -> Option<usize>;
-    /// Whether an element currently holds the column-major representation
+    /// Whether an element is stored column-major
     /// (served by the vectorized kernels — feeds the `columnar_hits`
     /// metric and the EXPLAIN `repr` field).
     fn is_columnar(&self, id: ElemId) -> bool;
@@ -487,15 +499,6 @@ impl CacheRead for CacheManager {
     }
 }
 
-/// What the caller hands the cache for a new element.
-#[derive(Debug)]
-pub enum ElementBuilder {
-    /// A fully materialized extension.
-    Materialized(braid_relational::Relation),
-    /// A lazy generator over already-cached inputs.
-    Lazy(Generator),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,10 +525,7 @@ mod tests {
     fn insert_and_exact_lookup() {
         let mut c = CacheManager::new(usize::MAX);
         let id = c
-            .insert(
-                def("e(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("e(X, Y) :- b1(X, Y)."), rel(3).into())
             .unwrap();
         // Exact match is canonical: variable names don't matter.
         let q = parse_rule("q(A, B) :- b1(A, B).").unwrap();
@@ -537,29 +537,20 @@ mod tests {
     #[test]
     fn lru_eviction_under_pressure() {
         let bytes_of_3 = {
-            let e = CacheElement::materialized(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0);
+            let e = CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0);
             e.approx_bytes()
         };
         let mut c = CacheManager::new(bytes_of_3 * 2 + 64);
         let a = c
-            .insert(
-                def("a(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("a(X, Y) :- b1(X, Y)."), rel(3).into())
             .unwrap();
         let b = c
-            .insert(
-                def("b(X, Y) :- b2(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("b(X, Y) :- b2(X, Y)."), rel(3).into())
             .unwrap();
         // Touch `a` so `b` becomes LRU.
         c.touch(a);
         let d = c
-            .insert(
-                def("d(X, Y) :- b3(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("d(X, Y) :- b3(X, Y)."), rel(3).into())
             .unwrap();
         assert!(c.get(a).is_some());
         assert!(c.get(b).is_none(), "LRU element must be evicted");
@@ -568,79 +559,28 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_after_an_overshoot_evicts_each_victim_once() {
-        let unit =
-            CacheElement::materialized(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
-        let mut c = CacheManager::new(unit * 4 + 256);
-        for i in 0..4 {
-            c.insert(
-                def(&format!("v{i}(X, Y) :- b{i}(X, Y).")),
-                ElementBuilder::Materialized(rel(3)),
-            )
-            .unwrap();
-        }
-        let lazy = c
-            .insert(
-                def("big(X, Y) :- b9(X, Y)."),
-                ElementBuilder::Lazy(Generator::scan(std::sync::Arc::new(rel(9)))),
-            )
-            .unwrap();
-        assert_eq!((c.len(), c.evictions()), (5, 0));
-
-        // Materializing in place grows the element by about three units
-        // behind the accounting's back; one reconcile must evict that
-        // many LRU victims and leave the byte count exact.
-        c.get_mut(lazy).unwrap().ensure_extension().unwrap();
-        c.reconcile_bytes();
-        let evicted = 5 - c.len();
-        assert!(evicted >= 2, "overshoot spans several elements: {evicted}");
-        assert_eq!(c.evictions(), evicted as u64, "each victim counted once");
-        assert!(
-            c.get(lazy).is_some(),
-            "the just-used element is not the victim"
-        );
-        assert_eq!(
-            c.used_bytes(),
-            c.elements().map(CacheElement::approx_bytes).sum::<usize>()
-        );
-        assert!(c.used_bytes() <= unit * 4 + 256);
-    }
-
-    #[test]
     fn pinned_elements_survive_eviction() {
         let unit =
-            CacheElement::materialized(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
+            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
         let mut c = CacheManager::new(unit * 2 + 64);
         let a = c
-            .insert(
-                def("a(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("a(X, Y) :- b1(X, Y)."), rel(3).into())
             .unwrap();
         let b = c
-            .insert(
-                def("b(X, Y) :- b2(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("b(X, Y) :- b2(X, Y)."), rel(3).into())
             .unwrap();
         // `a` is older but pinned: `b` gets evicted instead.
         c.pin_views(&views(&["a"]));
         let d = c
-            .insert(
-                def("d(X, Y) :- b3(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("d(X, Y) :- b3(X, Y)."), rel(3).into())
             .unwrap();
         assert!(c.get(a).is_some());
         assert!(c.get(b).is_none());
         // An element that would fit an empty cache but not beside the
         // pinned `a` is refused without evicting `d` first.
-        let big = CacheElement::materialized(0, def("x(X, Y) :- b9(X, Y)."), rel(5), 0);
+        let big = CacheElement::new(0, def("x(X, Y) :- b9(X, Y)."), rel(5).into(), 0);
         assert!(unit + big.approx_bytes() > unit * 2 + 64 && big.approx_bytes() <= unit * 2 + 64);
-        let refused = c.insert(
-            def("x(X, Y) :- b9(X, Y)."),
-            ElementBuilder::Materialized(rel(5)),
-        );
+        let refused = c.insert(def("x(X, Y) :- b9(X, Y)."), rel(5).into());
         assert!(refused.is_none());
         assert!(
             c.get(d).is_some(),
@@ -655,28 +595,19 @@ mod tests {
         // `last_used` stale, so an element that had just been unpinned
         // was evicted ahead of elements it outlived while protected.
         let unit =
-            CacheElement::materialized(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
+            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
         let mut c = CacheManager::new(unit * 2 + 64);
         let a = c
-            .insert(
-                def("a(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("a(X, Y) :- b1(X, Y)."), rel(3).into())
             .unwrap();
         let b = c
-            .insert(
-                def("b(X, Y) :- b2(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("b(X, Y) :- b2(X, Y)."), rel(3).into())
             .unwrap();
         c.touch(b); // b is now more recent than a…
         c.pin_views(&views(&["a"])); // …but pinning a counts as a use of a.
         c.pin_views(&views(&[])); // advice withdrawn: both unpinned again.
         let d = c
-            .insert(
-                def("d(X, Y) :- b3(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("d(X, Y) :- b3(X, Y)."), rel(3).into())
             .unwrap();
         assert!(c.get(b).is_none(), "b is LRU once pinning refreshed a");
         assert!(c.get(a).is_some(), "pinning a refreshed its recency");
@@ -686,27 +617,18 @@ mod tests {
     #[test]
     fn session_pins_block_eviction_until_released() {
         let unit =
-            CacheElement::materialized(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
+            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
         let mut c = CacheManager::new(unit * 2 + 64);
         let a = c
-            .insert(
-                def("a(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("a(X, Y) :- b1(X, Y)."), rel(3).into())
             .unwrap();
         let b = c
-            .insert(
-                def("b(X, Y) :- b2(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("b(X, Y) :- b2(X, Y)."), rel(3).into())
             .unwrap();
         c.pin(a);
         c.pin(a); // two concurrent streams over a
         let d = c
-            .insert(
-                def("d(X, Y) :- b3(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-            )
+            .insert(def("d(X, Y) :- b3(X, Y)."), rel(3).into())
             .unwrap();
         assert!(c.get(a).is_some(), "session-pinned element survives");
         assert!(c.get(b).is_none(), "unpinned LRU element is the victim");
@@ -714,10 +636,7 @@ mod tests {
         assert_eq!(c.get(a).unwrap().pin_count, 1, "one stream still open");
         c.unpin(a);
         // Fully released: a is evictable again (and is LRU vs d).
-        let e2 = c.insert(
-            def("f(X, Y) :- b1(X, Z), b2(Z, Y)."),
-            ElementBuilder::Materialized(rel(3)),
-        );
+        let e2 = c.insert(def("f(X, Y) :- b1(X, Z), b2(Z, Y)."), rel(3).into());
         assert!(e2.is_some());
         assert!(c.get(a).is_none(), "released element evicts normally");
         assert!(c.get(d).is_some());
@@ -728,22 +647,13 @@ mod tests {
         let mut shard0 = CacheManager::with_id_sequence(usize::MAX, 0, 4);
         let mut shard3 = CacheManager::with_id_sequence(usize::MAX, 3, 4);
         let a = shard0
-            .insert(
-                def("a(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(1)),
-            )
+            .insert(def("a(X, Y) :- b1(X, Y)."), rel(1).into())
             .unwrap();
         let b = shard0
-            .insert(
-                def("b(X, Y) :- b2(X, Y)."),
-                ElementBuilder::Materialized(rel(1)),
-            )
+            .insert(def("b(X, Y) :- b2(X, Y)."), rel(1).into())
             .unwrap();
         let c = shard3
-            .insert(
-                def("c(X, Y) :- b3(X, Y)."),
-                ElementBuilder::Materialized(rel(1)),
-            )
+            .insert(def("c(X, Y) :- b3(X, Y)."), rel(1).into())
             .unwrap();
         assert_eq!((a, b, c), (0, 4, 3));
         assert_eq!(a % 4, 0);
@@ -754,10 +664,7 @@ mod tests {
     fn oversized_element_rejected() {
         let mut c = CacheManager::new(10);
         assert!(c
-            .insert(
-                def("a(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(100))
-            )
+            .insert(def("a(X, Y) :- b1(X, Y)."), rel(100).into())
             .is_none());
         assert!(c.is_empty());
     }
@@ -766,10 +673,7 @@ mod tests {
     fn derive_builds_compensation_pipeline() {
         let mut c = CacheManager::new(usize::MAX);
         let id = c
-            .insert(
-                def("e(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(4)),
-            )
+            .insert(def("e(X, Y) :- b1(X, Y)."), rel(4).into())
             .unwrap();
         let q = parse_rule("q(X) :- b1(X, v2).").unwrap();
         let uses = c.relevant(&q);
@@ -783,13 +687,47 @@ mod tests {
     }
 
     #[test]
+    fn point_probes_and_band_derivations_agree_over_both_forms() {
+        let mut nums = Relation::new(Schema::of_strs("e", &["k", "n"]));
+        for i in 0..40i64 {
+            nums.insert(tuple![format!("k{}", i % 8), i]).unwrap();
+        }
+        let d = def("e(K, N) :- b1(K, N).");
+        let (mut rows, mut cols) = (CacheManager::new(usize::MAX), CacheManager::new(usize::MAX));
+        let r = rows.insert(d.clone(), Repr::choose(&nums, &[0]).unwrap());
+        let c = cols.insert(d, Repr::choose(&nums, &[]).unwrap());
+        let (r, c) = (r.unwrap(), c.unwrap());
+        assert!(!rows.is_columnar(r) && cols.is_columnar(c));
+        for (src, vars) in [
+            ("q(N) :- b1(k3, N).", &["N"][..]),
+            ("q(K, N) :- b1(K, N), N >= 10, N < 20.", &["K", "N"][..]),
+        ] {
+            let q = parse_rule(src).unwrap();
+            let (_, via_rows) = rows.whole_subsumers(&q).remove(0);
+            let (_, via_cols) = cols.whole_subsumers(&q).remove(0);
+            let a = rows.derive_relation(r, &via_rows, vars).unwrap();
+            let b = cols.derive_relation(c, &via_cols, vars).unwrap();
+            assert!(!a.is_empty(), "{src}");
+            assert_eq!(a.sorted_tuples(), b.sorted_tuples(), "{src}");
+        }
+        // The point query took the index path on the row form.
+        let probe = parse_rule("q(N) :- b1(k3, N).").unwrap();
+        let (_, d) = rows.whole_subsumers(&probe).remove(0);
+        assert_eq!(d.probe_cols().len(), 1);
+        assert!(rows
+            .get(r)
+            .unwrap()
+            .rows()
+            .unwrap()
+            .index_on(&[0])
+            .is_some());
+    }
+
+    #[test]
     fn remove_clears_indices() {
         let mut c = CacheManager::new(usize::MAX);
         let id = c
-            .insert(
-                def("a(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(2)),
-            )
+            .insert(def("a(X, Y) :- b1(X, Y)."), rel(2).into())
             .unwrap();
         assert!(c.remove(id).is_some());
         let q = parse_rule("q(A, B) :- b1(A, B).").unwrap();
@@ -803,16 +741,12 @@ mod tests {
         let mut c = CacheManager::new(usize::MAX);
         let alias = |k: &str| vec![k.to_string(), format!("{k}_own")];
         let a = c
-            .insert_with_aliases(
-                def("a(X, Y) :- b1(X, Y)."),
-                ElementBuilder::Materialized(rel(2)),
-                &alias("shared"),
-            )
+            .insert_with_aliases(def("a(X, Y) :- b1(X, Y)."), rel(2).into(), &alias("shared"))
             .unwrap();
         let b = c
             .insert_with_aliases(
                 def("b(X, Y) :- b2(X, Y)."),
-                ElementBuilder::Materialized(rel(2)),
+                rel(2).into(),
                 &["shared".to_string()],
             )
             .unwrap();
@@ -828,12 +762,9 @@ mod tests {
     #[test]
     fn equal_stamps_evict_the_smallest_id_first() {
         let unit =
-            CacheElement::materialized(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
+            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
         let mut c = CacheManager::new(unit * 3 + 64);
-        let mut put = |src: &str| {
-            c.insert(def(src), ElementBuilder::Materialized(rel(3)))
-                .unwrap()
-        };
+        let mut put = |src: &str| c.insert(def(src), rel(3).into()).unwrap();
         let (a, b, d) = (
             put("v(X, Y) :- b1(X, Y)."),
             put("w(X, Y) :- b2(X, Y)."),
@@ -844,8 +775,7 @@ mod tests {
         c.pin_views(&views(&[]));
         assert_eq!(c.get(a).unwrap().last_used, c.get(d).unwrap().last_used);
         for (src, gone) in [("x(X, Y) :- b4(X, Y).", b), ("y(X, Y) :- b5(X, Y).", a)] {
-            c.insert(def(src), ElementBuilder::Materialized(rel(3)))
-                .unwrap();
+            c.insert(def(src), rel(3).into()).unwrap();
             assert!(c.get(gone).is_none());
         }
         assert!(c.get(d).is_some(), "the larger id of the tie outlives a");
@@ -859,10 +789,7 @@ mod tests {
         c.pin_views(&pinned);
         assert!(!c.pins_stale(&pinned));
         let id = c
-            .insert(
-                def("d2(X, Y) :- b2(X, Y)."),
-                ElementBuilder::Materialized(rel(2)),
-            )
+            .insert(def("d2(X, Y) :- b2(X, Y)."), rel(2).into())
             .unwrap();
         assert!(
             !c.get(id).unwrap().pinned,
@@ -879,12 +806,9 @@ mod tests {
     #[test]
     fn model_reports_elements() {
         let mut c = CacheManager::new(usize::MAX);
-        c.insert(
-            def("a(X, Y) :- b1(X, Y)."),
-            ElementBuilder::Materialized(rel(2)),
-        );
+        c.insert(def("a(X, Y) :- b1(X, Y)."), rel(2).into());
         let m = c.model();
         assert_eq!(m.len(), 1);
-        assert_eq!(m[0].cardinality, Some(2));
+        assert_eq!(m[0].cardinality, 2);
     }
 }

@@ -8,8 +8,9 @@
 //! stream."
 
 use crate::advice_mgr::AdviceManager;
-use crate::cache::{CacheManager, CacheRead, ElementBuilder};
+use crate::cache::{CacheManager, CacheRead};
 use crate::config::CmsConfig;
+use crate::element::Repr;
 use crate::error::{CmsError, Result};
 use crate::flight::Waker;
 use crate::metrics::{CmsMetrics, CmsMetricsSnapshot};
@@ -713,7 +714,9 @@ impl Cms {
 
     /// Store the (pre-head-projection) result as a new cache element under
     /// an all-variables definition, plus an exact-match alias for the
-    /// original query. Applies index advice to consumer-annotated columns.
+    /// original query. The representation is chosen here, once, before
+    /// the insert: indexed rows for consumer-annotated columns, columns
+    /// otherwise (§5.2).
     fn cache_result(
         &mut self,
         q: &ConjunctiveQuery,
@@ -729,16 +732,20 @@ impl Cms {
         let Ok(def) = ViewDef::new(def_q) else {
             return; // non-PSJ bodies are not cacheable for reuse
         };
+        let to_index = self.consumer_columns(&def);
+        let Ok(repr) = Repr::choose(joined, &to_index) else {
+            return;
+        };
+        let traced = self
+            .tracer
+            .enabled()
+            .then(|| (repr.label(), repr.approx_bytes()));
         let aliases = vec![{
             let mut aq = q.clone();
             aq.head.pred = "_".to_string();
             aq.canonical_key()
         }];
-        let (id, evicted) = self.shared.cache.insert_with_aliases(
-            def,
-            ElementBuilder::Materialized(joined.clone()),
-            &aliases,
-        );
+        let (id, evicted) = self.shared.cache.insert_with_aliases(def, repr, &aliases);
         self.shared.metrics.add_evictions(evicted);
         if evicted > 0 {
             self.tracer.event(
@@ -750,127 +757,72 @@ impl Cms {
         let Some(id) = id else {
             return;
         };
-        if self.tracer.enabled() {
+        if let Some((label, bytes)) = traced {
             self.tracer.event(
                 TraceKind::CacheInsert,
                 q.head.pred.clone(),
                 vec![
                     ("element", id.to_string()),
                     ("rows", joined.len().to_string()),
+                    ("repr", label.to_string()),
+                    ("bytes", bytes.to_string()),
                 ],
             );
         }
+        if !to_index.is_empty() {
+            self.shared.metrics.add_indices(to_index.len() as u64);
+            self.tracer.event(
+                TraceKind::IndexBuild,
+                q.head.pred.clone(),
+                vec![
+                    ("element", id.to_string()),
+                    ("indices", to_index.len().to_string()),
+                ],
+            );
+        }
+    }
 
-        // Index advice (§4.2.1/§5.3.3): if this element can serve a view
-        // specification's body component whose variables carry consumer
-        // (`?`) annotations, those columns are "prime candidate[s] for
-        // indexing" — the paper's "index E12 on the third attribute
-        // (because it was annotated as a consumer variable in the view
-        // specifications)".
-        let mut wants_index = false;
-        if self.config.coupling.follows_advice() {
-            let advice = self.advice.advice();
-            let to_index: Vec<usize> = self
-                .shared
-                .cache
-                .with_element(id, |e| {
-                    let mut to_index: Vec<usize> = Vec::new();
-                    for spec in &advice.view_specs {
-                        let consumers: Vec<String> = spec
-                            .params
-                            .iter()
-                            .filter(|(_, a)| *a == braid_advice::Annotation::Consumer)
-                            .filter_map(|(t, _)| t.as_var().map(str::to_string))
-                            .collect();
-                        if consumers.is_empty() {
-                            continue;
+    /// Index advice (§4.2.1/§5.3.3): the columns of an element defined by
+    /// `def` that serve a view specification's body component whose
+    /// variables carry consumer (`?`) annotations — "prime candidate[s]
+    /// for indexing", as in the paper's "index E12 on the third attribute
+    /// (because it was annotated as a consumer variable in the view
+    /// specifications)". Empty unless this CMS follows advice.
+    fn consumer_columns(&self, def: &ViewDef) -> Vec<usize> {
+        let mut to_index: Vec<usize> = Vec::new();
+        if !self.config.coupling.follows_advice() {
+            return to_index;
+        }
+        for spec in &self.advice.advice().view_specs {
+            let consumers: Vec<&str> = spec
+                .params
+                .iter()
+                .filter(|(_, a)| *a == braid_advice::Annotation::Consumer)
+                .filter_map(|(t, _)| t.as_var())
+                .collect();
+            if consumers.is_empty() {
+                continue;
+            }
+            for comp in braid_subsume::decompose(&spec.to_query()) {
+                let comp_vars = comp.vars();
+                let wanted: Vec<&str> = consumers
+                    .iter()
+                    .copied()
+                    .filter(|v| comp_vars.contains(*v))
+                    .collect();
+                if wanted.is_empty() {
+                    continue;
+                }
+                if let Some(d) = braid_subsume::subsumes(def, &comp, &wanted) {
+                    for c in wanted.iter().filter_map(|v| d.var_cols.get(*v)) {
+                        if !to_index.contains(c) {
+                            to_index.push(*c);
                         }
-                        let sq = spec.to_query();
-                        for comp in braid_subsume::decompose(&sq) {
-                            let comp_vars = comp.vars();
-                            let wanted: Vec<&str> = consumers
-                                .iter()
-                                .map(String::as_str)
-                                .filter(|v| comp_vars.contains(*v))
-                                .collect();
-                            if wanted.is_empty() {
-                                continue;
-                            }
-                            if let Some(d) = braid_subsume::subsumes(&e.def, &comp, &wanted) {
-                                for v in &wanted {
-                                    if let Some(c) = d.var_cols.get(*v) {
-                                        if !to_index.contains(c) {
-                                            to_index.push(*c);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    to_index
-                })
-                .unwrap_or_default();
-            wants_index = !to_index.is_empty();
-            if !to_index.is_empty() {
-                if let Some((built, evicted)) = self.shared.cache.with_element_mut(id, |e| {
-                    let mut built = 0u64;
-                    for c in to_index {
-                        if e.ensure_index(&[c]).unwrap_or(false) {
-                            built += 1;
-                        }
-                    }
-                    built
-                }) {
-                    self.shared.metrics.add_indices(built);
-                    self.shared.metrics.add_evictions(evicted);
-                    if built > 0 {
-                        self.tracer.event(
-                            TraceKind::IndexBuild,
-                            q.head.pred.clone(),
-                            vec![("element", id.to_string()), ("indices", built.to_string())],
-                        );
                     }
                 }
             }
         }
-
-        // Representation choice (§5.2's co-existing alternative
-        // representations): under columnar mode, producer-style elements
-        // — no consumer-annotated columns asking for an index — convert
-        // to the column-major form so sequential scans and aggregates
-        // compile to the vectorized kernels. Elements whose advice
-        // predicts point probes keep the (indexed) row extension.
-        if self.config.columnar {
-            if wants_index {
-                self.shared.metrics.add_columnar_fallbacks(1);
-                self.tracer.event(
-                    TraceKind::ColumnarRepr,
-                    q.head.pred.clone(),
-                    vec![
-                        ("element", id.to_string()),
-                        ("repr", "rows".to_string()),
-                        ("reason", "consumer_annotations".to_string()),
-                    ],
-                );
-            } else if let Some((converted, evicted)) = self
-                .shared
-                .cache
-                .with_element_mut(id, |e| e.ensure_columnar().is_ok())
-            {
-                self.shared.metrics.add_evictions(evicted);
-                if converted {
-                    self.shared.metrics.add_columnar_conversions(1);
-                    self.tracer.event(
-                        TraceKind::ColumnarRepr,
-                        q.head.pred.clone(),
-                        vec![
-                            ("element", id.to_string()),
-                            ("repr", "columnar".to_string()),
-                        ],
-                    );
-                }
-            }
-        }
+        to_index
     }
 
     /// Evaluate a query for its side effect on the cache (generalization
@@ -1123,11 +1075,8 @@ mod tests {
                     Schema::of_strs("look", &["v"]),
                     vec![tuple![format!("v{k}")]],
                 );
-                cms.shared_cache().insert_with_aliases(
-                    def.unwrap(),
-                    ElementBuilder::Materialized(rows.unwrap()),
-                    &[],
-                );
+                cms.shared_cache()
+                    .insert_with_aliases(def.unwrap(), rows.unwrap().into(), &[]);
             }
             let requests = cms.remote().metrics().requests;
             let before = cms.metrics().subsume_tests;
@@ -1293,55 +1242,52 @@ mod tests {
 
     #[test]
     fn columnar_mode_answers_identically_and_counts_repr_decisions() {
+        // The same session with and without consumer annotations: the
+        // general b3 extension is cached as indexed rows in one CMS and as
+        // columns in the other, and an instance of it answers identically
+        // from either.
         let cfg = CmsConfig::braid()
             .with_prefetching(false)
             .with_generalization(false);
-        let q = parse_rule("q(X) :- b2(X, Z), b3(Z, c2, y1).").unwrap();
-        let mut row = Cms::new(remote(), cfg.clone());
-        let mut col = Cms::new(remote(), cfg.with_columnar(true));
+        let (mut rows, mut cols) = (Cms::new(remote(), cfg.clone()), Cms::new(remote(), cfg));
+        rows.begin_session(example1_advice());
         let sorted = |mut ts: Vec<braid_relational::Tuple>| {
             ts.sort();
             ts
         };
-        let a = sorted(row.query(q.clone()).unwrap().drain());
-        let b = sorted(col.query(q.clone()).unwrap().drain());
-        assert_eq!(a, b, "columnar mode must be answer-invariant");
-        // No consumer annotations in play: the cached result went
-        // column-major.
-        assert!(col.metrics().columnar_conversions >= 1);
-        assert_eq!(col.metrics().columnar_fallbacks, 0);
-        // The repeat is served from the columnar element (vectorized
-        // kernels), still bit-identical.
-        let before = col.remote().metrics().requests;
-        let c = sorted(col.query(q).unwrap().drain());
-        assert_eq!(c, a);
-        assert_eq!(col.remote().metrics().requests, before);
-        assert!(col.metrics().columnar_hits >= 1);
+        for q in ["e12(A, B) :- b3(A, c2, B).", "q(A) :- b3(A, c2, y1)."] {
+            let q = parse_rule(q).unwrap();
+            let a = sorted(rows.query(q.clone()).unwrap().drain());
+            let b = sorted(cols.query(q).unwrap().drain());
+            assert_eq!(a, b);
+        }
+        assert_eq!(rows.remote().metrics().requests, 1);
+        assert_eq!(cols.remote().metrics().requests, 1);
+        let (r, c) = (rows.metrics(), cols.metrics());
+        assert_eq!((r.indices_built, r.columnar_hits), (1, 0));
+        assert_eq!((c.indices_built, c.columnar_hits), (0, 1));
     }
 
     #[test]
     fn columnar_mode_keeps_indexed_rows_for_consumer_annotated_elements() {
-        let mut cms = Cms::new(
-            remote(),
-            CmsConfig::braid()
-                .with_prefetching(false)
-                .with_columnar(true),
-        );
+        let config = CmsConfig::braid()
+            .with_prefetching(false)
+            .with_generalization(false);
+        let mut cms = Cms::new(remote(), config);
         cms.begin_session(example1_advice());
         // This extension serves d2's b3(Z, c2, Y?) component: the
-        // consumer annotation predicts point probes, so the element
-        // keeps its (indexed) row representation.
+        // consumer annotation predicts point probes, so the element is
+        // stored as rows with the index built.
         let e12 = parse_rule("e12(A, B) :- b3(A, c2, B).").unwrap();
         cms.query(e12).unwrap().drain();
-        assert!(cms.metrics().indices_built >= 1);
-        assert!(cms.metrics().columnar_fallbacks >= 1);
+        assert_eq!(cms.metrics().indices_built, 1);
         let model = cms.cache_model();
-        assert!(
-            model
-                .iter()
-                .any(|r| r.repr == "extension" || r.repr == "both"),
-            "consumer-annotated element stays row-form: {model:?}"
-        );
+        assert_eq!(model.len(), 1);
+        assert_eq!(model[0].repr, "rows", "{model:?}");
+        let indexed = cms.shared_cache().with_element(model[0].id, |e| {
+            e.rows().is_some_and(|r| r.index_on(&[1]).is_some())
+        });
+        assert_eq!(indexed, Some(true));
     }
 
     #[test]
@@ -1350,16 +1296,51 @@ mod tests {
             remote(),
             CmsConfig::braid()
                 .with_prefetching(false)
-                .with_generalization(false)
-                .with_columnar(true),
+                .with_generalization(false),
         );
         let q = parse_rule("q(X, Y) :- b2(X, Y).").unwrap();
-        cms.query(q).unwrap().drain();
+        let answers = cms.query(q).unwrap().drain();
         let model = cms.cache_model();
+        assert_eq!(model[0].repr, "columnar", "{model:?}");
+        // Charged its columnar bytes, which are fewer than the rows'.
+        let stored = Relation::from_tuples(Schema::of_strs("q", &["x", "y"]), answers).unwrap();
+        let columnar = Repr::choose(&stored, &[]).unwrap().approx_bytes();
+        assert_eq!(model[0].bytes, columnar);
+        assert_eq!(cms.shared_cache().used_bytes(), columnar);
+        assert!(columnar < Repr::from(stored).approx_bytes());
+        assert_eq!(cms.metrics().indices_built, 0);
+    }
+
+    #[test]
+    fn a_result_with_room_only_as_columns_is_kept_without_evicting() {
+        let cfg = CmsConfig::braid()
+            .with_prefetching(false)
+            .with_generalization(false);
+        let first = parse_rule("q(X, Y) :- b2(X, Y).").unwrap();
+        let second = parse_rule("g(X, Y, Z) :- b3(X, Y, Z).").unwrap();
+        // Measure both results as the cache stores them, unbounded.
+        let mut probe = Cms::new(remote(), cfg.clone());
+        probe.query(first.clone()).unwrap().drain();
+        let answers = probe.query(second.clone()).unwrap().drain();
+        let capacity = probe.shared_cache().used_bytes();
+        let stored = Relation::from_tuples(Schema::of_strs("g", &["x", "y", "z"]), answers);
+        let as_columns = Repr::choose(stored.as_ref().unwrap(), &[])
+            .unwrap()
+            .approx_bytes();
+        let as_rows = Repr::from(stored.unwrap()).approx_bytes();
         assert!(
-            model.iter().any(|r| r.repr == "columnar"),
-            "producer-style element converts: {model:?}"
+            as_rows > as_columns,
+            "rows {as_rows} vs columns {as_columns}"
         );
+
+        // Room for the first element plus the second as columns, not as
+        // rows: sized before insert, it fits beside the first.
+        let mut cms = Cms::new(remote(), cfg.with_capacity(capacity));
+        cms.query(first).unwrap().drain();
+        cms.query(second).unwrap().drain();
+        assert_eq!(cms.cache_evictions(), 0);
+        assert_eq!(cms.cache_len(), 2);
+        assert_eq!(cms.shared_cache().used_bytes(), capacity);
     }
 
     #[test]

@@ -107,16 +107,6 @@ pub struct CmsConfig {
     /// for shipped-result size, which only pays when cached fractions are
     /// small and unselective.
     pub cost_based_placement: bool,
-    /// Hold producer-style cache elements in the column-major
-    /// representation (§5.2's co-existing alternative representations,
-    /// third form): per-column typed vectors with dictionary-encoded
-    /// strings, served by the executor's vectorized kernels. Elements
-    /// with consumer (`?`) annotations keep indexed rows — point probes
-    /// want the hash index, sequential scans and aggregates want
-    /// columns. Conversion is lossless both ways; answers are
-    /// bit-identical either way. Off by default so the representation
-    /// choice is an explicit ablation knob.
-    pub columnar: bool,
     /// Remote-fault handling: retries, deadlines, circuit breaking and
     /// cache-only degraded answers (see [`ResilienceConfig`]).
     pub resilience: ResilienceConfig,
@@ -150,7 +140,6 @@ impl Default for CmsConfig {
             lazy_evaluation: true,
             parallel_execution: true,
             cost_based_placement: false,
-            columnar: false,
             resilience: ResilienceConfig::default(),
             transport: TransportConfig::InProcess,
             exec: ExecConfig::default(),
@@ -260,14 +249,6 @@ impl CmsConfig {
         self
     }
 
-    /// Toggle the column-major cache representation for producer-style
-    /// elements (vectorized scans/aggregates; consumer-annotated
-    /// elements keep indexed rows).
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
-        self
-    }
-
     /// Set the resilience policy (retries, deadlines, breaker,
     /// degraded mode).
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
@@ -354,7 +335,6 @@ mod tests {
             lazy_evaluation: _,      // sim knob `lazy`; E5
             parallel_execution: _,   // `Lane::Stepped` needs `deterministic()`; E9
             cost_based_placement: _, // E9's placement rows
-            columnar: _,             // sim knob and the soak's columnar rerun
             resilience: _,           // E11; `tests/fault_tolerance.rs`
             transport: _,            // `Lane::Socket`; E16; the pinned benchmark
             exec: _,                 // sim knob `batch_size`

@@ -1,55 +1,101 @@
-//! Cache elements: materialized views and generators.
+//! Cache elements: materialized views in one of two forms.
 //!
 //! "A cache element is a relation defined by a CAQL expression ... The CMS
 //! represents a relation as either the full extension of the relation or
 //! as a generator which produces a single tuple on demand" (§5, §5.1), and
-//! "frequently maintains co-existing, alternative representations of the
-//! same relation" (§5.2) — here an element may hold a generator *and* a
-//! materialized extension at once, with indices on the extension.
+//! keeps "a generator for sequential production and an indexed extension
+//! for random probes" (§5.2). Here every element is materialized once, at
+//! insert, in the form its consumers want:
 //!
-//! Since the executor unification, both representations are two execution
-//! modes over **one stored physical plan**: the generator holds the
-//! [`braid_relational::PhysicalPlan`] and opens it incrementally
-//! ([`Generator::open`]), while [`CacheElement::ensure_extension`] runs
-//! the *same* plan through the same batched executor in eager mode
-//! ([`Generator::materialize`]). There is no separate lazy evaluator to
-//! drift out of sync with the eager one.
+//! - **Columns** — the column-major extension (per-column typed vectors,
+//!   dictionary-encoded strings, validity masks). The sequential form:
+//!   derivations over it compile to the executor's vectorized kernels.
+//! - **Rows** — the row extension with the hash indexes advice asked for.
+//!   The point-probe form, kept only where a consumer (`?`) annotation
+//!   predicts random probes.
+//!
+//! The generator is not a stored form: [`CacheElement::as_generator`]
+//! opens one over either extension, so lazy answers stream from the same
+//! stored data the eager path reads (one stored plan, two modes). An
+//! element never changes form or size after insert, so the cache's byte
+//! accounting is fixed at insert too.
 
-use crate::error::{CmsError, Result};
-use braid_relational::sort::{SortKey, SortedView};
-use braid_relational::{ColumnarRelation, Generator, Relation, RelationStats, Schema, Tuple};
+use crate::error::Result;
+use braid_relational::{ColumnarRelation, Generator, Relation, RelationStats};
 use braid_subsume::ViewDef;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Identifier of a cache element.
 pub type ElemId = u64;
 
-/// The representation(s) an element currently holds.
+/// The stored form of an element's extension.
 #[derive(Debug, Clone)]
 pub enum Repr {
-    /// Only a materialized extension.
-    Extension(Arc<Relation>),
-    /// Only a generator (lazy form).
-    Generator(Generator),
-    /// Both — the paper's co-existing alternative representations: the
-    /// generator serves sequential producers, the (possibly indexed)
-    /// extension serves random probes.
-    Both {
-        /// The lazy form.
-        generator: Generator,
-        /// The materialized form.
-        extension: Arc<Relation>,
-    },
-    /// A column-major extension — the third representation: per-column
-    /// typed vectors with dictionary-encoded strings and validity masks.
-    /// Sequential scans and aggregates over it compile to the executor's
-    /// vectorized kernels; point probes convert back to indexed rows
-    /// first ([`CacheElement::ensure_extension`] is lossless both ways).
-    Columnar(Arc<ColumnarRelation>),
+    /// Column-major: the sequential form, served by the vectorized
+    /// kernels.
+    Columns(Arc<ColumnarRelation>),
+    /// Rows with advice-requested hash indexes: the point-probe form.
+    Rows(Arc<Relation>),
 }
 
-/// A cache element: definition, representation(s), statistics and
+impl Repr {
+    /// The representation rule, applied once before insert: columns,
+    /// unless advice names columns to index for point probes, in which
+    /// case rows with those indexes built.
+    ///
+    /// # Errors
+    /// An index column out of the relation's range.
+    pub fn choose(rel: &Relation, index_cols: &[usize]) -> Result<Repr> {
+        if index_cols.is_empty() {
+            let columns = ColumnarRelation::from_relation(rel);
+            return Ok(Repr::Columns(Arc::new(columns)));
+        }
+        let mut rows = rel.clone();
+        for &c in index_cols {
+            rows.build_index(&[c])?;
+        }
+        Ok(Repr::Rows(Arc::new(rows)))
+    }
+
+    /// `"columnar"` or `"rows"`: the cache model's, EXPLAIN's and the
+    /// `cache.insert` event's name for the form.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Repr::Columns(_) => "columnar",
+            Repr::Rows(_) => "rows",
+        }
+    }
+
+    /// A generator over the stored columns, whichever form holds them —
+    /// the uniform access path for derivations and lazy answers.
+    pub fn as_generator(&self) -> Generator {
+        match self {
+            // Filters/aggregates composed on top of this scan compile to
+            // the executor's vectorized kernels.
+            Repr::Columns(c) => Generator::scan_columnar(Arc::clone(c)),
+            Repr::Rows(r) => Generator::scan(Arc::clone(r)),
+        }
+    }
+
+    /// Approximate bytes an element in this form is charged: the
+    /// extension (a columnar one reports its dictionary-compressed
+    /// footprint) plus definition overhead.
+    pub fn approx_bytes(&self) -> usize {
+        128 + match self {
+            Repr::Columns(c) => c.approx_size(),
+            Repr::Rows(r) => r.approx_size(),
+        }
+    }
+}
+
+impl From<Relation> for Repr {
+    /// Unindexed rows (tests and callers that bypass the rule).
+    fn from(rel: Relation) -> Repr {
+        Repr::Rows(Arc::new(rel))
+    }
+}
+
+/// A cache element: definition, representation, statistics and
 /// replacement bookkeeping.
 #[derive(Debug, Clone)]
 pub struct CacheElement {
@@ -57,7 +103,7 @@ pub struct CacheElement {
     pub id: ElemId,
     /// Defining view (`E_def`): head terms name the stored columns.
     pub def: ViewDef,
-    /// Current representation(s).
+    /// The stored extension, fixed at insert.
     pub repr: Repr,
     /// Logical clock of last use (for LRU).
     pub last_used: u64,
@@ -71,197 +117,39 @@ pub struct CacheElement {
     /// reads). Distinct from the advice `pinned` flag: advice pins are
     /// policy, session pins are correctness.
     pub pin_count: u32,
-    /// Alternative *sorted* representations over the extension, keyed by
-    /// the ascending/descending column spec — "consider, for example, the
-    /// case where alternative sortings are required" (§5.2). Views are
-    /// built lazily and share the extension's tuples.
-    sorted: BTreeMap<Vec<(usize, bool)>, SortedView>,
 }
 
 impl CacheElement {
-    /// Create an element over a materialized extension.
-    pub fn materialized(id: ElemId, def: ViewDef, rel: Relation, now: u64) -> CacheElement {
+    /// Create an element over an extension.
+    pub fn new(id: ElemId, def: ViewDef, repr: Repr, now: u64) -> CacheElement {
         CacheElement {
             id,
             def,
-            repr: Repr::Extension(Arc::new(rel)),
+            repr,
             last_used: now,
             hits: 0,
             pinned: false,
             pin_count: 0,
-            sorted: BTreeMap::new(),
         }
     }
 
-    /// Create an element in generator (lazy) form.
-    pub fn lazy(id: ElemId, def: ViewDef, generator: Generator, now: u64) -> CacheElement {
-        CacheElement {
-            id,
-            def,
-            repr: Repr::Generator(generator),
-            last_used: now,
-            hits: 0,
-            pinned: false,
-            pin_count: 0,
-            sorted: BTreeMap::new(),
-        }
-    }
-
-    /// The stored-column schema (named `e<id>` with positional columns).
-    pub fn schema(&self) -> Schema {
+    /// The row extension, if that is the stored form.
+    pub fn rows(&self) -> Option<&Arc<Relation>> {
         match &self.repr {
-            Repr::Extension(r) | Repr::Both { extension: r, .. } => r.schema().clone(),
-            Repr::Generator(g) => g.schema().clone(),
-            Repr::Columnar(c) => c.schema().clone(),
+            Repr::Rows(r) => Some(r),
+            Repr::Columns(_) => None,
         }
     }
 
-    /// The materialized extension, if present.
-    pub fn extension(&self) -> Option<&Arc<Relation>> {
-        match &self.repr {
-            Repr::Extension(r) | Repr::Both { extension: r, .. } => Some(r),
-            Repr::Generator(_) | Repr::Columnar(_) => None,
-        }
-    }
-
-    /// The generator form, if present.
-    pub fn generator(&self) -> Option<&Generator> {
-        match &self.repr {
-            Repr::Generator(g) | Repr::Both { generator: g, .. } => Some(g),
-            Repr::Extension(_) | Repr::Columnar(_) => None,
-        }
-    }
-
-    /// The column-major extension, if that is the current representation.
-    pub fn columnar(&self) -> Option<&Arc<ColumnarRelation>> {
-        match &self.repr {
-            Repr::Columnar(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Whether this element is currently held column-major.
+    /// Whether this element is held column-major.
     pub fn is_columnar(&self) -> bool {
-        matches!(self.repr, Repr::Columnar(_))
+        matches!(self.repr, Repr::Columns(_))
     }
 
-    /// A generator over this element's stored columns, whichever
-    /// representation backs it — the uniform access path for derivations.
+    /// A generator over this element's stored columns (see
+    /// [`Repr::as_generator`]).
     pub fn as_generator(&self) -> Generator {
-        match &self.repr {
-            Repr::Extension(r) | Repr::Both { extension: r, .. } => Generator::scan(Arc::clone(r)),
-            Repr::Generator(g) => g.clone(),
-            // Filters/aggregates composed on top of this scan compile to
-            // the executor's vectorized kernels.
-            Repr::Columnar(c) => Generator::scan_columnar(Arc::clone(c)),
-        }
-    }
-
-    /// Materialize the generator form in place (keeping it, per §5.2) and
-    /// return the extension. No-op when already materialized.
-    ///
-    /// # Errors
-    /// Propagates evaluation errors.
-    pub fn ensure_extension(&mut self) -> Result<Arc<Relation>> {
-        match &self.repr {
-            Repr::Extension(r) | Repr::Both { extension: r, .. } => Ok(Arc::clone(r)),
-            Repr::Generator(g) => {
-                let rel = Arc::new(g.materialize().map_err(CmsError::from)?);
-                self.repr = Repr::Both {
-                    generator: g.clone(),
-                    extension: Arc::clone(&rel),
-                };
-                Ok(rel)
-            }
-            // Lossless conversion back to rows — a point-probe consumer
-            // needs the indexable row extension.
-            Repr::Columnar(c) => {
-                let rel = Arc::new(c.to_relation().map_err(CmsError::from)?);
-                self.repr = Repr::Extension(Arc::clone(&rel));
-                self.sorted.clear();
-                Ok(rel)
-            }
-        }
-    }
-
-    /// Convert the element to the column-major representation
-    /// (materializing a generator first if needed) and return it. No-op
-    /// when already columnar. Lossless: [`CacheElement::ensure_extension`]
-    /// recovers the identical row relation.
-    ///
-    /// # Errors
-    /// Propagates materialization errors.
-    pub fn ensure_columnar(&mut self) -> Result<Arc<ColumnarRelation>> {
-        if let Repr::Columnar(c) = &self.repr {
-            return Ok(Arc::clone(c));
-        }
-        let rel = self.ensure_extension()?;
-        let col = Arc::new(ColumnarRelation::from_relation(&rel));
-        self.repr = Repr::Columnar(Arc::clone(&col));
-        self.sorted.clear();
-        Ok(col)
-    }
-
-    /// Build (or reuse) a hash index on the extension's `cols`.
-    /// Materializes first if needed. Returns whether a new index was
-    /// actually built.
-    ///
-    /// # Errors
-    /// Propagates materialization and index errors.
-    pub fn ensure_index(&mut self, cols: &[usize]) -> Result<bool> {
-        let rel = self.ensure_extension()?;
-        if rel.index_on(cols).is_some() {
-            return Ok(false);
-        }
-        // Cloning the Arc'd relation to mutate: cheap for the tuple data
-        // (Arc'd tuples), pays only the index build we are doing anyway.
-        let mut owned = (*rel).clone();
-        owned.build_index(cols).map_err(CmsError::from)?;
-        let new_rel = Arc::new(owned);
-        self.repr = match &self.repr {
-            Repr::Both { generator, .. } => Repr::Both {
-                generator: generator.clone(),
-                extension: Arc::clone(&new_rel),
-            },
-            _ => Repr::Extension(Arc::clone(&new_rel)),
-        };
-        // Row ids survive (indexing only re-wraps the same tuple vector),
-        // but rebuild sorted views defensively against future divergence.
-        self.sorted.clear();
-        Ok(true)
-    }
-
-    /// Ensure an alternative sorted representation over the extension
-    /// (materializing first if needed) and return the tuples in order —
-    /// §5.2's co-existing representations serving ordered consumers.
-    ///
-    /// `keys` pairs a column with `true` for ascending.
-    ///
-    /// # Errors
-    /// Propagates materialization and key-validation errors.
-    pub fn sorted_tuples(&mut self, keys: &[(usize, bool)]) -> Result<Vec<Tuple>> {
-        let ext = self.ensure_extension()?;
-        if !self.sorted.contains_key(keys) {
-            let sort_keys: Vec<SortKey> = keys
-                .iter()
-                .map(|&(c, asc)| {
-                    if asc {
-                        SortKey::asc(c)
-                    } else {
-                        SortKey::desc(c)
-                    }
-                })
-                .collect();
-            let view = SortedView::new(&ext, &sort_keys).map_err(CmsError::from)?;
-            self.sorted.insert(keys.to_vec(), view);
-        }
-        let view = self.sorted.get(keys).expect("inserted above");
-        Ok(view.iter(&ext).cloned().collect())
-    }
-
-    /// Number of alternative sorted representations currently held.
-    pub fn sorted_view_count(&self) -> usize {
-        self.sorted.len()
+        self.repr.as_generator()
     }
 
     /// Whether replacement may choose this element: neither advice nor an
@@ -270,34 +158,26 @@ impl CacheElement {
         !self.pinned && self.pin_count == 0
     }
 
-    /// Approximate bytes held (extension + definition overhead; a pure
-    /// generator is nearly free — that is its point; a columnar extension
-    /// reports its dictionary-compressed footprint).
+    /// Approximate bytes held (see [`Repr::approx_bytes`]), fixed at
+    /// insert.
     pub fn approx_bytes(&self) -> usize {
-        128 + match &self.repr {
-            Repr::Extension(r) | Repr::Both { extension: r, .. } => r.approx_size(),
-            Repr::Generator(_) => 64,
-            Repr::Columnar(c) => c.approx_size(),
+        self.repr.approx_bytes()
+    }
+
+    /// Statistics of the extension. Both forms report identical logical
+    /// statistics (see [`RelationStats::same_logical_stats`]).
+    pub fn stats(&self) -> RelationStats {
+        match &self.repr {
+            Repr::Columns(c) => RelationStats::of_columnar(c),
+            Repr::Rows(r) => RelationStats::of(r),
         }
     }
 
-    /// Statistics of the materialized extension (row or columnar), if
-    /// any. Both representations report identical logical statistics
-    /// (see [`RelationStats::same_logical_stats`]).
-    pub fn stats(&self) -> Option<RelationStats> {
+    /// Cardinality of the extension.
+    pub fn cardinality(&self) -> usize {
         match &self.repr {
-            Repr::Extension(r) | Repr::Both { extension: r, .. } => Some(RelationStats::of(r)),
-            Repr::Generator(_) => None,
-            Repr::Columnar(c) => Some(RelationStats::of_columnar(c)),
-        }
-    }
-
-    /// Cardinality if materialized (row or columnar).
-    pub fn cardinality(&self) -> Option<usize> {
-        match &self.repr {
-            Repr::Extension(r) | Repr::Both { extension: r, .. } => Some(r.len()),
-            Repr::Generator(_) => None,
-            Repr::Columnar(c) => Some(c.len()),
+            Repr::Columns(c) => c.len(),
+            Repr::Rows(r) => r.len(),
         }
     }
 }
@@ -306,7 +186,7 @@ impl CacheElement {
 mod tests {
     use super::*;
     use braid_caql::parse_rule;
-    use braid_relational::{tuple, Expr};
+    use braid_relational::{tuple, Schema};
 
     fn def() -> ViewDef {
         ViewDef::new(parse_rule("e1(X, Y) :- b1(X, Y).").unwrap()).unwrap()
@@ -322,85 +202,40 @@ mod tests {
 
     #[test]
     fn materialized_element_roundtrip() {
-        let e = CacheElement::materialized(1, def(), rel(), 0);
-        assert_eq!(e.cardinality(), Some(2));
-        assert!(e.generator().is_none());
+        let e = CacheElement::new(1, def(), rel().into(), 0);
+        assert_eq!(e.cardinality(), 2);
+        assert!(!e.is_columnar());
         assert_eq!(e.as_generator().materialize().unwrap().len(), 2);
     }
 
     #[test]
-    fn lazy_element_materializes_to_both() {
-        let g = Generator::scan(Arc::new(rel())).filter(Expr::always());
-        let mut e = CacheElement::lazy(2, def(), g, 0);
-        assert!(e.extension().is_none());
-        let ext = e.ensure_extension().unwrap();
-        assert_eq!(ext.len(), 2);
-        // Now both representations co-exist (§5.2).
-        assert!(e.generator().is_some());
-        assert!(e.extension().is_some());
-    }
-
-    #[test]
-    fn ensure_index_builds_once() {
-        let mut e = CacheElement::materialized(3, def(), rel(), 0);
-        assert!(e.ensure_index(&[0]).unwrap());
-        assert!(!e.ensure_index(&[0]).unwrap());
-        assert!(e.extension().unwrap().index_on(&[0]).is_some());
-    }
-
-    #[test]
-    fn sorted_views_coexist_with_extension() {
-        let mut e = CacheElement::materialized(6, def(), rel(), 0);
-        let asc = e.sorted_tuples(&[(1, true)]).unwrap();
-        let desc = e.sorted_tuples(&[(1, false)]).unwrap();
-        assert_eq!(asc.len(), 2);
-        assert_eq!(asc[0].values()[1], braid_relational::Value::str("1"));
-        assert_eq!(desc[0].values()[1], braid_relational::Value::str("2"));
-        // Both views coexist (§5.2) alongside the unsorted extension.
-        assert_eq!(e.sorted_view_count(), 2);
-        assert!(e.extension().is_some());
+    fn the_rule_picks_columns_unless_advice_asks_for_an_index() {
+        let cols = Repr::choose(&rel(), &[]).unwrap();
+        assert_eq!(cols.label(), "columnar");
+        let rows = Repr::choose(&rel(), &[1, 0]).unwrap();
+        let Repr::Rows(r) = &rows else {
+            panic!("an index request keeps rows")
+        };
+        assert!(r.index_on(&[0]).is_some() && r.index_on(&[1]).is_some());
+        assert!(Repr::choose(&rel(), &[2]).is_err(), "no column 2");
     }
 
     #[test]
     fn columnar_element_round_trips_losslessly() {
-        let mut e = CacheElement::materialized(7, def(), rel(), 0);
-        let col = e.ensure_columnar().unwrap();
+        let e = CacheElement::new(7, def(), Repr::choose(&rel(), &[]).unwrap(), 0);
         assert!(e.is_columnar());
-        assert!(e.extension().is_none());
-        assert_eq!(e.cardinality(), Some(2));
-        assert_eq!(col.len(), 2);
-        // The uniform access path serves the same tuples.
+        assert!(e.rows().is_none());
+        assert_eq!(e.cardinality(), 2);
+        // The uniform access path serves the same tuples, in order.
         assert_eq!(e.as_generator().materialize().unwrap(), rel());
-        // And converting back recovers the identical row relation.
-        let back = e.ensure_extension().unwrap();
-        assert_eq!(*back, rel());
-        assert!(!e.is_columnar());
     }
 
     #[test]
     fn columnar_element_reports_row_identical_stats() {
-        let row = CacheElement::materialized(8, def(), rel(), 0);
-        let mut col = CacheElement::materialized(9, def(), rel(), 0);
-        col.ensure_columnar().unwrap();
-        let rs = row.stats().unwrap();
-        let cs = col.stats().unwrap();
+        let row = CacheElement::new(8, def(), rel().into(), 0);
+        let col = CacheElement::new(9, def(), Repr::choose(&rel(), &[]).unwrap(), 0);
+        let rs = row.stats();
+        let cs = col.stats();
         assert!(rs.same_logical_stats(&cs), "row {rs:?} vs columnar {cs:?}");
-    }
-
-    #[test]
-    fn ensure_columnar_from_lazy_materializes_first() {
-        let g = Generator::scan(Arc::new(rel())).filter(Expr::always());
-        let mut e = CacheElement::lazy(10, def(), g, 0);
-        e.ensure_columnar().unwrap();
-        assert!(e.is_columnar());
-        assert_eq!(e.as_generator().materialize().unwrap(), rel());
-    }
-
-    #[test]
-    fn approx_bytes_smaller_for_generator() {
-        let g = Generator::scan(Arc::new(rel()));
-        let lazy = CacheElement::lazy(4, def(), g, 0);
-        let eager = CacheElement::materialized(5, def(), rel(), 0);
-        assert!(lazy.approx_bytes() < eager.approx_bytes());
     }
 }

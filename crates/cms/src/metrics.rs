@@ -184,12 +184,6 @@ cms_metrics! {
         /// Cache parts served from a column-major element (the plan leaf
         /// compiled to the vectorized kernels).
         columnar_hits => add_columnar_hits,
-        /// Elements converted to the column-major representation after
-        /// caching (producer-style elements, no consumer annotations).
-        columnar_conversions => add_columnar_conversions,
-        /// Elements kept as indexed rows despite columnar mode, because
-        /// consumer (`?`) annotations predicted point probes.
-        columnar_fallbacks => add_columnar_fallbacks,
         /// Containment tests the subsumption engine ran: candidates that
         /// passed the candidate index and got the full `subsumes` check.
         subsume_tests => add_subsume_tests,
@@ -303,7 +297,7 @@ mod tests {
                 * std::mem::size_of::<u64>()
                 + CmsMetricsSnapshot::HISTOGRAM_FIELDS * std::mem::size_of::<HistogramSnapshot>(),
         );
-        assert_eq!(CmsMetricsSnapshot::COUNTER_FIELDS, 30);
+        assert_eq!(CmsMetricsSnapshot::COUNTER_FIELDS, 28);
         assert_eq!(CmsMetricsSnapshot::GAUGE_FIELDS, 1);
         assert_eq!(CmsMetricsSnapshot::HISTOGRAM_FIELDS, 2);
     }

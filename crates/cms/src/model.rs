@@ -6,7 +6,7 @@
 //! — and since the IE "can access cache model information from the CMS"
 //! (§3), the model is exported as an ordinary relation.
 
-use crate::element::{CacheElement, Repr};
+use crate::element::CacheElement;
 use braid_relational::{Column, Relation, Schema, Tuple, Value, ValueType};
 
 /// One row of the cache model.
@@ -16,11 +16,10 @@ pub struct ModelRow {
     pub id: u64,
     /// `E_def` — printed view definition.
     pub def: String,
-    /// Representation kind: `"extension"`, `"generator"`, `"both"` or
-    /// `"columnar"`.
+    /// Representation: `"columnar"` or `"rows"`.
     pub repr: &'static str,
-    /// Cardinality when materialized.
-    pub cardinality: Option<usize>,
+    /// Cardinality.
+    pub cardinality: usize,
     /// Approximate bytes held.
     pub bytes: usize,
     /// Derivation hits served.
@@ -37,12 +36,7 @@ impl ModelRow {
         ModelRow {
             id: e.id,
             def: e.def.to_string(),
-            repr: match &e.repr {
-                Repr::Extension(_) => "extension",
-                Repr::Generator(_) => "generator",
-                Repr::Both { .. } => "both",
-                Repr::Columnar(_) => "columnar",
-            },
+            repr: e.repr.label(),
             cardinality: e.cardinality(),
             bytes: e.approx_bytes(),
             hits: e.hits,
@@ -78,9 +72,7 @@ pub fn as_relation<'a>(rows: impl Iterator<Item = &'a ModelRow>) -> Relation {
             Value::Int(r.id as i64),
             Value::str(&r.def),
             Value::str(r.repr),
-            r.cardinality
-                .map(|c| Value::Int(c as i64))
-                .unwrap_or(Value::Null),
+            Value::Int(r.cardinality as i64),
             Value::Int(r.bytes as i64),
             Value::Int(r.hits as i64),
             Value::Int(r.last_used as i64),
@@ -105,11 +97,11 @@ mod tests {
             vec![braid_relational::tuple!["a", "b"]],
         )
         .unwrap();
-        let e = CacheElement::materialized(7, def, rel, 3);
+        let e = CacheElement::new(7, def, rel.into(), 3);
         let row = ModelRow::of(&e);
         assert_eq!(row.id, 7);
-        assert_eq!(row.repr, "extension");
-        assert_eq!(row.cardinality, Some(1));
+        assert_eq!(row.repr, "rows");
+        assert_eq!(row.cardinality, 1);
         let exported = as_relation([row].iter());
         assert_eq!(exported.len(), 1);
         assert_eq!(exported.schema().arity(), 8);

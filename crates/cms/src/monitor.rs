@@ -699,7 +699,7 @@ pub(crate) fn project_head(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheManager, ElementBuilder};
+    use crate::cache::CacheManager;
     use crate::planner::plan;
     use braid_caql::parse_rule;
     use braid_relational::tuple;
@@ -800,7 +800,7 @@ mod tests {
         .unwrap();
         cache.insert(
             ViewDef::new(parse_rule("e12(A, B) :- b3(A, c2, B).").unwrap()).unwrap(),
-            ElementBuilder::Materialized(e12),
+            e12.into(),
         );
         let r = remote();
         let q = parse_rule("d2(X) :- b2(X, Z), b3(Z, c2, c6).").unwrap();

@@ -15,8 +15,8 @@
 //! `N` issues the strided sequence `s, s+N, s+2N, …`; `id % N` recovers
 //! the owning shard without any shared counter.
 
-use crate::cache::{CacheManager, CacheRead, ElementBuilder};
-use crate::element::{CacheElement, ElemId};
+use crate::cache::{CacheManager, CacheRead};
+use crate::element::{CacheElement, ElemId, Repr};
 use crate::error::Result;
 use crate::metrics::CmsMetrics;
 use crate::model::ModelRow;
@@ -186,7 +186,7 @@ impl SharedCache {
     pub fn insert_with_aliases(
         &self,
         def: ViewDef,
-        build: ElementBuilder,
+        repr: Repr,
         aliases: &[String],
     ) -> (Option<ElemId>, u64) {
         let idx = self.home_shard(def.query());
@@ -196,7 +196,7 @@ impl SharedCache {
             return (Some(id), 0);
         }
         let before = mgr.evictions();
-        let id = mgr.insert_with_aliases(def, build, aliases);
+        let id = mgr.insert_with_aliases(def, repr, aliases);
         let evicted = mgr.evictions() - before;
         (id, evicted)
     }
@@ -243,33 +243,23 @@ impl SharedCache {
         mgr.get(id).map(f)
     }
 
-    /// Run `f` over an element mutably (refreshing its LRU stamp). Bytes
-    /// are reconciled immediately after the mutation, under the same
-    /// lock, so `used_bytes` never drifts across sessions.
-    pub fn with_element_mut<R>(
-        &self,
-        id: ElemId,
-        f: impl FnOnce(&mut CacheElement) -> R,
-    ) -> Option<(R, u64)> {
-        let mut mgr = self.write(self.shard_of_id(id));
-        let r = f(mgr.get_mut(id)?);
-        let before = mgr.evictions();
-        mgr.reconcile_bytes();
-        let evicted = mgr.evictions() - before;
-        Some((r, evicted))
+    /// Shards whose tracked `used_bytes` differs from the sum of their
+    /// elements' `approx_bytes`, as `(shard, tracked, summed)`. Reads
+    /// only and evicts nothing; empty when the accounting is exact.
+    pub fn byte_drift(&self) -> Vec<(usize, usize, usize)> {
+        (0..self.shards.len())
+            .filter_map(|i| {
+                let mgr = self.read(i);
+                let summed = mgr.elements().map(CacheElement::approx_bytes).sum();
+                (mgr.used_bytes() != summed).then_some((i, mgr.used_bytes(), summed))
+            })
+            .collect()
     }
 
-    /// Recompute every shard's byte accounting (test support). Returns
-    /// evictions triggered by the reconciliation.
-    pub fn reconcile_all(&self) -> u64 {
-        let mut evicted = 0;
-        for i in 0..self.shards.len() {
-            let mut mgr = self.write(i);
-            let before = mgr.evictions();
-            mgr.reconcile_bytes();
-            evicted += mgr.evictions() - before;
-        }
-        evicted
+    /// The stored form of an element, taken under the shard's read lock
+    /// and used after it is released.
+    fn repr_of(&self, id: ElemId) -> Result<Repr> {
+        self.read(self.shard_of_id(id)).repr_of(id)
     }
 
     /// Build the compensation pipeline for a derivation. The returned
@@ -281,7 +271,7 @@ impl SharedCache {
     /// Returns an error if the element is gone or a projection variable
     /// is unavailable.
     pub fn derive(&self, id: ElemId, derivation: &Derivation, vars: &[&str]) -> Result<Generator> {
-        self.read(self.shard_of_id(id)).derive(id, derivation, vars)
+        crate::cache::derive(id, &self.repr_of(id)?, derivation, vars)
     }
 
     /// Cache-model rows across all shards, ordered by element id.
@@ -347,8 +337,10 @@ impl CacheRead for SharedCache {
         derivation: &Derivation,
         vars: &[&str],
     ) -> Result<Relation> {
-        self.read(self.shard_of_id(id))
-            .derive_relation(id, derivation, vars)
+        // The kernel runs outside the lock: a long scan must not hold up
+        // another session's hit, which needs the shard's write lock to pin
+        // and touch.
+        crate::cache::derive_relation(id, &self.repr_of(id)?, derivation, vars)
     }
 }
 
@@ -402,7 +394,7 @@ mod tests {
         let mut ids = Vec::new();
         for rel_name in ["b1", "b2", "b3", "b4", "b5", "b6"] {
             let d = def(&format!("v(X, Y) :- {rel_name}(X, Y)."));
-            let (id, _) = c.insert_with_aliases(d, ElementBuilder::Materialized(rel(2)), &[]);
+            let (id, _) = c.insert_with_aliases(d, rel(2).into(), &[]);
             ids.push(id.unwrap());
         }
         let mut sorted = ids.clone();
@@ -421,11 +413,7 @@ mod tests {
         // Same content, different shard counts: candidate sets agree.
         for shards in [1usize, 2, 4, 8] {
             let c = SharedCache::new(usize::MAX, shards, metrics());
-            c.insert_with_aliases(
-                def("v(X, Y) :- b3(X, Y)."),
-                ElementBuilder::Materialized(rel(3)),
-                &[],
-            );
+            c.insert_with_aliases(def("v(X, Y) :- b3(X, Y)."), rel(3).into(), &[]);
             let q = parse_rule("q(A) :- b3(A, v1).").unwrap();
             assert_eq!(c.relevant(&q).len(), 1, "shards={shards}");
             assert_eq!(c.whole_subsumers(&q).len(), 1, "shards={shards}");
@@ -435,50 +423,23 @@ mod tests {
     #[test]
     fn duplicate_definitions_collapse_to_one_element() {
         let c = SharedCache::new(usize::MAX, 2, metrics());
-        let (a, _) = c.insert_with_aliases(
-            def("v(X, Y) :- b1(X, Y)."),
-            ElementBuilder::Materialized(rel(2)),
-            &[],
-        );
-        let (b, _) = c.insert_with_aliases(
-            def("w(P, Q) :- b1(P, Q)."),
-            ElementBuilder::Materialized(rel(2)),
-            &[],
-        );
+        let (a, _) = c.insert_with_aliases(def("v(X, Y) :- b1(X, Y)."), rel(2).into(), &[]);
+        let (b, _) = c.insert_with_aliases(def("w(P, Q) :- b1(P, Q)."), rel(2).into(), &[]);
         assert_eq!(a, b, "second racing insert reuses the first element");
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn pin_guard_blocks_eviction_and_releases_on_drop() {
-        let unit = {
-            let e = crate::element::CacheElement::materialized(
-                0,
-                def("e(X, Y) :- b1(X, Y)."),
-                rel(3),
-                0,
-            );
-            e.approx_bytes()
-        };
+        let unit =
+            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
         let c = Arc::new(SharedCache::new(unit * 2 + 64, 1, metrics()));
-        let (a, _) = c.insert_with_aliases(
-            def("a(X, Y) :- b1(X, Y)."),
-            ElementBuilder::Materialized(rel(3)),
-            &[],
-        );
+        let (a, _) = c.insert_with_aliases(def("a(X, Y) :- b1(X, Y)."), rel(3).into(), &[]);
         let a = a.unwrap();
         let guard = c.try_pin(a).expect("element present");
         // Pressure: inserting two more elements evicts around the pin.
-        c.insert_with_aliases(
-            def("b(X, Y) :- b2(X, Y)."),
-            ElementBuilder::Materialized(rel(3)),
-            &[],
-        );
-        c.insert_with_aliases(
-            def("d(X, Y) :- b3(X, Y)."),
-            ElementBuilder::Materialized(rel(3)),
-            &[],
-        );
+        c.insert_with_aliases(def("b(X, Y) :- b2(X, Y)."), rel(3).into(), &[]);
+        c.insert_with_aliases(def("d(X, Y) :- b3(X, Y)."), rel(3).into(), &[]);
         assert!(
             c.with_element(a, |_| ()).is_some(),
             "pinned element survived the storm"
@@ -494,10 +455,12 @@ mod tests {
         let c = SharedCache::new(usize::MAX, 4, metrics());
         for rel_name in ["b1", "b2", "b3"] {
             let d = def(&format!("v(X, Y) :- {rel_name}(X, Y)."));
-            c.insert_with_aliases(d, ElementBuilder::Materialized(rel(4)), &[]);
+            c.insert_with_aliases(d, rel(4).into(), &[]);
         }
-        let before = c.used_bytes();
-        assert_eq!(c.reconcile_all(), 0, "no evictions under MAX capacity");
-        assert_eq!(c.used_bytes(), before, "accounting is already exact");
+        assert!(c.byte_drift().is_empty(), "accounting is exact");
+        assert_eq!(
+            c.used_bytes(),
+            c.model().iter().map(|r| r.bytes).sum::<usize>()
+        );
     }
 }

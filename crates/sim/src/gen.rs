@@ -245,9 +245,6 @@ impl SimScenario {
             prefetch: rng.chance(800),
             generalization: rng.chance(800),
             subsumption: rng.chance(900),
-            // Drawn last so older regression seeds keep their prefix of
-            // draws (the seed-stability guard pins the mapping).
-            columnar: rng.chance(500),
             faults,
         }
     }
@@ -285,22 +282,16 @@ mod tests {
         let mut suppliers = 0;
         let mut capped = 0;
         let mut multi = 0;
-        let mut columnar = 0;
         for seed in 0..100u64 {
             let sc = SimScenario::generate(seed);
             with_faults += usize::from(sc.faults_active());
             suppliers += usize::from(matches!(sc.dataset, Dataset::Suppliers { .. }));
             capped += usize::from(sc.capacity_bytes.is_some());
             multi += usize::from(sc.sessions.len() > 1);
-            columnar += usize::from(sc.columnar);
         }
         assert!(with_faults > 10, "faults under-represented: {with_faults}");
         assert!(suppliers > 5, "suppliers under-represented: {suppliers}");
         assert!(capped > 5, "capacity pressure under-represented: {capped}");
         assert!(multi > 30, "multi-session under-represented: {multi}");
-        assert!(
-            (20..=80).contains(&columnar),
-            "columnar should split the space roughly in half: {columnar}"
-        );
     }
 }

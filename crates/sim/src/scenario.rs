@@ -301,10 +301,6 @@ pub struct SimScenario {
     pub generalization: bool,
     /// Subsumption reuse.
     pub subsumption: bool,
-    /// Column-major representation for producer-style cache elements
-    /// (served by the vectorized kernels; answer-invariant by design —
-    /// the oracle checks exactly that).
-    pub columnar: bool,
     /// Deterministic fault injection, if any.
     pub faults: Option<FaultSpec>,
 }
@@ -389,7 +385,6 @@ impl SimScenario {
             ("prefetch".into(), Json::Bool(self.prefetch)),
             ("generalization".into(), Json::Bool(self.generalization)),
             ("subsumption".into(), Json::Bool(self.subsumption)),
-            ("columnar".into(), Json::Bool(self.columnar)),
             (
                 "faults".into(),
                 self.faults.as_ref().map_or(Json::Null, FaultSpec::to_json),
@@ -474,7 +469,6 @@ impl SimScenario {
             prefetch: bool_field("prefetch")?,
             generalization: bool_field("generalization")?,
             subsumption: bool_field("subsumption")?,
-            columnar: bool_field("columnar")?,
             faults,
         };
         sc.validate()?;
@@ -507,7 +501,6 @@ mod tests {
             prefetch: false,
             generalization: true,
             subsumption: true,
-            columnar: true,
             faults: Some(FaultSpec {
                 seed: 99,
                 transient_permille: 50,

@@ -156,17 +156,6 @@ pub fn shrink(sc: &SimScenario, opts: &SimOptions) -> ShrinkOutcome {
             }
         }
 
-        // Pass 5 (last): representation knob. A repro that fails either
-        // way reads simpler row-mode; one that *needs* columnar keeps it
-        // — which itself localizes the bug to the columnar path.
-        if cur.columnar {
-            let mut cand = cur.clone();
-            cand.columnar = false;
-            if try_keep(&mut cur, cand, &mut runs, &mut last_report) {
-                improved = true;
-            }
-        }
-
         if !improved {
             break;
         }

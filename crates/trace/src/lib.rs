@@ -74,7 +74,8 @@ pub enum TraceKind {
     DeadlineTimeout,
     /// Degraded (cache-only) answer with missing subqueries named.
     Degraded,
-    /// A result inserted into the cache.
+    /// A result inserted into the cache, with the representation chosen
+    /// for it (`repr`) and the bytes it is charged (`bytes`).
     CacheInsert,
     /// Cache elements evicted to make room.
     Eviction,
@@ -96,17 +97,13 @@ pub enum TraceKind {
     /// A parked session resumed after its waker fired; carries the
     /// waited time so EXPLAIN shows park/resume latency.
     SchedResume,
-    /// A cache element's representation decision under columnar mode:
-    /// converted to the column-major form, or kept as indexed rows
-    /// because consumer annotations predicted point probes.
-    ColumnarRepr,
 }
 
 impl TraceKind {
     /// Every kind, in declaration order — the wire codec and the
     /// name-lookup tests iterate this so a new variant cannot be added
     /// without updating its dotted name.
-    pub const ALL: [TraceKind; 27] = [
+    pub const ALL: [TraceKind; 26] = [
         TraceKind::IeSolve,
         TraceKind::Translate,
         TraceKind::AdviceInstalled,
@@ -133,7 +130,6 @@ impl TraceKind {
         TraceKind::NetResume,
         TraceKind::SchedPark,
         TraceKind::SchedResume,
-        TraceKind::ColumnarRepr,
     ];
 
     /// Inverse of [`TraceKind::as_str`] — used when trace events cross a
@@ -171,7 +167,6 @@ impl TraceKind {
             TraceKind::NetResume => "net.resume",
             TraceKind::SchedPark => "sched.park",
             TraceKind::SchedResume => "sched.resume",
-            TraceKind::ColumnarRepr => "cache.columnar",
         }
     }
 }

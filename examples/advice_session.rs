@@ -92,11 +92,7 @@ fn main() {
     for row in braid.cms().cache_model() {
         println!(
             "    E{}: {} [{} tuples, {} hits, {}]",
-            row.id,
-            row.def,
-            row.cardinality.unwrap_or(0),
-            row.hits,
-            row.repr
+            row.id, row.def, row.cardinality, row.hits, row.repr
         );
     }
 }

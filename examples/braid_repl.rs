@@ -59,7 +59,7 @@ fn main() {
                         "  E{}: {} [{} tuples, {} hits, {}{}]",
                         row.id,
                         row.def,
-                        row.cardinality.unwrap_or(0),
+                        row.cardinality,
                         row.hits,
                         row.repr,
                         if row.pinned { ", pinned" } else { "" }

@@ -80,8 +80,7 @@ sim start="0" rounds="200":
     SIM_SEED_START={{start}} SIM_ROUNDS={{rounds}} \
         cargo run --release -p braid-bench --bin sim
 
-# Soak: the same seeds through every sim lane — the stepped schedule, a
-# columnar-forced stepped rerun digest-compared against the row run,
+# Soak: the same seeds through every sim lane — the stepped schedule,
 # threads (one OS thread per session over the shared cache), socket
 # (the same over a real TCP listener behind the fault proxy), pool
 # (sessions as resumable state machines on a fixed worker pool) and
@@ -99,12 +98,12 @@ soak start="0" rounds="400" workers="4" procs="2":
 
 # The columnar-representation battery (DESIGN.md §12): the differential
 # proptest suite (row ≡ columnar across batch sizes, round trips,
-# dictionary/NULL edge cases) and the sim oracle sweep with columnar
-# forced on; the row-vs-columnar speedup is the pinned `scan_derive`
-# workload (`relational.exec_us` vs `relational.exec_columnar_us`).
+# dictionary/NULL edge cases). The sim sweep runs columnar as the
+# cache's format; the row-vs-columnar speedup is the pinned
+# `scan_derive` workload (`relational.exec_us` vs
+# `relational.exec_columnar_us`).
 columnar:
     cargo test --test columnar_differential -q
-    cargo test --test sim_oracle -q forty_seeded_scenarios_pass_with_columnar_forced_on
 
 # Multi-process load generator (DESIGN.md §11): fork real client
 # processes against a braid server, closed- or open-loop, every digest

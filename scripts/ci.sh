@@ -27,7 +27,7 @@ RUST_TEST_THREADS=1 cargo test --test concurrent_sessions -q -- --test-threads=1
 echo "==> simulation smoke (fixed seed set, 50 scenarios)"
 SIM_SEED_START=0 SIM_ROUNDS=50 cargo run --release -p braid-bench --bin sim
 
-echo "==> soak smoke (10 seeds; stepped + columnar rerun, threads, socket, pool, procs on forked clients)"
+echo "==> soak smoke (10 seeds; stepped, threads, socket, pool, procs on forked clients)"
 SIM_SEED_START=0 SIM_ROUNDS=10 cargo run --release -p braid-bench --bin sim -- --soak
 
 echo "==> socket chaos suite (release) + TCP session example"

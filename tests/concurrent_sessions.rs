@@ -19,7 +19,6 @@ use std::sync::{Arc, Barrier};
 
 use braid::{BraidConfig, BraidSystem, CmsConfig, Strategy, Tuple};
 use braid_caql::parse_rule;
-use braid_cms::cache::ElementBuilder;
 use braid_cms::{Cms, CmsMetrics, SharedCache};
 use braid_relational::{tuple, Relation, Schema};
 use braid_remote::{Catalog, LatencyModel, RemoteDbms};
@@ -346,7 +345,7 @@ proptest! {
                         let rows = 1 + (x % 13) as usize;
                         let (id, _) = cache.insert_with_aliases(
                             d,
-                            ElementBuilder::Materialized(payload(rows)),
+                            payload(rows).into(),
                             &[],
                         );
                         let Some(id) = id else { continue };
@@ -360,7 +359,7 @@ proptest! {
                                     ));
                                     cache.insert_with_aliases(
                                         d2,
-                                        ElementBuilder::Materialized(payload(16)),
+                                        payload(16).into(),
                                         &[],
                                     );
                                     assert!(
@@ -384,11 +383,9 @@ proptest! {
         ids.dedup();
         prop_assert_eq!(ids.len(), before_dedup, "duplicate element ids");
 
-        // Byte accounting is exact: a full reconciliation changes
-        // nothing and evicts nothing.
-        let used = cache.used_bytes();
-        prop_assert_eq!(cache.reconcile_all(), 0, "reconcile evicted elements");
-        prop_assert_eq!(cache.used_bytes(), used, "byte accounting drifted");
+        // Byte accounting is exact: every shard's tracked bytes equal the
+        // sum over its elements.
+        prop_assert_eq!(cache.byte_drift(), Vec::new(), "byte accounting drifted");
 
         // No session pins are left behind.
         prop_assert!(

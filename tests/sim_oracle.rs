@@ -122,7 +122,6 @@ fn large_cache_scenario(capacity_bytes: Option<u64>) -> SimScenario {
         prefetch: false,
         generalization: false,
         subsumption: true,
-        columnar: false,
         faults: None,
     }
 }
@@ -142,26 +141,6 @@ fn a_thousand_point_views_answer_exactly_on_every_lane() {
             );
             assert_eq!(report.exact, sc.query_count(), "{lane:?}: all Exact");
         }
-    }
-}
-
-// Representation invariance at sweep scale: the same forty seeds, with
-// the columnar representation forced on, must pass the identical
-// reference-model oracle — answers may never depend on how the cache
-// stores an extension.
-#[test]
-fn forty_seeded_scenarios_pass_with_columnar_forced_on() {
-    let opts = SimOptions::default();
-    for seed in 1000..1040u64 {
-        let mut sc = SimScenario::generate(seed);
-        sc.columnar = true;
-        let report = run_scenario(&sc, Lane::Stepped, &opts).expect("harness runs");
-        assert!(
-            report.passed(),
-            "seed {seed} (columnar forced) failed:\n{:#?}\nscenario: {}",
-            report.violations,
-            sc.to_json()
-        );
     }
 }
 
@@ -221,7 +200,7 @@ fn the_procs_lane_refuses_fault_injecting_scenarios() {
 
 #[test]
 fn generated_scenario_for_seed_42_is_pinned() {
-    let golden = r#"{"seed":42,"dataset":{"kind":"genealogy","generations":3,"branching":2,"seed":3858},"strategy":"interpreted","sessions":[["?- ancestor(X, p14).","?- elder_parent(p10, Y).","?- grandparent(p6, Y).","?- uncle(p1, Y)."],["?- uncle(X, Y).","?- sibling(X, Y)."],["?- grandparent(p13, p10).","?- grandparent(p4, Y).","?- uncle(X, Y)."]],"schedule":[1,1,2,0,0,2,0,2,0],"capacity_bytes":null,"shards":4,"batch_size":7,"lazy":true,"prefetch":true,"generalization":false,"subsumption":false,"columnar":true,"faults":null}"#;
+    let golden = r#"{"seed":42,"dataset":{"kind":"genealogy","generations":3,"branching":2,"seed":3858},"strategy":"interpreted","sessions":[["?- ancestor(X, p14).","?- elder_parent(p10, Y).","?- grandparent(p6, Y).","?- uncle(p1, Y)."],["?- uncle(X, Y).","?- sibling(X, Y)."],["?- grandparent(p13, p10).","?- grandparent(p4, Y).","?- uncle(X, Y)."]],"schedule":[1,1,2,0,0,2,0,2,0],"capacity_bytes":null,"shards":4,"batch_size":7,"lazy":true,"prefetch":true,"generalization":false,"subsumption":false,"faults":null}"#;
     let sc = SimScenario::generate(42);
     assert_eq!(
         sc.to_json(),
@@ -378,7 +357,6 @@ fn golden_explain_summary_for_a_degraded_solve() {
         prefetch: false,
         generalization: false,
         subsumption: true,
-        columnar: false,
         faults: Some(FaultSpec {
             seed: 7,
             transient_permille: 0,

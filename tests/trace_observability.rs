@@ -130,6 +130,19 @@ fn span_log_forms_a_well_nested_forest() {
             kind.as_str()
         );
     }
+    // Every insert says which representation it chose and what it costs.
+    for e in events.iter().filter(|e| e.kind == TraceKind::CacheInsert) {
+        assert!(
+            matches!(e.field("repr"), Some("columnar" | "rows")),
+            "{e:?}"
+        );
+        assert!(
+            e.field("bytes")
+                .and_then(|b| b.parse::<usize>().ok())
+                .is_some(),
+            "{e:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
