@@ -1,20 +1,20 @@
 //! Multi-process load generator CLI.
 //!
 //! ```sh
-//! cargo run --release -p braid-load --bin load                       # defaults: 4 procs, open loop
-//! cargo run --release -p braid-load --bin load -- --procs 2 --rate 0 # closed loop
-//! cargo run --release -p braid-load --bin load -- --dataset suppliers --queries 500
+//! cargo run --release -p braid-bench --bin load                       # defaults: 4 procs, open loop
+//! cargo run --release -p braid-bench --bin load -- --procs 2 --rate 0 # closed loop
+//! cargo run --release -p braid-bench --bin load -- --dataset suppliers --queries 500
 //! ```
 //!
-//! Forks itself (`--braid-load-worker`) as real client processes, each
-//! speaking CAQL over TCP against a shared in-process braid server with
-//! a seeded open-loop arrival schedule. Exit status is non-zero iff any
-//! process digest disagrees with the reference model, any query errors,
-//! or the server fails to drain.
+//! Forks itself (`--braid-worker`) as real client processes, each
+//! opening `--conns` connections that speak CAQL over TCP against a
+//! shared in-process braid server, every connection on its own seeded
+//! open-loop arrival schedule. Exit status is non-zero iff any session's
+//! digest disagrees with the reference model, any query errors, or the
+//! server fails to drain.
 
-use braid::Strategy;
-use braid_load::{run_load, LoadConfig, SpawnMode};
-use braid_sim::Dataset;
+use braid_bench::harness::{run_load, LoadConfig};
+use braid_sim::{Dataset, SpawnMode};
 
 fn arg_u64(args: &[String], flag: &str) -> Option<u64> {
     args.iter()
@@ -31,7 +31,7 @@ fn arg_str<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 }
 
 fn main() {
-    braid_load::maybe_worker();
+    braid_sim::maybe_worker();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let procs = arg_u64(&args, "--procs").unwrap_or(4) as u32;
@@ -40,8 +40,11 @@ fn main() {
     let rate = arg_u64(&args, "--rate").unwrap_or(800) as u32;
     let workers = arg_u64(&args, "--workers").unwrap_or(4) as usize;
     let seed = arg_u64(&args, "--seed").unwrap_or(0);
-    let wire_trace = args.iter().any(|a| a == "--trace");
-    let trace_sample = arg_u64(&args, "--trace-sample").unwrap_or(1).max(1) as u32;
+    let trace_one_in = if args.iter().any(|a| a == "--trace") {
+        arg_u64(&args, "--trace-sample").unwrap_or(1).max(1) as u32
+    } else {
+        0
+    };
     let stats_poll_hz = arg_u64(&args, "--stats-poll-hz").unwrap_or(0) as u32;
     let dataset = match arg_str(&args, "--dataset").unwrap_or("genealogy") {
         "suppliers" => Dataset::Suppliers {
@@ -64,17 +67,14 @@ fn main() {
     });
     let cfg = LoadConfig {
         dataset,
-        strategy: Strategy::ConjunctionCompiled,
         procs,
         conns,
         queries_per_proc: queries,
         rate_per_sec: rate,
         seed,
         workers,
-        step_budget: 8,
         spawn: SpawnMode::Process(program),
-        wire_trace,
-        trace_sample,
+        trace_one_in,
         stats_poll_hz,
     };
     eprintln!(
@@ -95,10 +95,12 @@ fn main() {
         }
     };
     for r in &out.reports {
-        eprintln!(
-            "load: proc {}: sent {} ok {} errors {} exact {} digest {:016x}",
-            r.proc, r.sent, r.ok, r.errors, r.exact, r.digest
-        );
+        for s in &r.sessions {
+            eprintln!(
+                "load: proc {} session {}: ok {} errors {} exact {} digest {:016x}",
+                r.proc, s.session, s.solves, s.errors, s.exact, s.digest
+            );
+        }
     }
     println!(
         "load: {} ok answers across {} processes in {} ms | latency us p50 {} p90 {} p99 {} max {} | \
@@ -122,15 +124,12 @@ fn main() {
             out.stats_polls, out.peak_run_queue, out.peak_inflight
         );
     }
-    if !out.digest_mismatches.is_empty() {
-        eprintln!(
-            "load: DIGEST MISMATCH in processes {:?}",
-            out.digest_mismatches
-        );
+    for failure in &out.failed_sessions {
+        eprintln!("load: ORACLE FAILURE: {failure}");
     }
     if !out.passed() {
         eprintln!("load: FAILED (digests, errors, or undrained gauges)");
         std::process::exit(1);
     }
-    eprintln!("load: all process digests match the reference model; gauges drained");
+    eprintln!("load: all session digests match the reference model; gauges drained");
 }

@@ -11,7 +11,7 @@ use braid_bench::all_experiments;
 
 fn main() {
     // E18 forks this binary as its load-worker processes.
-    braid_load::maybe_worker();
+    braid_sim::maybe_worker();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");

@@ -34,7 +34,7 @@ fn arg_u64(args: &[String], flag: &str) -> Option<u64> {
 
 fn main() {
     // The procs lane forks this binary as its worker processes.
-    braid_load::maybe_worker();
+    braid_sim::maybe_worker();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let soak = args.iter().any(|a| a == "--soak");

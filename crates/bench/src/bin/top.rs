@@ -2,9 +2,9 @@
 //! the wire STATS protocol.
 //!
 //! ```sh
-//! cargo run --release -p braid-load --bin top -- --addr 127.0.0.1:7878
-//! cargo run --release -p braid-load --bin top -- --demo             # self-contained
-//! cargo run --release -p braid-load --bin top -- --demo --once      # CI smoke
+//! cargo run --release -p braid-bench --bin top -- --addr 127.0.0.1:7878
+//! cargo run --release -p braid-bench --bin top -- --demo             # self-contained
+//! cargo run --release -p braid-bench --bin top -- --demo --once      # CI smoke
 //! ```
 //!
 //! Each tick is one `STATS_REQUEST`/`STATS_REPORT` round trip on a
@@ -19,11 +19,11 @@
 //! real TCP — a one-command way to see live numbers (and the CI smoke
 //! target behind `just top-smoke`).
 
-use braid::{BraidClient, BraidConfig, BraidServer, BraidServerConfig, Strategy};
-use braid_load::query_pool;
+use braid::{
+    BraidClient, BraidConfig, BraidServer, BraidServerConfig, HistogramSnapshot, Strategy,
+};
 use braid_remote::clientproto::StatsReport;
-use braid_sim::Dataset;
-use braid_trace::HistogramSnapshot;
+use braid_sim::{Dataset, QueryGen};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -174,13 +174,12 @@ impl Demo {
         let server = BraidServer::start(
             system,
             BraidServerConfig {
-                addr: "127.0.0.1:0".into(),
                 workers: 2,
                 ..BraidServerConfig::default()
             },
         )?;
         let stop = Arc::new(AtomicBool::new(false));
-        let queries = query_pool(&dataset, 7, 64);
+        let queries = QueryGen::new(&dataset).stream(7, 64);
         let addr = server.local_addr();
         let traffic = {
             let stop = Arc::clone(&stop);

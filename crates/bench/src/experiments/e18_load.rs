@@ -3,21 +3,22 @@
 //! E17 measured the worker pool from inside the server's own process;
 //! this experiment measures the whole front door from outside it, under
 //! load the pinned benchmark (closed-loop by design — its four
-//! workloads are the closed-loop record) does not offer: the braid-load
+//! workloads are the closed-loop record) does not offer: the load
 //! harness forks real client processes (self-exec with the worker
-//! flag), each opening TCP connections through [`BraidClient`] and
-//! submitting a seeded query pool on seeded Poisson arrivals, with
-//! latency charged from the *scheduled* arrival so queueing delay lands
-//! in the histogram instead of silently pacing the generator. Every
-//! process digest is checked against the sim `RefModel`, the per-process
+//! flag), each opening TCP connections through [`BraidClient`], every
+//! connection submitting its own seeded query stream on its own seeded
+//! Poisson arrivals, with latency charged from the *scheduled* arrival
+//! so queueing delay lands in the histogram instead of silently pacing
+//! the generator. Every session digest is checked against the sim
+//! `RefModel`, the per-process
 //! log2 histograms merge into one cross-process p50/p90/p99, and the
 //! run asserts all server gauges drain to zero.
 //!
 //! [`BraidClient`]: braid::BraidClient
 
 use crate::experiments::support::load_lane;
+use crate::harness::{LoadConfig, LoadOutcome};
 use crate::table::Table;
-use braid_load::{LoadConfig, LoadOutcome};
 
 /// One lane of the sweep.
 fn lane(procs: u32, conns: u32, queries: u32, rate: u32, quick: bool) -> LoadOutcome {
@@ -41,7 +42,7 @@ fn row(t: &mut Table, label: &str, procs: u32, conns: u32, rate: u32, out: &Load
         conns.to_string(),
         rate.to_string(),
         out.total_ok().to_string(),
-        out.digest_mismatches.len().to_string(),
+        out.failed_sessions.len().to_string(),
         out.merged.p50().to_string(),
         out.merged.p90().to_string(),
         out.merged.p99().to_string(),
@@ -102,9 +103,9 @@ pub fn run(quick: bool) -> Table {
 
     t.note(
         "Each process is a real forked client (self-exec worker mode) with \
-         its own connections; per-process FNV digests are recomputed from \
-         the RefModel oracle, so `digest miss` must be 0. Arrivals are \
-         seeded Poisson and latency is charged from the scheduled arrival, so \
+         its own connections; per-session FNV digest chains are recomputed \
+         from the RefModel oracle, so `digest miss` must be 0. Arrivals are \
+         seeded Poisson per connection and latency is charged from the scheduled arrival, so \
          a lagging server accrues queueing delay at p99 instead of slowing \
          the generator (no coordinated omission). Percentiles come from \
          merging every process's log2 histogram buckets shipped in the \
@@ -121,7 +122,7 @@ mod tests {
 
     // Unit tests stay in thread mode: the libtest binary cannot
     // self-exec as a worker. True process coverage lives in
-    // crates/load/tests/multiprocess.rs against the `load` binary.
+    // tests/multiprocess.rs against the `load` binary.
     #[test]
     fn open_lanes_pass_the_oracle() {
         let open = lane(2, 1, 12, 3_000, true);

@@ -16,12 +16,12 @@
 //! changes answers is a bug, not an overhead.
 
 use crate::experiments::support::load_lane;
+use crate::harness::{LoadConfig, LoadOutcome};
 use crate::table::Table;
-use braid_load::{LoadConfig, LoadOutcome};
 
 /// The load harness's closed-loop lane with the observability knobs
 /// exposed; the oracle check doubles as "watching changed no answer".
-fn lane(trace: bool, sample: u32, poll_hz: u32, quick: bool) -> LoadOutcome {
+fn lane(trace_one_in: u32, poll_hz: u32, quick: bool) -> LoadOutcome {
     load_lane(
         quick,
         LoadConfig {
@@ -30,8 +30,7 @@ fn lane(trace: bool, sample: u32, poll_hz: u32, quick: bool) -> LoadOutcome {
             queries_per_proc: if quick { 40 } else { 250 },
             rate_per_sec: 0,
             seed: 19,
-            wire_trace: trace,
-            trace_sample: sample,
+            trace_one_in,
             stats_poll_hz: poll_hz,
             ..LoadConfig::default()
         },
@@ -103,7 +102,7 @@ fn summarize(reps: &[LoadOutcome]) -> Measured {
         .fold(first.merged, |acc, o| acc.merge(&o.merged));
     Measured {
         ok: first.total_ok(),
-        digest_misses: reps.iter().map(|o| o.digest_mismatches.len()).sum(),
+        digest_misses: reps.iter().map(|o| o.failed_sessions.len()).sum(),
         hist,
         best_ms: reps
             .iter()
@@ -152,15 +151,15 @@ pub fn run(quick: bool) -> Table {
         ],
     );
 
-    // (label, trace, sample, poll_hz); run interleaved — every lane
+    // (label, trace one in, poll_hz); run interleaved — every lane
     // runs rep r before any lane runs rep r+1, so a box-level slowdown
     // lands on all lanes evenly instead of biasing one.
-    let shapes: [(&str, bool, u32, u32); 5] = [
-        ("baseline (dark)", false, 1, 0),
-        ("STATS poller 10 Hz", false, 1, 10),
-        ("deployed: 1-in-8 tracing + poller", true, 8, 10),
-        ("audit: trace every query", true, 1, 0),
-        ("audit tracing + poller", true, 1, 10),
+    let shapes: [(&str, u32, u32); 5] = [
+        ("baseline (dark)", 0, 0),
+        ("STATS poller 10 Hz", 0, 10),
+        ("deployed: 1-in-8 tracing + poller", 8, 10),
+        ("audit: trace every query", 1, 0),
+        ("audit tracing + poller", 1, 10),
     ];
     // The box this suite runs on shows double-digit run-to-run swings
     // under the multi-process lanes; the full report takes 5 reps per
@@ -168,8 +167,8 @@ pub fn run(quick: bool) -> Table {
     let reps = if quick { 3 } else { 5 };
     let mut runs: Vec<Vec<LoadOutcome>> = shapes.iter().map(|_| Vec::new()).collect();
     for _ in 0..reps {
-        for (i, &(_, trace, sample, poll_hz)) in shapes.iter().enumerate() {
-            runs[i].push(lane(trace, sample, poll_hz, quick));
+        for (i, &(_, trace_one_in, poll_hz)) in shapes.iter().enumerate() {
+            runs[i].push(lane(trace_one_in, poll_hz, quick));
         }
     }
     let measured: Vec<Measured> = runs.iter().map(|r| summarize(r)).collect();
@@ -194,7 +193,7 @@ pub fn run(quick: bool) -> Table {
          per-query cost amortizes to within the ≤5% observability budget. \
          The STATS poller is a real side connection polling the server's \
          sampler ring, the same load a live `top` adds. Every lane replays \
-         the identical seeded closed-loop pool and must pass the digest \
+         the identical seeded closed-loop streams and must pass the digest \
          oracle (`digest miss` = 0). Lanes run interleaved over several \
          reps: the elapsed column is the per-lane minimum, percentiles \
          merge every rep's histogram, and `elapsed overhead` is the median \
@@ -218,8 +217,8 @@ mod tests {
     // worker (same constraint as E18's unit tests).
     #[test]
     fn observability_lanes_pass_the_oracle() {
-        let base = lane(false, 1, 0, true);
-        let both = lane(true, 1, 20, true);
+        let base = lane(0, 0, true);
+        let both = lane(1, 20, true);
         assert_eq!(base.total_ok(), both.total_ok());
         assert_eq!(base.stats_polls, 0);
         assert!(both.stats_polls >= 1, "poller sampled the run");
@@ -227,16 +226,21 @@ mod tests {
 
     #[test]
     fn sampled_tracing_answers_match_the_full_trace_lane() {
-        let sampled = lane(true, 8, 0, true);
-        let full = lane(true, 1, 0, true);
+        let sampled = lane(8, 0, true);
+        let full = lane(1, 0, true);
         assert_eq!(sampled.total_ok(), full.total_ok());
-        for (s, f) in sampled.reports.iter().zip(&full.reports) {
-            assert_eq!(
-                s.digest, f.digest,
-                "sampling changed proc {} answers",
-                s.proc
-            );
-        }
+        let digests = |o: &LoadOutcome| -> Vec<(u32, u64)> {
+            o.reports
+                .iter()
+                .flat_map(|r| &r.sessions)
+                .map(|s| (s.session, s.digest))
+                .collect()
+        };
+        assert_eq!(
+            digests(&sampled),
+            digests(&full),
+            "sampling changed answers"
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Shared helpers for the experiment suite.
 
-use braid_load::{run_load, LoadConfig, LoadOutcome, SpawnMode};
+use crate::harness::{run_load, LoadConfig, LoadOutcome};
 use braid_relational::{Relation, Schema, Tuple, Value};
 use braid_remote::Catalog;
+use braid_sim::SpawnMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,7 +50,7 @@ pub fn ratio(num: f64, den: f64) -> String {
 }
 
 /// Run one load-harness lane (E18, E19) and hold it to the oracle: every
-/// process digest matches the reference model and the server drained.
+/// session digest matches the reference model and the server drained.
 /// Non-quick runs fork real processes via self-exec (the report binary
 /// installs the worker hook); quick runs and unit tests stay in-process
 /// with thread workers, since a libtest binary cannot self-exec.
@@ -61,9 +62,9 @@ pub fn load_lane(quick: bool, cfg: LoadConfig) -> LoadOutcome {
     };
     let out = run_load(&LoadConfig { spawn, ..cfg }).expect("load harness runs");
     assert!(
-        out.digest_mismatches.is_empty(),
-        "process digests diverged from the reference model: {:?}",
-        out.digest_mismatches
+        out.failed_sessions.is_empty(),
+        "sessions diverged from the reference model: {:?}",
+        out.failed_sessions
     );
     assert!(out.passed(), "load run failed: {out:?}");
     out

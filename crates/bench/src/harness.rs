@@ -1,53 +1,53 @@
-//! The parent side: start a [`BraidServer`], fan out worker processes,
-//! collect their report frames, merge histograms, and check every
-//! process digest against the reference model.
+//! The load harness: a front end over the sim's front-door client
+//! driver ([`braid_sim::clients`]). It builds `procs × conns` sessions
+//! from the sim's own query generator, paces them open-loop on seeded
+//! Poisson schedules (or closed-loop), optionally traces and polls
+//! STATS, and reports one merged latency histogram beside the driver's
+//! per-session oracle verdicts and the server's drained gauges.
+//!
+//! Three properties make a run a *measurement* rather than a demo:
+//! latency is charged from the *scheduled* arrival, so a stalled server
+//! accrues the queueing delay it caused (no coordinated omission);
+//! every answer is chained into a per-session digest the parent
+//! recomputes from the [`RefModel`]; and the log2
+//! histograms merge associatively across processes, so the p99 is
+//! computed from data, not averaged from per-process percentiles.
 
-use crate::spec::{query_pool, LoadSpec};
-use crate::worker::run_load_worker;
 use braid::{
-    BraidClient, BraidConfig, BraidServer, BraidServerConfig, BraidServerStats, CheckedSolutions,
-    CombinedMetrics, Completeness, Strategy,
+    BraidClient, BraidConfig, BraidServerStats, CombinedMetrics, HistogramSnapshot, Strategy,
 };
 use braid_cms::sched::PoolSnapshot;
-use braid_remote::clientproto::{decode_load_report, kind, LoadReport};
-use braid_sim::{digest_answer, fork_workers, Dataset, RefModel, SpawnMode, DIGEST_SEED};
-use braid_trace::HistogramSnapshot;
+use braid_sim::{
+    run_clients, serve, ClientPlan, ClientReport, Dataset, Pacing, QueryGen, RefModel, SpawnMode,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One load run's shape.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     /// Ground-truth database parameters (shared by server and oracle).
     pub dataset: Dataset,
-    /// Inference strategy every query uses.
-    pub strategy: Strategy,
-    /// Worker processes to fork.
+    /// Worker processes (or threads) the sessions are dealt across.
     pub procs: u32,
-    /// Connections (client threads) per process.
+    /// Connections (sessions) per process.
     pub conns: u32,
-    /// Queries per process.
+    /// Queries per process, split evenly across its connections.
     pub queries_per_proc: u32,
-    /// Per-process open-loop arrival rate (queries/second); `0` runs the
-    /// closed loop.
+    /// Per-process open-loop arrival rate (queries/second), split evenly
+    /// across its connections; `0` runs the closed loop.
     pub rate_per_sec: u32,
-    /// Harness seed (schedules and query pools derive from it).
+    /// Harness seed (query streams and schedules derive from it).
     pub seed: u64,
     /// Server worker-pool threads.
     pub workers: usize,
-    /// Server per-task step budget.
-    pub step_budget: usize,
     /// Thread or process workers.
     pub spawn: SpawnMode,
-    /// Run queries with wire tracing on (TRACE frames + client-side
-    /// grafting) — the E19 overhead knob.
-    pub wire_trace: bool,
-    /// Head-sampling period when `wire_trace` is set: trace one query
-    /// slot in every `trace_sample` (`1` = every query; clamped to ≥ 1).
-    /// Production tracers sample for exactly this reason — E19's
-    /// deployed lane runs 1-in-8, its audit lane runs 1-in-1.
-    pub trace_sample: u32,
+    /// Send one query in this many per session with wire tracing on
+    /// (TRACE frames + client-side grafting); `0` traces none. E19's
+    /// deployed lane runs 1-in-8, its audit lane 1-in-1.
+    pub trace_one_in: u32,
     /// Poll the server's STATS protocol at this rate (Hz) on a side
     /// connection while the run is in flight; `0` disables polling.
     /// The polled snapshots feed [`LoadOutcome::peak_run_queue`] and
@@ -63,17 +63,14 @@ impl Default for LoadConfig {
                 branching: 2,
                 seed: 11,
             },
-            strategy: Strategy::ConjunctionCompiled,
             procs: 4,
             conns: 2,
             queries_per_proc: 200,
             rate_per_sec: 800,
             seed: 0,
             workers: 4,
-            step_budget: 8,
             spawn: SpawnMode::Thread,
-            wire_trace: false,
-            trace_sample: 1,
+            trace_one_in: 0,
             stats_poll_hz: 0,
         }
     }
@@ -83,13 +80,13 @@ impl Default for LoadConfig {
 #[derive(Debug)]
 pub struct LoadOutcome {
     /// Per-process reports, in process order.
-    pub reports: Vec<LoadReport>,
+    pub reports: Vec<ClientReport>,
     /// All processes' latency buckets merged (client-observed,
     /// open-loop-charged when a rate was set).
     pub merged: HistogramSnapshot,
-    /// Process indices whose digest disagreed with the reference model
-    /// (empty ⇒ every answer of every process was oracle-correct).
-    pub digest_mismatches: Vec<u32>,
+    /// The oracle's complaints, one per failed session, each naming it
+    /// (empty ⇒ every answer of every session was oracle-correct).
+    pub failed_sessions: Vec<String>,
     /// Server-side metrics at quiescence (latency histogram, run-queue
     /// high water, park/wake counters).
     pub metrics: CombinedMetrics,
@@ -97,7 +94,7 @@ pub struct LoadOutcome {
     pub stats: BraidServerStats,
     /// Pool counters at quiescence (before shutdown).
     pub pool: PoolSnapshot,
-    /// Wall-clock time from first fork to last report.
+    /// Wall-clock time from the first worker's start to the last report.
     pub elapsed: Duration,
     /// STATS snapshots the in-flight poller collected (0 when
     /// `stats_poll_hz` was 0).
@@ -111,38 +108,40 @@ pub struct LoadOutcome {
 }
 
 impl LoadOutcome {
-    /// Did every process finish every query with oracle-correct answers
-    /// and did the server drain completely?
+    /// Did every session answer every query oracle-correctly, and did
+    /// the server drain completely?
     pub fn passed(&self) -> bool {
-        self.digest_mismatches.is_empty()
-            && self.reports.iter().all(|r| r.errors == 0 && r.ok == r.sent)
+        self.failed_sessions.is_empty()
             && self.stats.active == 0
             && self.pool.spawned == self.pool.finished
             && self.pool.parked == 0
     }
 
-    /// Total queries answered successfully across processes.
+    /// Total queries answered across sessions.
     pub fn total_ok(&self) -> u64 {
-        self.reports.iter().map(|r| r.ok).sum()
+        self.reports
+            .iter()
+            .flat_map(|r| &r.sessions)
+            .map(|s| s.solves)
+            .sum()
     }
 }
 
-/// The expected digest for one process: replay its seeded query pool
-/// through the reference model and combine per-query digests exactly as
-/// the worker does (wrapping add; every answer Exact, since load runs
-/// are fault-free).
-fn expected_digest(model: &RefModel, spec: &LoadSpec) -> Result<u64, String> {
-    let mut total = 0u64;
-    for q in query_pool(&spec.dataset, spec.stream_seed(), spec.queries as usize) {
-        let checked = CheckedSolutions {
-            solutions: model.solve_text(&q)?,
-            completeness: Completeness::Exact,
-        };
-        let mut d = DIGEST_SEED;
-        digest_answer(&mut d, &q, &checked);
-        total = total.wrapping_add(d);
-    }
-    Ok(total)
+/// The run's sessions: `procs × conns` streams from the sim's query
+/// generator. The driver deals session `s` to process `s % procs`, so
+/// `s / procs` is its connection within that process, and each process
+/// gets `queries_per_proc` queries in all.
+fn sessions(cfg: &LoadConfig) -> Vec<Vec<String>> {
+    let gen = QueryGen::new(&cfg.dataset);
+    let (procs, conns) = (cfg.procs.max(1), cfg.conns.max(1));
+    (0..procs * conns)
+        .map(|s| {
+            let conn = s / procs;
+            let n = cfg.queries_per_proc / conns + u32::from(conn < cfg.queries_per_proc % conns);
+            let seed = cfg.seed ^ u64::from(s).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            gen.stream(seed, n as usize)
+        })
+        .collect()
 }
 
 /// Run one load configuration end to end: server up, workers out,
@@ -151,37 +150,15 @@ fn expected_digest(model: &RefModel, spec: &LoadSpec) -> Result<u64, String> {
 /// # Errors
 /// Worker spawn/pipe failures, a worker dying without a report, or the
 /// reference model rejecting the workload (never answer mismatches —
-/// those are reported in [`LoadOutcome::digest_mismatches`]).
+/// those are reported in [`LoadOutcome::failed_sessions`]).
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, String> {
     let catalog = cfg.dataset.catalog();
     let kb = cfg.dataset.knowledge_base();
     let model = RefModel::new(&catalog, &kb)?;
-    let system = braid::BraidSystem::new(catalog, kb, BraidConfig::default());
-    let server = BraidServer::start(
-        system,
-        BraidServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: cfg.workers,
-            step_budget: cfg.step_budget,
-        },
-    )
-    .map_err(|e| format!("server start failed: {e}"))?;
-    let addr = server.local_addr().to_string();
-
-    let specs: Vec<LoadSpec> = (0..cfg.procs.max(1))
-        .map(|p| LoadSpec {
-            addr: addr.clone(),
-            proc: p,
-            seed: cfg.seed,
-            dataset: cfg.dataset.clone(),
-            strategy: cfg.strategy,
-            conns: cfg.conns,
-            queries: cfg.queries_per_proc,
-            rate_per_sec: cfg.rate_per_sec,
-            trace: cfg.wire_trace,
-            trace_sample: cfg.trace_sample.max(1),
-        })
-        .collect();
+    let server = serve(
+        braid::BraidSystem::new(catalog, kb, BraidConfig::default()),
+        cfg.workers,
+    )?;
 
     // The optional in-flight poller: a side connection hitting the
     // STATS protocol at `stats_poll_hz` for the whole run, exactly the
@@ -209,45 +186,42 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, String> {
         })
     });
 
-    let start = Instant::now();
-    let reports: Vec<LoadReport> = match &cfg.spawn {
-        SpawnMode::Thread => std::thread::scope(|scope| {
-            let handles: Vec<_> = specs
-                .iter()
-                .map(|spec| scope.spawn(move || run_load_worker(spec)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(|_| "worker thread panicked".to_string()))
-                .collect::<Result<Vec<_>, String>>()
-        })?,
-        SpawnMode::Process(program) => {
-            let texts: Vec<String> = specs.iter().map(LoadSpec::to_json).collect();
-            fork_workers(program, kind::LOAD_SPEC, &texts, kind::LOAD_REPORT)?
-                .iter()
-                .map(|p| decode_load_report(p).map_err(|e| format!("load report corrupt: {e}")))
-                .collect::<Result<_, String>>()?
-        }
-    };
-    let elapsed = start.elapsed();
+    let sessions = sessions(cfg);
+    let run = run_clients(
+        &server,
+        &model,
+        &ClientPlan {
+            strategy: Strategy::ConjunctionCompiled,
+            sessions: &sessions,
+            procs: cfg.procs as usize,
+            pacing: (cfg.rate_per_sec > 0).then(|| Pacing {
+                seed: cfg.seed.rotate_left(17),
+                rate_per_sec: (cfg.rate_per_sec / cfg.conns.max(1)).max(1),
+            }),
+            trace_one_in: cfg.trace_one_in,
+            spawn: &cfg.spawn,
+        },
+    );
     polling.store(false, Ordering::SeqCst);
     let (stats_polls, peak_run_queue, peak_inflight) = poller
         .map(|h| h.join().unwrap_or((0, 0, 0)))
         .unwrap_or((0, 0, 0));
-
-    let mut digest_mismatches = Vec::new();
-    for (report, spec) in reports.iter().zip(&specs) {
-        if report.digest != expected_digest(&model, spec)? {
-            digest_mismatches.push(report.proc);
+    let run = match run {
+        Ok(run) => run,
+        Err(e) => {
+            server.shutdown();
+            return Err(e);
         }
-    }
+    };
 
-    let merged = reports.iter().fold(HistogramSnapshot::default(), |acc, r| {
-        acc.merge(&HistogramSnapshot {
-            buckets: r.latency_us,
-        })
-    });
-
+    let merged = run
+        .reports
+        .iter()
+        .fold(HistogramSnapshot::default(), |acc, r| {
+            acc.merge(&HistogramSnapshot {
+                buckets: r.latency_us,
+            })
+        });
     // Every client said goodbye; give the connection tasks a bounded
     // moment to observe their closed inboxes before reading the gauges
     // (`LoadOutcome::passed` judges what is left).
@@ -258,13 +232,17 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, String> {
     server.shutdown();
 
     Ok(LoadOutcome {
-        reports,
+        failed_sessions: run
+            .checks
+            .into_iter()
+            .filter_map(|c| c.verdict.err())
+            .collect(),
+        reports: run.reports,
         merged,
-        digest_mismatches,
         metrics,
         stats,
         pool,
-        elapsed,
+        elapsed: run.elapsed,
         stats_polls,
         peak_run_queue,
         peak_inflight,
@@ -290,6 +268,7 @@ mod tests {
         assert_eq!(out.total_ok(), 48);
         assert_eq!(out.merged.count(), 48);
         assert_eq!(out.stats.connections_accepted, 4, "2 procs x 2 conns");
+        assert!(out.reports.iter().all(|r| r.sessions.len() == 2));
     }
 
     #[test]
@@ -300,7 +279,7 @@ mod tests {
             queries_per_proc: 24,
             rate_per_sec: 0,
             workers: 2,
-            wire_trace: true,
+            trace_one_in: 1,
             stats_poll_hz: 50,
             ..LoadConfig::default()
         })
@@ -325,8 +304,6 @@ mod tests {
         })
         .expect("harness runs");
         assert!(out.passed(), "run failed: {out:?}");
-        // The schedule spans ~8ms per process; the run cannot finish
-        // faster than its last scheduled arrival.
         assert_eq!(out.merged.count(), 32);
     }
 
@@ -349,5 +326,18 @@ mod tests {
         })
         .expect("harness runs");
         assert!(out.passed(), "run failed: {out:?}");
+    }
+
+    #[test]
+    fn odd_splits_give_every_process_its_queries() {
+        let cfg = LoadConfig {
+            procs: 2,
+            conns: 3,
+            queries_per_proc: 10,
+            ..LoadConfig::default()
+        };
+        let lens: Vec<usize> = sessions(&cfg).iter().map(Vec::len).collect();
+        // Sessions 0, 2, 4 go to process 0; 1, 3, 5 to process 1.
+        assert_eq!(lens, [4, 4, 3, 3, 3, 3]);
     }
 }

@@ -17,6 +17,7 @@
 //! the workload and metric that replaced each).
 
 pub mod experiments;
+pub mod harness;
 pub mod table;
 
 pub use table::Table;

@@ -4,8 +4,8 @@
 //! down stdin, report frame up stdout — plus the oracle and the
 //! server's gauge drain, with real process isolation.
 
-use braid_load::{run_load, LoadConfig, SpawnMode};
-use braid_sim::{run_scenario, Dataset, Lane, SimOptions, SimScenario};
+use braid_bench::harness::{run_load, LoadConfig, LoadOutcome};
+use braid_sim::{run_scenario, Dataset, Lane, SimOptions, SimScenario, SpawnMode};
 use std::path::PathBuf;
 
 fn worker_binary() -> PathBuf {
@@ -24,7 +24,7 @@ fn forked_processes_pass_the_oracle_open_loop() {
         rate_per_sec: 2_000,
         workers: 2,
         spawn: SpawnMode::Process(worker_binary()),
-        wire_trace: true,
+        trace_one_in: 1,
         stats_poll_hz: 20,
         ..LoadConfig::default()
     })
@@ -66,10 +66,20 @@ fn forked_processes_pass_the_oracle_closed_loop_suppliers() {
     assert_eq!(out.total_ok(), 40);
 }
 
+/// `(session, solves, digest)` for every session of a run.
+fn session_digests(out: &LoadOutcome) -> Vec<(u32, u64, u64)> {
+    out.reports
+        .iter()
+        .flat_map(|r| &r.sessions)
+        .map(|s| (s.session, s.solves, s.digest))
+        .collect()
+}
+
 #[test]
 fn process_and_thread_modes_agree_on_digests() {
-    // Same config, both spawn modes: identical per-process digests,
-    // because the digest is a pure function of (dataset, seed, proc).
+    // Same config, both spawn modes, tracing and STATS polling on:
+    // identical per-session digests, because each is a pure function of
+    // (dataset, seed, session) whatever carries it.
     let cfg = LoadConfig {
         procs: 2,
         conns: 2,
@@ -77,6 +87,8 @@ fn process_and_thread_modes_agree_on_digests() {
         rate_per_sec: 0,
         workers: 2,
         seed: 77,
+        trace_one_in: 3,
+        stats_poll_hz: 20,
         ..LoadConfig::default()
     };
     let threads = run_load(&cfg).expect("thread mode runs");
@@ -86,10 +98,8 @@ fn process_and_thread_modes_agree_on_digests() {
     })
     .expect("process mode runs");
     assert!(threads.passed() && procs.passed());
-    for (t, p) in threads.reports.iter().zip(&procs.reports) {
-        assert_eq!(t.digest, p.digest, "proc {} digest differs", t.proc);
-        assert_eq!(t.ok, p.ok);
-    }
+    assert_eq!(session_digests(&threads).len(), 4, "2 procs x 2 conns");
+    assert_eq!(session_digests(&threads), session_digests(&procs));
 }
 
 #[test]

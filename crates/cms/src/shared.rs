@@ -90,11 +90,6 @@ impl SharedCache {
         self.shard_capacity_bytes
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of_relation(&self, rel: &str) -> usize {
         (fnv1a(rel) % self.shards.len() as u64) as usize
     }

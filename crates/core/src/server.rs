@@ -61,10 +61,9 @@ const SAMPLE_RING: usize = 64;
 pub struct BraidServerConfig {
     /// Listen address; `127.0.0.1:0` picks an ephemeral port.
     pub addr: String,
-    /// Worker threads in the shared session pool.
+    /// Worker threads in the shared session pool (whose per-session
+    /// step budget is [`PoolConfig::default`]'s).
     pub workers: usize,
-    /// Per-session step budget (fairness bound) of the pool.
-    pub step_budget: usize,
 }
 
 impl Default for BraidServerConfig {
@@ -72,7 +71,6 @@ impl Default for BraidServerConfig {
         BraidServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
-            step_budget: 8,
         }
     }
 }
@@ -494,7 +492,7 @@ impl BraidServer {
         let pool = Arc::new(WorkerPool::with_metrics(
             PoolConfig {
                 workers: config.workers,
-                step_budget: config.step_budget,
+                ..PoolConfig::default()
             },
             system.cms().metrics_handle(),
         ));
@@ -1089,9 +1087,8 @@ mod tests {
     #[test]
     fn every_field_is_accounted_for() {
         let BraidServerConfig {
-            addr: _,        // a deployment setting
-            workers: _,     // the pinned benchmark's 2; `Lane::Procs`; `braid-load --workers`
-            step_budget: _, // nothing yet: no caller sets it (ROADMAP item 10)
+            addr: _,    // a deployment setting
+            workers: _, // the pinned benchmark's 2; `Lane::Procs`; `load --workers`
         } = BraidServerConfig::default();
     }
 

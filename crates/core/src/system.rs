@@ -163,11 +163,6 @@ impl BraidSystem {
         }
     }
 
-    /// Reset the remote-side counters (between experiment phases).
-    pub fn reset_remote_metrics(&self) {
-        self.cms().remote().reset_metrics();
-    }
-
     /// Open a new session against the shared cache. Takes `&self`, so N
     /// sessions can be opened from one system and driven on N threads or
     /// boxed into scheduler tasks: the handle is `'static` (it holds the

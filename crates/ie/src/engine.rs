@@ -25,8 +25,6 @@ use braid_trace::TraceKind;
 #[derive(Debug, Clone)]
 pub struct InferenceEngine {
     kb: KnowledgeBase,
-    shape_options: ShapeOptions,
-    control_options: ControlOptions,
 }
 
 /// Solutions of an AI query: a demand-driven stream (interpreted /
@@ -51,28 +49,12 @@ impl Iterator for Solutions<'_> {
 impl InferenceEngine {
     /// An engine over a knowledge base.
     pub fn new(kb: KnowledgeBase) -> InferenceEngine {
-        InferenceEngine {
-            kb,
-            shape_options: ShapeOptions::default(),
-            control_options: ControlOptions::default(),
-        }
+        InferenceEngine { kb }
     }
 
     /// The knowledge base.
     pub fn kb(&self) -> &KnowledgeBase {
         &self.kb
-    }
-
-    /// Replace the shaper options.
-    pub fn with_shape_options(mut self, o: ShapeOptions) -> Self {
-        self.shape_options = o;
-        self
-    }
-
-    /// Replace the controller options (depth bound etc.).
-    pub fn with_control_options(mut self, o: ControlOptions) -> Self {
-        self.control_options = o;
-        self
     }
 
     /// Run the advice pipeline for `goal`: extract, shape (with the
@@ -88,7 +70,7 @@ impl InferenceEngine {
         stats: &SchemaStats,
     ) -> Result<(ProblemGraph, SpecifiedGraph, Advice)> {
         let mut graph = ProblemGraph::extract(&self.kb, goal)?;
-        shape_graph(&mut graph, &self.kb, stats, self.shape_options);
+        shape_graph(&mut graph, &self.kb, stats, ShapeOptions::default());
         let spec = specify(
             &graph,
             SpecifyOptions {
@@ -178,8 +160,10 @@ impl InferenceEngine {
                 Ok(Solutions::All(v.into_iter()))
             }
             Strategy::Interpreted | Strategy::ConjunctionCompiled => {
-                let mut opts = self.control_options;
-                opts.max_conj = strategy.max_conj();
+                let opts = ControlOptions {
+                    max_conj: strategy.max_conj(),
+                    ..ControlOptions::default()
+                };
                 Ok(Solutions::Stream(Box::new(SolutionStream::new(
                     &self.kb,
                     cms,

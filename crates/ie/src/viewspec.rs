@@ -71,13 +71,6 @@ pub struct SpecifiedGraph {
     pub segments: BTreeMap<AndId, Vec<Segment>>,
 }
 
-impl SpecifiedGraph {
-    /// The spec named `name`, if any.
-    pub fn spec_named(&self, name: &str) -> Option<&ViewSpec> {
-        self.specs.iter().find(|s| s.name == name)
-    }
-}
-
 /// Run the view specifier over a (shaped) problem graph. `start_index`
 /// numbers the first spec (`d{start_index+1}`), letting dynamic recursive
 /// expansions continue the numbering.

@@ -112,11 +112,6 @@ impl Generator {
         &self.plan
     }
 
-    /// Unwrap into the underlying physical plan.
-    pub fn into_plan(self) -> PhysicalPlan {
-        self.plan
-    }
-
     /// Open the generator: a fresh demand-driven stream over its inputs
     /// with the default batch size. The stream deduplicates (set
     /// semantics).

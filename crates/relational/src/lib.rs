@@ -32,7 +32,6 @@ pub mod ops;
 pub mod plan;
 pub mod relation;
 pub mod schema;
-pub mod sort;
 pub mod stats;
 pub mod tuple;
 pub mod value;

@@ -150,11 +150,6 @@ impl Relation {
         self.indices.get(cols)
     }
 
-    /// Column sets that currently have indices.
-    pub fn indexed_column_sets(&self) -> impl Iterator<Item = &[usize]> + '_ {
-        self.indices.keys().map(|k| k.as_slice())
-    }
-
     /// Probe an index: row ids of tuples whose `cols` equal `key`.
     /// Falls back to a scan when no index exists.
     pub fn lookup(&self, cols: &[usize], key: &[crate::Value]) -> Vec<usize> {

@@ -115,29 +115,52 @@ fn views(dataset: &Dataset) -> (Vec<View>, Vec<Vec<String>>) {
     }
 }
 
-/// One query: a derived-view probe with the first argument bound most of
-/// the time (the paper's instance-query pattern), occasionally fully
-/// unbound (whole-view scans that stress caching and generalization).
-fn gen_query(rng: &mut SimRng, views: &[View], domains: &[Vec<String>]) -> String {
-    let view = &views[rng.below(views.len() as u64) as usize];
-    let vars = ["X", "Y", "Z"];
-    // Decide per argument: bound to a domain constant, or free.
-    let bind_first = rng.chance(700);
-    let bind_rest = rng.chance(250);
-    let args: Vec<String> = view
-        .arg_domains
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            let bound = if i == 0 { bind_first } else { bind_rest };
-            if bound {
-                rng.pick(&domains[d]).clone()
-            } else {
-                vars[i].to_string()
-            }
-        })
-        .collect();
-    format!("?- {}({}).", view.name, args.join(", "))
+/// The query generator over one dataset's derived views — the scenario
+/// generator's, and the one the load harness and `top --demo` draw from.
+pub struct QueryGen {
+    views: Vec<View>,
+    domains: Vec<Vec<String>>,
+}
+
+impl QueryGen {
+    /// The generator for `dataset`'s views and constant domains.
+    pub fn new(dataset: &Dataset) -> QueryGen {
+        let (views, domains) = views(dataset);
+        QueryGen { views, domains }
+    }
+
+    /// One query: a derived-view probe with the first argument bound most
+    /// of the time (the paper's instance-query pattern), occasionally
+    /// fully unbound (whole-view scans that stress caching and
+    /// generalization).
+    pub fn query(&self, rng: &mut SimRng) -> String {
+        let view = &self.views[rng.below(self.views.len() as u64) as usize];
+        let vars = ["X", "Y", "Z"];
+        // Decide per argument: bound to a domain constant, or free.
+        let bind_first = rng.chance(700);
+        let bind_rest = rng.chance(250);
+        let args: Vec<String> = view
+            .arg_domains
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| {
+                let bound = if i == 0 { bind_first } else { bind_rest };
+                if bound {
+                    rng.pick(&self.domains[d]).clone()
+                } else {
+                    vars[i].to_string()
+                }
+            })
+            .collect();
+        format!("?- {}({}).", view.name, args.join(", "))
+    }
+
+    /// `n` queries drawn from a fresh stream seeded with `seed`: the same
+    /// arguments always give the same stream.
+    pub fn stream(&self, seed: u64, n: usize) -> Vec<String> {
+        let mut rng = SimRng::new(seed);
+        (0..n).map(|_| self.query(&mut rng)).collect()
+    }
 }
 
 impl SimScenario {
@@ -169,12 +192,12 @@ impl SimScenario {
             _ => Strategy::ConjunctionCompiled,
         };
 
-        let (view_list, domains) = views(&dataset);
+        let queries = QueryGen::new(&dataset);
         let session_count = rng.range(1, 4) as usize;
         let sessions: Vec<Vec<String>> = (0..session_count)
             .map(|_| {
                 (0..rng.range(2, 6))
-                    .map(|_| gen_query(&mut rng, &view_list, &domains))
+                    .map(|_| queries.query(&mut rng))
                     .collect()
             })
             .collect();
@@ -274,6 +297,27 @@ mod tests {
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(back, sc, "seed {seed} must survive the JSON round trip");
         }
+    }
+
+    #[test]
+    fn query_streams_are_deterministic_and_well_formed() {
+        let d = Dataset::Suppliers {
+            parts: 12,
+            fanout: 3,
+            suppliers: 4,
+            cities: 4,
+            seed: 5,
+        };
+        let gen = QueryGen::new(&d);
+        let a = gen.stream(42, 64);
+        assert_eq!(a, gen.stream(42, 64));
+        assert_eq!(a.len(), 64);
+        assert!(a.iter().all(|q| q.starts_with("?- ") && q.ends_with(").")));
+        assert_ne!(
+            a,
+            gen.stream(43, 64),
+            "a different seed gives a different stream"
+        );
     }
 
     #[test]

@@ -25,8 +25,12 @@
 //!   threads over real sockets behind a fault proxy, a fixed worker
 //!   pool, client connections to a `BraidServer` from threads or forked
 //!   processes) trade that replayability for real schedule diversity.
-//! * [`fork`] — the parent side of the self-exec worker protocol the
-//!   procs lane and the `braid-load` harness both fork through.
+//! * [`clients`] — the front-door client driver: sessions as
+//!   `BraidClient` connections dealt across worker threads or processes
+//!   ([`fork`], the self-exec worker protocol), optionally paced by a
+//!   seeded Poisson [`schedule`] and traced, each answer chained into a
+//!   per-session digest the parent checks against the model. The procs
+//!   lane and the load harness (`braid-bench`'s `load`) both run on it.
 //! * [`shrink`] — delta-debugging minimization of failing scenarios
 //!   (drop queries, then faults, then sessions; capacity last) plus
 //!   [`shrink::regression_test`] to emit a ready-to-paste test.
@@ -37,21 +41,27 @@
 //! invariants (pin balance, metrics conservation, span-forest
 //! well-formedness) must hold.
 
+pub mod clients;
 pub mod fork;
 pub mod gen;
 pub mod json;
 pub mod model;
 pub mod run;
 pub mod scenario;
+pub mod schedule;
 pub mod shrink;
+pub mod spec;
 
-pub use fork::{fork_workers, SpawnMode, WORKER_FLAG};
-pub use gen::SimRng;
+pub use clients::{run_clients, serve, ClientPlan, ClientRun, SessionCheck};
+pub use fork::{maybe_worker, SpawnMode, WORKER_FLAG};
+pub use gen::{QueryGen, SimRng};
 pub use json::Json;
 pub use model::RefModel;
 pub use run::{
-    build_system, digest_answer, procs_worker, run_scenario, Lane, SimBug, SimOptions, SimReport,
-    Violation, ViolationKind, DIGEST_SEED,
+    build_system, digest_answer, run_scenario, Lane, SimBug, SimOptions, SimReport, Violation,
+    ViolationKind, DIGEST_SEED,
 };
 pub use scenario::{Dataset, FaultSpec, SimScenario};
+pub use schedule::arrival_offsets_us;
 pub use shrink::{regression_test, shrink, ShrinkOutcome};
+pub use spec::{ClientReport, Pacing};

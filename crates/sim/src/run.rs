@@ -13,19 +13,16 @@
 //! schedule diversity (the soak runs all of them); the last of them,
 //! [`Lane::Procs`], is the one that enters through the TCP front door.
 
-use crate::fork::{fork_workers, SpawnMode};
-use crate::json::Json;
+use crate::clients::{run_clients, serve, ClientPlan};
+use crate::fork::SpawnMode;
 use crate::model::RefModel;
 use crate::scenario::SimScenario;
 use braid::{
-    BraidClient, BraidConfig, BraidServer, BraidServerConfig, BraidSystem, CheckedSolutions,
-    CmsConfig, Completeness, PoolConfig, RemoteDbms, RemoteTcpServer, RingSink, SessionHandle,
-    SessionTask, TcpClientConfig, TcpServerConfig, TransportConfig, Tuple, WorkerPool,
+    BraidConfig, BraidSystem, CheckedSolutions, CmsConfig, Completeness, PoolConfig, RemoteDbms,
+    RemoteTcpServer, RingSink, SessionHandle, SessionTask, TcpClientConfig, TcpServerConfig,
+    TransportConfig, Tuple, WorkerPool,
 };
 use braid_net::{FaultProxy, ProxyPlan};
-use braid_remote::clientproto::{
-    decode_sim_report, encode_sim_report, kind, SimProcReport, SimSessionDigest,
-};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -93,8 +90,9 @@ pub enum Lane {
     /// [`WorkerPool`] ([`SimOptions::workers`] threads): joins park the
     /// session, not a thread. Adds the invariant that no task panicked.
     Pool,
-    /// The front door: the system behind a [`BraidServer`], each session
-    /// one [`BraidClient`] connection, the connections dealt across
+    /// The front door: the system behind a [`braid::BraidServer`], each
+    /// session one [`braid::BraidClient`] connection, the connections
+    /// dealt by the client driver ([`crate::clients`]) across
     /// [`SimOptions::procs`] workers — threads, or real forked processes
     /// ([`SimOptions::spawn`]). Workers report one digest per session,
     /// checked against the model's; adds the invariant that the server
@@ -199,8 +197,8 @@ fn fnv1a(digest: &mut u64, bytes: &[u8]) {
 /// Fold one answered query into a digest chain: FNV-1a over the query
 /// text, the completeness verdict (with any missing subqueries), and
 /// every solution tuple in answer order. Start chains from
-/// [`DIGEST_SEED`]. The load harness reuses this exact shape so a
-/// worker process's digest is recomputable from the [`RefModel`].
+/// [`DIGEST_SEED`]. Front-door workers chain answers the same way, so a
+/// session's digest is recomputable from the [`RefModel`].
 pub fn digest_answer(digest: &mut u64, query: &str, checked: &CheckedSolutions) {
     fnv1a(digest, query.as_bytes());
     match &checked.completeness {
@@ -569,7 +567,7 @@ fn drive_pool(
     let pool = WorkerPool::with_metrics(
         PoolConfig {
             workers: opts.workers,
-            step_budget: 8,
+            ..PoolConfig::default()
         },
         system.cms().metrics_handle(),
     );
@@ -609,107 +607,23 @@ fn drive_pool(
     (solves, rings)
 }
 
-/// One [`Lane::Procs`] worker's orders: where the server listens, which
-/// share of the scenario's sessions is its own (`session % procs ==
-/// proc`), and the scenario itself.
-struct ProcSpec {
-    addr: String,
-    proc: u32,
-    procs: u32,
-    scenario: SimScenario,
-}
-
-impl ProcSpec {
-    fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("addr".into(), Json::Str(self.addr.clone())),
-            ("proc".into(), Json::UInt(self.proc.into())),
-            ("procs".into(), Json::UInt(self.procs.into())),
-            ("scenario".into(), Json::Str(self.scenario.to_json())),
-        ])
-        .render()
+/// [`Lane::Procs`]'s clients: the scenario's sessions, unpaced and
+/// untraced.
+fn procs_plan<'a>(sc: &'a SimScenario, opts: &'a SimOptions) -> ClientPlan<'a> {
+    ClientPlan {
+        strategy: sc.strategy,
+        sessions: &sc.sessions,
+        procs: opts.procs,
+        pacing: None,
+        trace_one_in: 0,
+        spawn: &opts.spawn,
     }
-
-    fn from_json(src: &str) -> Result<ProcSpec, String> {
-        let v = Json::parse(src)?;
-        let u32_of = |key: &str| {
-            v.req(key)?
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or(format!("{key} must be a u32"))
-        };
-        let str_of = |key: &str| {
-            v.req(key)?
-                .as_str()
-                .ok_or(format!("{key} must be a string"))
-        };
-        Ok(ProcSpec {
-            addr: str_of("addr")?.to_string(),
-            proc: u32_of("proc")?,
-            procs: u32_of("procs")?.max(1),
-            scenario: SimScenario::from_json(str_of("scenario")?)?,
-        })
-    }
-
-    /// Run this worker's sessions — one connection each, queries in
-    /// stream order — chaining every answer into a per-session digest.
-    /// A failed solve ends its session (the transport is usually gone).
-    fn run(&self) -> SimProcReport {
-        let sc = &self.scenario;
-        let addr: Option<std::net::SocketAddr> = self.addr.parse().ok();
-        let mine = (self.proc..sc.sessions.len() as u32).step_by(self.procs as usize);
-        let sessions = mine
-            .map(|session| {
-                let queries = &sc.sessions[session as usize];
-                let mut out = SimSessionDigest {
-                    session,
-                    solves: 0,
-                    errors: 0,
-                    digest: DIGEST_SEED,
-                };
-                let Some(mut client) = addr
-                    .and_then(|a| BraidClient::connect_timeout(a, Duration::from_secs(10)).ok())
-                else {
-                    out.errors = queries.len() as u64;
-                    return out;
-                };
-                for q in queries {
-                    match client.solve_checked(q, sc.strategy) {
-                        Ok(checked) => {
-                            out.solves += 1;
-                            digest_answer(&mut out.digest, q, &checked);
-                        }
-                        Err(e) => {
-                            eprintln!("sim worker {}: session {session}: {e}", self.proc);
-                            out.errors += 1;
-                            break;
-                        }
-                    }
-                }
-                client.goodbye();
-                out
-            })
-            .collect();
-        SimProcReport {
-            proc: self.proc,
-            sessions,
-        }
-    }
-}
-
-/// The child side of [`Lane::Procs`] in [`SpawnMode::Process`]: run the
-/// worker a `SIM_SPEC` frame's text describes and encode its `SIM_REPORT`
-/// payload.
-///
-/// # Errors
-/// A spec that does not parse.
-pub fn procs_worker(spec_json: &str) -> Result<Vec<u8>, String> {
-    Ok(encode_sim_report(&ProcSpec::from_json(spec_json)?.run()))
 }
 
 /// [`Lane::Procs`]: `system` behind a [`BraidServer`], every session a
 /// client connection to it, dealt across worker threads or forked
-/// processes. Workers send back digests, not answers, so a session whose
+/// processes by the front-door driver ([`crate::clients`]), unpaced and
+/// untraced. Workers send back digests, not answers, so a session whose
 /// digest equals the model's chain comes back as the model's
 /// (byte-identical) answers and any other session as errors naming the
 /// discrepancy. The server is drained and shut down before returning, so
@@ -721,92 +635,19 @@ fn drive_procs(
     opts: &SimOptions,
     violations: &mut Vec<Violation>,
 ) -> Result<Vec<Solve>, String> {
-    let config = BraidServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: opts.workers,
-        step_budget: 8,
-    };
-    let server = BraidServer::start(Arc::clone(system), config)
-        .map_err(|e| format!("procs lane: server start failed: {e}"))?;
-    let procs = opts.procs.clamp(1, sc.sessions.len().max(1)) as u32;
-    let specs: Vec<ProcSpec> = (0..procs)
-        .map(|proc| ProcSpec {
-            addr: server.local_addr().to_string(),
-            proc,
-            procs,
-            scenario: sc.clone(),
-        })
-        .collect();
-    let reports: Vec<SimProcReport> = match &opts.spawn {
-        SpawnMode::Thread => std::thread::scope(|scope| {
-            let handles: Vec<_> = specs
-                .iter()
-                .map(|spec| scope.spawn(|| spec.run()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(|_| "sim worker thread panicked".into()))
-                .collect::<Result<_, String>>()
-        })?,
-        SpawnMode::Process(program) => {
-            let texts: Vec<String> = specs.iter().map(ProcSpec::to_json).collect();
-            fork_workers(program, kind::SIM_SPEC, &texts, kind::SIM_REPORT)?
-                .iter()
-                .map(|p| decode_sim_report(p).map_err(|e| format!("sim report corrupt: {e}")))
-                .collect::<Result<_, String>>()?
-        }
-    };
-
+    let server = serve(Arc::clone(system), opts.workers)?;
+    let run = run_clients(&server, model, &procs_plan(sc, opts))?;
     let mut solves = Vec::new();
-    for (report, s) in reports
-        .iter()
-        .flat_map(|r| r.sessions.iter().map(move |s| (r, s)))
-    {
-        let session = s.session as usize;
-        let queries = sc
-            .sessions
-            .get(session)
-            .ok_or_else(|| format!("proc {} reports unknown session {session}", report.proc))?;
-        let mut want = DIGEST_SEED;
-        let mut answers = Vec::with_capacity(queries.len());
-        for q in queries {
-            let answer = CheckedSolutions {
-                solutions: model.solve_text(q)?,
-                completeness: Completeness::Exact,
-            };
-            digest_answer(&mut want, q, &answer);
-            answers.push(answer);
-        }
-        let verdict = if s.errors > 0 || s.solves != queries.len() as u64 {
-            Err(format!(
-                "proc {}: session completed {} of {} queries with {} error(s)",
-                report.proc,
-                s.solves,
-                queries.len(),
-                s.errors
-            ))
-        } else if s.digest != want {
-            Err(format!(
-                "proc {}: session digest {:016x} != model {want:016x}",
-                report.proc, s.digest
-            ))
-        } else {
-            Ok(())
-        };
-        solves.extend(
-            queries
-                .iter()
-                .zip(answers)
-                .enumerate()
-                .map(|(step, (query, answer))| Solve {
-                    step,
-                    session,
-                    query: query.clone(),
-                    outcome: verdict.clone().map(|()| answer),
-                }),
-        );
+    for (session, (queries, check)) in sc.sessions.iter().zip(run.checks).enumerate() {
+        solves.extend(queries.iter().zip(check.answers).enumerate().map(
+            |(step, (query, answer))| Solve {
+                step,
+                session,
+                query: query.clone(),
+                outcome: check.verdict.clone().map(|()| answer),
+            },
+        ));
     }
-    solves.sort_by_key(|s| (s.session, s.step));
     // Every client said goodbye; the connection tasks must now retire on
     // their own, before shutdown would cut them.
     violations.extend(
@@ -996,6 +837,8 @@ pub fn run_scenario(sc: &SimScenario, lane: Lane, opts: &SimOptions) -> Result<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clients::deal;
+    use crate::spec::ClientSpec;
 
     /// First generated seed without faults and with data-bearing answers:
     /// the canvas for bug-injection meta-tests.
@@ -1073,7 +916,7 @@ mod tests {
     #[test]
     fn procs_lane_digest_matches_the_threads_lane() {
         // Thread spawn mode: the libtest binary cannot self-exec as a
-        // worker (crates/load/tests/multiprocess.rs forks real ones).
+        // worker (crates/bench/tests/multiprocess.rs forks real ones).
         let (sc, _) = quiet_seed_with_answers();
         let opts = SimOptions::default();
         let procs = run_scenario(&sc, Lane::Procs, &opts).expect("harness runs");
@@ -1088,15 +931,23 @@ mod tests {
 
     #[test]
     fn proc_spec_json_round_trips() {
-        let spec = ProcSpec {
-            addr: "127.0.0.1:9".into(),
-            proc: 1,
+        // What a forked procs-lane worker reads on stdin: generated query
+        // text survives the JSON trip, and every session is dealt to
+        // exactly one worker.
+        let sc = SimScenario::generate(42);
+        let opts = SimOptions {
             procs: 3,
-            scenario: SimScenario::generate(42),
+            ..SimOptions::default()
         };
-        let back = ProcSpec::from_json(&spec.to_json()).expect("parses");
-        assert_eq!((back.addr, back.proc, back.procs), (spec.addr, 1, 3));
-        assert_eq!(back.scenario, spec.scenario);
+        let mut dealt = Vec::new();
+        for spec in deal(&procs_plan(&sc, &opts), "127.0.0.1:9") {
+            let back = ClientSpec::from_json(&spec.to_json()).expect("parses");
+            assert_eq!(back, spec);
+            dealt.extend(back.sessions);
+        }
+        dealt.sort_by_key(|(session, _)| *session);
+        let want: Vec<(u32, Vec<String>)> = (0..).zip(sc.sessions.iter().cloned()).collect();
+        assert_eq!(dealt, want);
     }
 
     #[test]

@@ -305,6 +305,28 @@ pub struct SimScenario {
     pub faults: Option<FaultSpec>,
 }
 
+/// A strategy's JSON name (scenarios and worker specs share it).
+pub(crate) fn strategy_to_json(s: Strategy) -> Json {
+    Json::Str(
+        match s {
+            Strategy::Interpreted => "interpreted",
+            Strategy::ConjunctionCompiled => "conjunction_compiled",
+            Strategy::FullyCompiled => "fully_compiled",
+        }
+        .into(),
+    )
+}
+
+/// Parse a name written by [`strategy_to_json`].
+pub(crate) fn strategy_from_json(v: &Json) -> Result<Strategy, String> {
+    match v.as_str().ok_or("strategy must be a string")? {
+        "interpreted" => Ok(Strategy::Interpreted),
+        "conjunction_compiled" => Ok(Strategy::ConjunctionCompiled),
+        "fully_compiled" => Ok(Strategy::FullyCompiled),
+        other => Err(format!("unknown strategy `{other}`")),
+    }
+}
+
 impl SimScenario {
     /// Total number of queries across every session.
     pub fn query_count(&self) -> usize {
@@ -348,15 +370,10 @@ impl SimScenario {
     /// Serialize to compact JSON (exact round-trip via
     /// [`SimScenario::from_json`]).
     pub fn to_json(&self) -> String {
-        let strategy = match self.strategy {
-            Strategy::Interpreted => "interpreted",
-            Strategy::ConjunctionCompiled => "conjunction_compiled",
-            Strategy::FullyCompiled => "fully_compiled",
-        };
         Json::Obj(vec![
             ("seed".into(), Json::UInt(self.seed)),
             ("dataset".into(), self.dataset.to_json()),
-            ("strategy".into(), Json::Str(strategy.into())),
+            ("strategy".into(), strategy_to_json(self.strategy)),
             (
                 "sessions".into(),
                 Json::Arr(
@@ -399,16 +416,7 @@ impl SimScenario {
     /// JSON syntax errors, missing fields, or an inconsistent schedule.
     pub fn from_json(src: &str) -> Result<SimScenario, String> {
         let v = Json::parse(src)?;
-        let strategy = match v
-            .req("strategy")?
-            .as_str()
-            .ok_or("strategy must be a string")?
-        {
-            "interpreted" => Strategy::Interpreted,
-            "conjunction_compiled" => Strategy::ConjunctionCompiled,
-            "fully_compiled" => Strategy::FullyCompiled,
-            other => return Err(format!("unknown strategy `{other}`")),
-        };
+        let strategy = strategy_from_json(v.req("strategy")?)?;
         let mut sessions = Vec::new();
         for s in v
             .req("sessions")?

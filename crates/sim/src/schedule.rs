@@ -3,13 +3,13 @@
 //! An open-loop generator decides *when* requests arrive before it
 //! knows how the server will cope: a Poisson process with the requested
 //! mean rate, materialized as cumulative microsecond offsets from the
-//! run's start. Workers claim arrival slots from the shared schedule
-//! and charge each query's latency from its scheduled arrival, so a
+//! worker's start. Each client session sleeps to its own schedule
+//! and charges each query's latency from its scheduled arrival, so a
 //! server that falls behind pays the queueing delay in the histogram
 //! instead of silently slowing the generator down (the classic
 //! coordinated-omission mistake of closed loops).
 
-use braid_sim::SimRng;
+use crate::gen::SimRng;
 
 /// Cumulative arrival offsets in microseconds for `n` queries at
 /// `rate_per_sec` mean arrivals/second: exponential inter-arrival gaps

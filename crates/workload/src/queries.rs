@@ -14,8 +14,10 @@ use std::collections::VecDeque;
 pub struct QueryWorkload {
     rng: StdRng,
     recent: VecDeque<String>,
-    window: usize,
 }
+
+/// How many recent constants are eligible for re-use.
+const WINDOW: usize = 8;
 
 impl QueryWorkload {
     /// A generator with the given seed.
@@ -23,15 +25,7 @@ impl QueryWorkload {
         QueryWorkload {
             rng: StdRng::seed_from_u64(seed),
             recent: VecDeque::new(),
-            window: 8,
         }
-    }
-
-    /// Set the locality window size (how many recent constants are
-    /// eligible for re-use).
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
     }
 
     /// Draw the next constant from `domain` honouring `locality` ∈ \[0,1\].
@@ -44,7 +38,7 @@ impl QueryWorkload {
             domain[self.rng.gen_range(0..domain.len())].clone()
         };
         self.recent.push_back(c.clone());
-        if self.recent.len() > self.window {
+        if self.recent.len() > WINDOW {
             self.recent.pop_front();
         }
         c

@@ -54,13 +54,13 @@ trace-check:
 # `just top` attaches to a running server; `just top-demo` brings its
 # own server + traffic; `just top-smoke` is the one-shot CI check.
 top addr="127.0.0.1:7878":
-    cargo run --release -p braid-load --bin top -- --addr {{addr}}
+    cargo run --release -p braid-bench --bin top -- --addr {{addr}}
 
 top-demo:
-    cargo run --release -p braid-load --bin top -- --demo --interval-ms 500
+    cargo run --release -p braid-bench --bin top -- --demo --interval-ms 500
 
 top-smoke:
-    cargo run --release -p braid-load --bin top -- --demo --once
+    cargo run --release -p braid-bench --bin top -- --demo --once
 
 # The network suites (DESIGN.md §11): frame codec + fault proxy
 # (braid-net), TCP server/client-pool/transport (braid-remote), the
@@ -106,11 +106,11 @@ columnar:
     cargo test --test columnar_differential -q
 
 # Multi-process load generator (DESIGN.md §11): fork real client
-# processes against a braid server, closed- or open-loop, every digest
-# checked against the reference model. `just load 8 4000` runs 8
+# processes against a braid server, closed- or open-loop, every session
+# digest checked against the reference model. `just load 8 4000` runs 8
 # processes at 4000 arrivals/s per process; rate 0 is closed loop.
 load procs="4" rate="800" queries="200":
-    cargo run --release -p braid-load --bin load -- \
+    cargo run --release -p braid-bench --bin load -- \
         --procs {{procs}} --rate {{rate}} --queries {{queries}}
 
 # Server-side chaos suite: the fault proxy pointed at BraidServer —

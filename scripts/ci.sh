@@ -37,18 +37,19 @@ cargo run --release --example tcp_session > /dev/null
 echo "==> server chaos suite (fault proxy pointed at BraidServer)"
 cargo test --release --test server_chaos -q
 
-echo "==> multi-process load smoke (2 forked clients, oracle-checked)"
-cargo run --release -p braid-load --bin load -- --procs 2 --conns 1 --queries 40 --rate 0 > /dev/null
-cargo run --release -p braid-load --bin load -- --procs 2 --conns 1 --queries 40 --rate 2000 > /dev/null
+echo "==> multi-process load smoke (2 forked clients, 1 and 2 sessions each, oracle-checked)"
+cargo run --release -p braid-bench --bin load -- --procs 2 --conns 1 --queries 40 --rate 0 > /dev/null
+cargo run --release -p braid-bench --bin load -- --procs 2 --conns 1 --queries 40 --rate 2000 > /dev/null
+cargo run --release -p braid-bench --bin load -- --procs 2 --conns 2 --queries 40 --rate 2000 > /dev/null
 
 echo "==> wire observability suite (trace propagation, STATS, flight recorder)"
 cargo test --release --test wire_observability -q
 
 echo "==> top dashboard smoke (demo server, one STATS snapshot)"
-cargo run --release -p braid-load --bin top -- --demo --once | grep -q "braid top"
+cargo run --release -p braid-bench --bin top -- --demo --once | grep -q "braid top"
 
 echo "==> traced load smoke (wire tracing + 10 Hz STATS poller)"
-cargo run --release -p braid-load --bin load -- --procs 2 --conns 1 --queries 40 --rate 0 --trace --stats-poll-hz 10 > /dev/null
+cargo run --release -p braid-bench --bin load -- --procs 2 --conns 1 --queries 40 --rate 0 --trace --stats-poll-hz 10 > /dev/null
 
 echo "==> braid server round trip (serve example)"
 cargo run --release --example serve > /dev/null
