@@ -12,9 +12,12 @@ use crate::element::{CacheElement, ElemId, Repr};
 use crate::error::Result;
 use crate::model::ModelRow;
 use braid_caql::ConjunctiveQuery;
-use braid_relational::Generator;
+use braid_relational::{CmpOp, ColumnarRelation, ExecConfig, ExecStats, Generator, Relation};
+use braid_subsume::derive::ResidualFilter;
 use braid_subsume::{CandidateUse, Derivation, SubsumptionEngine, ViewDef};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+use std::sync::Arc;
 
 /// The cache: elements, the subsumption index over their definitions, an
 /// exact-match index, and replacement machinery.
@@ -128,7 +131,7 @@ impl CacheManager {
     /// (and drops the element, evicting nothing) if it cannot fit even
     /// once every unpinned element is gone. Evicts LRU-first among
     /// unpinned elements when needed — the paper's advice-modified LRU
-    /// (§5.4). An element's size is fixed here: nothing mutates it later.
+    /// (§5.4). An element's size is fixed here: nothing resizes it later.
     pub fn insert(&mut self, def: ViewDef, repr: Repr) -> Option<ElemId> {
         let id = self.next_id;
         let now = self.tick();
@@ -317,9 +320,9 @@ impl CacheManager {
         self.engine.find_whole(q)
     }
 
-    /// The stored form of an element, shared (an `Arc` clone). Elements
-    /// never change after insert, so a derivation may run over it after
-    /// the caller has let go of the cache.
+    /// The stored form of an element, shared (an `Arc` clone). A form is
+    /// immutable (clustering swaps in a new one), so a derivation may run
+    /// over it after the caller has let go of the cache.
     ///
     /// # Errors
     /// Returns an error if the element is gone.
@@ -336,7 +339,7 @@ impl CacheManager {
     /// Returns an error if the element is gone or a projection variable
     /// is unavailable.
     pub fn derive(&self, id: ElemId, derivation: &Derivation, vars: &[&str]) -> Result<Generator> {
-        derive(id, &self.repr_of(id)?, derivation, vars)
+        derive(id, &self.repr_of(id)?, derivation, vars).map(|(g, _)| g)
     }
 
     /// [`derive_relation`] over a cached element.
@@ -349,8 +352,48 @@ impl CacheManager {
         id: ElemId,
         derivation: &Derivation,
         vars: &[&str],
-    ) -> Result<braid_relational::Relation> {
-        derive_relation(id, &self.repr_of(id)?, derivation, vars)
+        exec: ExecConfig,
+    ) -> Result<Derived> {
+        derive_relation(id, &self.repr_of(id)?, derivation, vars, exec)
+    }
+
+    /// Claim the one clustering of a columnar element whose stored form
+    /// is still `old`: true for the first caller only, so one caller
+    /// sorts and the others read `old` until [`CacheManager::recluster`]
+    /// swaps the sorted copy in.
+    pub(crate) fn claim_clustering(&mut self, id: ElemId, old: &Arc<ColumnarRelation>) -> bool {
+        match self.elements.get_mut(&id) {
+            Some(e)
+                if !e.cluster_claimed
+                    && matches!(&e.repr, Repr::Columns(cur) if Arc::ptr_eq(cur, old)) =>
+            {
+                e.cluster_claimed = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Replace a columnar element's stored form with `clustered`, the same
+    /// rows sorted on one column — only if the element is still resident
+    /// and still holds `old`, so a concurrent replacement is never
+    /// overwritten. The bytes charged do not change. Returns whether the
+    /// swap happened.
+    pub(crate) fn recluster(
+        &mut self,
+        id: ElemId,
+        old: &Arc<ColumnarRelation>,
+        clustered: Arc<ColumnarRelation>,
+    ) -> bool {
+        let Some(e) = self.elements.get_mut(&id) else {
+            return false;
+        };
+        if !matches!(&e.repr, Repr::Columns(cur) if Arc::ptr_eq(cur, old)) {
+            return false;
+        }
+        debug_assert_eq!(old.approx_size(), clustered.approx_size());
+        e.repr = Repr::Columns(clustered);
+        true
     }
 
     /// Cardinality of an element's extension, if the element exists.
@@ -382,8 +425,8 @@ fn projection(id: ElemId, derivation: &Derivation, vars: &[&str]) -> Result<Vec<
 
 /// Build the local compensation pipeline computing a derivation from
 /// element `id`, stored as `repr`: scan/generator → residual filter →
-/// projection onto `vars` (in order). This is the Query Processor at work
-/// (§5.4).
+/// projection onto `vars` (in order), and the access path it will take.
+/// This is the Query Processor at work (§5.4).
 ///
 /// # Errors
 /// Returns an error if a projection variable is unavailable.
@@ -392,16 +435,63 @@ pub(crate) fn derive(
     repr: &Repr,
     derivation: &Derivation,
     vars: &[&str],
-) -> Result<Generator> {
+) -> Result<(Generator, Access)> {
     let cols = projection(id, derivation, vars)?;
-    let g = repr.as_generator().filter(derivation.filter_expr());
-    g.project(&cols).map_err(crate::error::CmsError::from)
+    let filter = derivation.filter_expr();
+    let access = scan_access(repr, &filter);
+    let g = repr.as_generator().filter(filter).project(&cols)?;
+    Ok((g, access))
 }
 
-/// Eagerly evaluate a derivation, exploiting a hash index on the
-/// element's extension when the residual filters probe indexed columns —
-/// the Query Processor "uses hash indices when available to speed up
-/// joins and some selections" (§5.4).
+/// How a derivation reached its element's rows — EXPLAIN's `access`
+/// field on a cache part.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Access {
+    /// A hash-index probe on the column.
+    Probe(usize),
+    /// The slice of a clustered element a binary search on its sort
+    /// column left: `read` of `total` rows.
+    Range {
+        /// The sort column.
+        col: usize,
+        /// Rows the kernel evaluated.
+        read: usize,
+        /// Rows the element holds.
+        total: usize,
+    },
+    /// Every row.
+    Scan,
+}
+
+impl fmt::Display for Access {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Access::Probe(c) => write!(f, "probe({c})"),
+            Access::Range { col, read, total } => write!(f, "range({col}) {read}/{total}"),
+            Access::Scan => write!(f, "scan"),
+        }
+    }
+}
+
+/// An eagerly evaluated derivation: its rows, the executor's counters,
+/// and the access path it took.
+#[derive(Debug)]
+pub struct Derived {
+    /// The derived relation (columns in the order of the requested
+    /// variables).
+    pub rel: Relation,
+    /// The executor's work counters for the derivation.
+    pub stats: ExecStats,
+    /// How the element's rows were reached.
+    pub access: Access,
+}
+
+/// Eagerly evaluate a derivation with the executor configuration `exec`.
+/// An equality residual on an indexed column of a row element probes the
+/// index — the Query Processor "uses hash indices when available to
+/// speed up joins and some selections" (§5.4) — and keeps the whole
+/// filter as the residual; a clustered columnar element reads only the
+/// slice its range residuals leave; anything else scans.
 ///
 /// # Errors
 /// Returns an error if a projection variable is unavailable.
@@ -410,30 +500,63 @@ pub(crate) fn derive_relation(
     repr: &Repr,
     derivation: &Derivation,
     vars: &[&str],
-) -> Result<braid_relational::Relation> {
+    exec: ExecConfig,
+) -> Result<Derived> {
     let cols = projection(id, derivation, vars)?;
-    if let Repr::Rows(ext) = repr {
-        // Try an index probe over the equality residuals.
-        let probes = derivation.probe_cols();
-        if !probes.is_empty() {
-            let probe_cols: Vec<usize> = probes.iter().map(|(c, _)| *c).collect();
-            if ext.index_on(&probe_cols).is_some() {
-                let key: Vec<braid_relational::Value> =
-                    probes.iter().map(|(_, v)| v.clone()).collect();
-                let selected = braid_relational::ops::select_eq(
-                    ext,
-                    &probe_cols,
-                    &key,
-                    Some(&derivation.filter_expr()),
-                )?;
-                return Ok(braid_relational::ops::project(&selected, &cols)?);
-            }
+    let filter = derivation.filter_expr();
+    let probe = match repr {
+        Repr::Rows(ext) => (derivation.probe_cols().into_iter())
+            .find(|(c, _)| ext.index_on(&[*c]).is_some())
+            .map(|(c, v)| (ext, c, v)),
+        Repr::Columns(_) => None,
+    };
+    let (plan, access) = match probe {
+        Some((ext, c, v)) => {
+            let plan = braid_relational::ops::select_eq(ext, &[c], &[v], Some(filter));
+            (plan, Access::Probe(c))
         }
+        None => {
+            let access = scan_access(repr, &filter);
+            (repr.scan_plan().filter(filter), access)
+        }
+    };
+    let (rel, stats) = plan.project(&cols)?.materialize_with(exec)?;
+    Ok(Derived { rel, stats, access })
+}
+
+/// The access path a filter over `repr` takes without an index probe: the
+/// slice of a clustered element its range conjuncts leave, or a scan. The
+/// slice is [`ColumnarRelation::clustered_range`]'s, the same call the
+/// columnar kernels read by, so the label is the slice the kernel reads.
+fn scan_access(repr: &Repr, filter: &braid_relational::Expr) -> Access {
+    let Repr::Columns(c) = repr else {
+        return Access::Scan;
+    };
+    match (
+        c.sorted_on(),
+        c.clustered_range(std::slice::from_ref(filter)),
+    ) {
+        (Some(col), Some(r)) => Access::Range {
+            col,
+            read: r.len(),
+            total: c.len(),
+        },
+        _ => Access::Scan,
     }
-    // Fallback: the generic generator pipeline.
-    derive(id, repr, derivation, vars)?
-        .materialize()
-        .map_err(crate::error::CmsError::from)
+}
+
+/// The column a columnar element would be clustered on for this
+/// derivation: the first residual comparing a clusterable column to a
+/// constant with `<`, `<=`, `>` or `>=`.
+pub(crate) fn range_column(cols: &ColumnarRelation, derivation: &Derivation) -> Option<usize> {
+    derivation.filters.iter().find_map(|f| match f {
+        ResidualFilter::ColConst(c, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge, _)
+            if cols.is_clusterable(*c) =>
+        {
+            Some(*c)
+        }
+        _ => None,
+    })
 }
 
 /// The read-side cache interface the planner and monitor run against.
@@ -455,7 +578,8 @@ pub trait CacheRead {
     /// (served by the vectorized kernels — feeds the `columnar_hits`
     /// metric and the EXPLAIN `repr` field).
     fn is_columnar(&self, id: ElemId) -> bool;
-    /// Eagerly evaluate a derivation over an element.
+    /// Eagerly evaluate a derivation over an element with the executor
+    /// configuration `exec`.
     ///
     /// # Errors
     /// Returns an error if the element is gone or a projection variable
@@ -465,7 +589,8 @@ pub trait CacheRead {
         id: ElemId,
         derivation: &Derivation,
         vars: &[&str],
-    ) -> Result<braid_relational::Relation>;
+        exec: ExecConfig,
+    ) -> Result<Derived>;
 }
 
 impl CacheRead for CacheManager {
@@ -494,8 +619,9 @@ impl CacheRead for CacheManager {
         id: ElemId,
         derivation: &Derivation,
         vars: &[&str],
-    ) -> Result<braid_relational::Relation> {
-        CacheManager::derive_relation(self, id, derivation, vars)
+        exec: ExecConfig,
+    ) -> Result<Derived> {
+        CacheManager::derive_relation(self, id, derivation, vars, exec)
     }
 }
 
@@ -705,8 +831,9 @@ mod tests {
             let q = parse_rule(src).unwrap();
             let (_, via_rows) = rows.whole_subsumers(&q).remove(0);
             let (_, via_cols) = cols.whole_subsumers(&q).remove(0);
-            let a = rows.derive_relation(r, &via_rows, vars).unwrap();
-            let b = cols.derive_relation(c, &via_cols, vars).unwrap();
+            let exec = ExecConfig::default();
+            let a = rows.derive_relation(r, &via_rows, vars, exec).unwrap().rel;
+            let b = cols.derive_relation(c, &via_cols, vars, exec).unwrap().rel;
             assert!(!a.is_empty(), "{src}");
             assert_eq!(a.sorted_tuples(), b.sorted_tuples(), "{src}");
         }
@@ -721,6 +848,74 @@ mod tests {
             .unwrap()
             .index_on(&[0])
             .is_some());
+    }
+
+    #[test]
+    fn two_equality_residuals_probe_the_indexed_column() {
+        // Indexes are single-column (`Repr::choose`), so `K = k3, N = 3`
+        // over an element indexed on K probes K and filters the bucket.
+        let mut rel = Relation::new(Schema::of_strs("e", &["k", "n"]));
+        for i in 0..400i64 {
+            rel.insert(tuple![format!("k{}", i % 40), i % 13]).unwrap();
+        }
+        let d = def("e(K, N) :- b1(K, N).");
+        let (mut indexed, mut plain) =
+            (CacheManager::new(usize::MAX), CacheManager::new(usize::MAX));
+        let i = indexed
+            .insert(d.clone(), Repr::choose(&rel, &[0]).unwrap())
+            .unwrap();
+        let p = plain.insert(d, rel.into()).unwrap();
+        let derivation = Derivation {
+            var_cols: [("K".to_string(), 0), ("N".to_string(), 1)].into(),
+            filters: vec![
+                ResidualFilter::ColConst(0, CmpOp::Eq, braid_relational::Value::str("k3")),
+                ResidualFilter::ColConst(1, CmpOp::Eq, braid_relational::Value::int(3)),
+            ],
+        };
+        let exec = ExecConfig::default();
+        let probed = indexed
+            .derive_relation(i, &derivation, &["K", "N"], exec)
+            .unwrap();
+        let scanned = plain
+            .derive_relation(p, &derivation, &["K", "N"], exec)
+            .unwrap();
+        assert_eq!(probed.access, Access::Probe(0));
+        assert_eq!(scanned.access, Access::Scan);
+        assert!(!probed.rel.is_empty());
+        assert_eq!(probed.rel.sorted_tuples(), scanned.rel.sorted_tuples());
+        // The probe reads k3's bucket (10 rows), the scan all 400.
+        let survivors = probed.rel.len() as u64;
+        assert_eq!(probed.stats.rows_pruned, 10 - survivors);
+        assert_eq!(scanned.stats.rows_pruned, 400 - survivors);
+    }
+
+    #[test]
+    fn one_caller_claims_an_elements_clustering_and_swaps_it_in() {
+        let rows = (0..100i64).map(|k| tuple![k, (k * 37) % 100]);
+        let rel = Relation::from_tuples(Schema::of_strs("e", &["k", "v"]), rows).unwrap();
+        let mut c = CacheManager::new(usize::MAX);
+        let id = c
+            .insert(
+                def("e(K, V) :- b1(K, V)."),
+                Repr::choose(&rel, &[]).unwrap(),
+            )
+            .unwrap();
+        let Repr::Columns(old) = c.repr_of(id).unwrap() else {
+            panic!("int columns are stored column-major");
+        };
+        assert!(c.claim_clustering(id, &old));
+        assert!(
+            !c.claim_clustering(id, &old),
+            "the racing caller reads `old`"
+        );
+        let clustered = Arc::new(old.clustered_on(1).unwrap());
+        let bytes = c.used_bytes();
+        assert!(c.recluster(id, &old, Arc::clone(&clustered)));
+        assert_eq!(c.used_bytes(), bytes);
+        // The element now holds the clustered copy: neither call matches.
+        assert!(!c.claim_clustering(id, &old));
+        assert!(!c.recluster(id, &old, clustered));
+        assert!(!c.claim_clustering(id + 1, &old), "a missing element");
     }
 
     #[test]

@@ -600,11 +600,20 @@ impl Cms {
                         self.tracer
                             .event(TraceKind::PlanDecision, q.head.to_string(), fields);
                     }
-                    let g = self.shared.cache.derive(*element, derivation, &head_vars)?;
+                    let (g, access) = self.shared.cache.derive(*element, derivation, &head_vars)?;
+                    let columnar = self.shared.cache.is_columnar(*element);
                     self.shared.metrics.add_lazy(1);
-                    self.shared
-                        .metrics
-                        .add_columnar_hits(u64::from(self.shared.cache.is_columnar(*element)));
+                    self.shared.metrics.add_columnar_hits(u64::from(columnar));
+                    if self.tracer.enabled() {
+                        monitor::trace_cache_part(
+                            &self.tracer,
+                            self.tracer.current(),
+                            &plan.parts[0],
+                            columnar,
+                            &access,
+                            None,
+                        );
+                    }
                     // The stream keeps the pins: the generator reads the
                     // element's (Arc-shared) extension, and the pin keeps
                     // concurrent eviction from dropping the element — and
@@ -613,6 +622,7 @@ impl Cms {
                     return Ok(AnswerStream::lazy_pinned(
                         g.open_with(self.config.exec),
                         pins,
+                        Arc::clone(&self.shared.metrics),
                     ));
                 }
             }
@@ -1059,6 +1069,43 @@ mod tests {
         let answers = cms.query(instance).unwrap().drain();
         assert_eq!(answers.len(), 1);
         assert_eq!(cms.remote().metrics().requests, before);
+    }
+
+    #[test]
+    fn a_band_derivation_books_its_counters_and_clusters_its_element_once() {
+        // Eagerly, and lazily (a stream books its counters when it drops).
+        for lazy in [false, true] {
+            let cfg = CmsConfig::braid()
+                .with_lazy(lazy)
+                .with_prefetching(false)
+                .with_generalization(false);
+            let mut cms = Cms::new(remote(), cfg);
+            let n = 1_000i64;
+            let rows = (0..n).map(|k| tuple![k, (k * 37) % n]);
+            let rel = Relation::from_tuples(Schema::of_strs("num", &["k", "v"]), rows).unwrap();
+            let def = ViewDef::new(parse_rule("num(K, V) :- b9(K, V).").unwrap()).unwrap();
+            let repr = Repr::choose(&rel, &[]).unwrap();
+            cms.shared_cache().insert_with_aliases(def, repr, &[]);
+            let bytes = cms.shared_cache().used_bytes();
+            for (lo, hi) in [(100, 110), (500, 540), (990, 2_000)] {
+                let band = format!("q(K, V) :- b9(K, V), V >= {lo}, V < {hi}.");
+                let before = cms.metrics();
+                let answers = cms.query(parse_rule(&band).unwrap()).unwrap().drain();
+                let want = (lo..hi.min(n)).count();
+                assert_eq!(answers.len(), want);
+                let d = cms.metrics().since(&before);
+                assert_eq!((d.full_cache_answers, d.lazy_answers), (1, u64::from(lazy)));
+                assert_eq!(
+                    d.executor_rows_pruned,
+                    (n as usize - want) as u64,
+                    "lazy {lazy}"
+                );
+            }
+            assert_eq!(cms.metrics().clusterings, 1, "clustered once, on V");
+            assert_eq!(cms.shared_cache().used_bytes(), bytes);
+            assert!(cms.shared_cache().byte_drift().is_empty());
+            assert_eq!(cms.remote().metrics().requests, 0);
+        }
     }
 
     #[test]

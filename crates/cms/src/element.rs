@@ -17,11 +17,13 @@
 //! The generator is not a stored form: [`CacheElement::as_generator`]
 //! opens one over either extension, so lazy answers stream from the same
 //! stored data the eager path reads (one stored plan, two modes). An
-//! element never changes form or size after insert, so the cache's byte
-//! accounting is fixed at insert too.
+//! element never changes size after insert, so the cache's byte
+//! accounting is fixed at insert too; its rows may be clustered once
+//! (see [`ColumnarRelation::clustered_on`]), which permutes them and
+//! keeps every byte.
 
 use crate::error::Result;
-use braid_relational::{ColumnarRelation, Generator, Relation, RelationStats};
+use braid_relational::{ColumnarRelation, Generator, PhysicalPlan, Relation, RelationStats};
 use braid_subsume::ViewDef;
 use std::sync::Arc;
 
@@ -66,15 +68,20 @@ impl Repr {
         }
     }
 
-    /// A generator over the stored columns, whichever form holds them —
-    /// the uniform access path for derivations and lazy answers.
-    pub fn as_generator(&self) -> Generator {
+    /// A scan of the stored form, whichever it is — the uniform access
+    /// path for derivations. Filters and aggregates composed on a
+    /// columnar scan compile to the executor's vectorized kernels.
+    pub fn scan_plan(&self) -> PhysicalPlan {
         match self {
-            // Filters/aggregates composed on top of this scan compile to
-            // the executor's vectorized kernels.
-            Repr::Columns(c) => Generator::scan_columnar(Arc::clone(c)),
-            Repr::Rows(r) => Generator::scan(Arc::clone(r)),
+            Repr::Columns(c) => PhysicalPlan::scan_columnar(Arc::clone(c)),
+            Repr::Rows(r) => PhysicalPlan::scan(Arc::clone(r)),
         }
+    }
+
+    /// A generator over [`Repr::scan_plan`]: the lazy answers' access
+    /// path.
+    pub fn as_generator(&self) -> Generator {
+        Generator::from_plan(self.scan_plan())
     }
 
     /// Approximate bytes an element in this form is charged: the
@@ -103,7 +110,7 @@ pub struct CacheElement {
     pub id: ElemId,
     /// Defining view (`E_def`): head terms name the stored columns.
     pub def: ViewDef,
-    /// The stored extension, fixed at insert.
+    /// The stored extension, fixed at insert up to one clustering.
     pub repr: Repr,
     /// Logical clock of last use (for LRU).
     pub last_used: u64,
@@ -117,6 +124,9 @@ pub struct CacheElement {
     /// reads). Distinct from the advice `pinned` flag: advice pins are
     /// policy, session pins are correctness.
     pub pin_count: u32,
+    /// Whether a derivation has claimed this element's one clustering
+    /// (see `SharedCache`): set once, never cleared.
+    pub(crate) cluster_claimed: bool,
 }
 
 impl CacheElement {
@@ -130,6 +140,7 @@ impl CacheElement {
             hits: 0,
             pinned: false,
             pin_count: 0,
+            cluster_claimed: false,
         }
     }
 

@@ -187,6 +187,9 @@ cms_metrics! {
         /// Containment tests the subsumption engine ran: candidates that
         /// passed the candidate index and got the full `subsumes` check.
         subsume_tests => add_subsume_tests,
+        /// Columnar elements clustered on a range column by their first
+        /// range derivation (each element at most once).
+        clusterings => add_clusterings,
     }
     gauges {
         /// High-water mark of the worker pool's run-queue depth.
@@ -297,7 +300,7 @@ mod tests {
                 * std::mem::size_of::<u64>()
                 + CmsMetricsSnapshot::HISTOGRAM_FIELDS * std::mem::size_of::<HistogramSnapshot>(),
         );
-        assert_eq!(CmsMetricsSnapshot::COUNTER_FIELDS, 28);
+        assert_eq!(CmsMetricsSnapshot::COUNTER_FIELDS, 29);
         assert_eq!(CmsMetricsSnapshot::GAUGE_FIELDS, 1);
         assert_eq!(CmsMetricsSnapshot::HISTOGRAM_FIELDS, 2);
     }

@@ -8,7 +8,7 @@
 //! while cache parts evaluate locally; the joins, residual selections and
 //! projection happen afterwards on the workstation.
 
-use crate::cache::CacheRead;
+use crate::cache::{Access, CacheRead};
 use crate::error::{CmsError, Result};
 use crate::flight::{Entered, FlightTicket, SingleFlight, TicketState, Waker};
 use crate::planner::{PartSource, Plan, PlanPart};
@@ -200,7 +200,8 @@ pub struct Executed {
     /// Cache parts served from a column-major element (the derivation
     /// compiled to the vectorized kernels).
     pub columnar_parts: u64,
-    /// Batched-executor work counters for the local join pipeline.
+    /// Batched-executor work counters: the cache parts' derivations and
+    /// the local join pipeline.
     pub exec_stats: ExecStats,
 }
 
@@ -228,9 +229,8 @@ pub struct Executed {
 /// Propagates translation, remote and local evaluation errors. Remote
 /// transport faults surface only after the resilience policy gives up.
 pub fn execute<C: CacheRead>(plan: &Plan, cache: &C, env: &ExecEnv<'_>) -> Result<Executed> {
-    let mut local_ops: u64 = 0;
     let mut remote_count: u64 = 0;
-    let mut columnar_parts: u64 = 0;
+    let mut work = CacheWork::default();
 
     // The span every per-part record nests under. Worker threads attach
     // through the explicit parent id, never the control-path stack.
@@ -268,9 +268,8 @@ pub fn execute<C: CacheRead>(plan: &Plan, cache: &C, env: &ExecEnv<'_>) -> Resul
             // Cache parts while remote is in flight.
             for (idx, part) in plan.parts.iter().enumerate() {
                 if part.is_cache() {
-                    let r = eval_cache_part(part, cache, &mut local_ops, &mut columnar_parts)?;
-                    trace_cache_part(&env, exec_parent, part, cache, &r.1);
-                    results[idx] = Some(r);
+                    results[idx] =
+                        Some(eval_cache_part(part, cache, &env, exec_parent, &mut work)?);
                 }
             }
             for (idx, h) in handles {
@@ -284,9 +283,7 @@ pub fn execute<C: CacheRead>(plan: &Plan, cache: &C, env: &ExecEnv<'_>) -> Resul
     } else {
         for (idx, part) in plan.parts.iter().enumerate() {
             results[idx] = Some(if part.is_cache() {
-                let r = eval_cache_part(part, cache, &mut local_ops, &mut columnar_parts)?;
-                trace_cache_part(env, exec_parent, part, cache, &r.1);
-                r
+                eval_cache_part(part, cache, env, exec_parent, &mut work)?
             } else {
                 fetch_remote(part, env, exec_parent)?
             });
@@ -339,9 +336,7 @@ pub fn execute<C: CacheRead>(plan: &Plan, cache: &C, env: &ExecEnv<'_>) -> Resul
     for part in &plan.neg_parts {
         remote_count += u64::from(!part.is_cache());
         let (nvars, nrel) = if part.is_cache() {
-            let r = eval_cache_part(part, cache, &mut local_ops, &mut columnar_parts)?;
-            trace_cache_part(env, exec_parent, part, cache, &r.1);
-            r
+            eval_cache_part(part, cache, env, exec_parent, &mut work)?
         } else {
             fetch_remote(part, env, exec_parent)?
         };
@@ -362,11 +357,14 @@ pub fn execute<C: CacheRead>(plan: &Plan, cache: &C, env: &ExecEnv<'_>) -> Resul
     }
 
     // One batched pull to completion; executor counters feed the
-    // workstation-cost proxy and the CMS metrics.
-    let (joined, exec_stats) = pipeline
+    // workstation-cost proxy and the CMS metrics. The cost proxy already
+    // counts each derivation by its output, so only the join pipeline's
+    // tuples are added to it; the executor counters take both.
+    let (joined, mut exec_stats) = pipeline
         .materialize_with(env.exec)
         .map_err(CmsError::from)?;
-    local_ops += exec_stats.tuples;
+    let local_ops = work.tuples_out + exec_stats.tuples;
+    exec_stats.merge(work.exec);
     let joined = rename(joined, &vars)?;
 
     if exec_span.is_live() {
@@ -379,7 +377,7 @@ pub fn execute<C: CacheRead>(plan: &Plan, cache: &C, env: &ExecEnv<'_>) -> Resul
         joined,
         local_tuple_ops: local_ops,
         remote_subqueries: remote_count,
-        columnar_parts,
+        columnar_parts: work.columnar_parts,
         exec_stats,
     })
 }
@@ -390,11 +388,26 @@ fn part_plan(rel: &Relation) -> PhysicalPlan {
     PhysicalPlan::rows(rel.schema().clone(), rel.to_vec())
 }
 
+/// What a plan's cache parts cost the workstation.
+#[derive(Default)]
+struct CacheWork {
+    /// Tuples the derivations produced (their share of the cost proxy).
+    tuples_out: u64,
+    /// Parts served from a column-major element.
+    columnar_parts: u64,
+    /// The derivations' executor counters.
+    exec: ExecStats,
+}
+
+/// Derive one cache part with the session's executor configuration,
+/// book its work, and record it under the `exec.run` span (EXPLAIN's
+/// per-part row: rows, stored form and access path).
 fn eval_cache_part<C: CacheRead>(
     part: &PlanPart,
     cache: &C,
-    local_ops: &mut u64,
-    columnar_parts: &mut u64,
+    env: &ExecEnv<'_>,
+    parent: Option<u64>,
+    work: &mut CacheWork,
 ) -> Result<FetchedPart> {
     let PartSource::Cache {
         element,
@@ -404,36 +417,45 @@ fn eval_cache_part<C: CacheRead>(
         unreachable!("eval_cache_part called on a remote part");
     };
     let var_refs: Vec<&str> = part.vars.iter().map(String::as_str).collect();
-    *columnar_parts += u64::from(cache.is_columnar(*element));
-    // Index-aware eager derivation (§5.4's hash-index use); columnar
-    // elements compile to the vectorized kernels instead.
-    let rel = cache.derive_relation(*element, derivation, &var_refs)?;
-    *local_ops += rel.len() as u64;
-    Ok((part.vars.clone(), rename(rel, &part.vars)?))
+    let columnar = cache.is_columnar(*element);
+    let derived = cache.derive_relation(*element, derivation, &var_refs, env.exec)?;
+    work.tuples_out += derived.rel.len() as u64;
+    work.columnar_parts += u64::from(columnar);
+    work.exec.merge(derived.stats);
+    trace_cache_part(
+        env.trace,
+        parent,
+        part,
+        columnar,
+        &derived.access,
+        Some(derived.rel.len()),
+    );
+    Ok((part.vars.clone(), rename(derived.rel, &part.vars)?))
 }
 
-/// Record one cache-served part under the `exec.run` span, including
-/// which representation served it (EXPLAIN's `repr` column).
-fn trace_cache_part<C: CacheRead>(
-    env: &ExecEnv<'_>,
+/// Record one cache-served part under `parent`: EXPLAIN's per-part row
+/// with its rows (when known: a lazy part has not run yet), stored form
+/// and access path. The eager parts here and the CMS's lazy answers both
+/// record through this.
+pub(crate) fn trace_cache_part(
+    trace: &Tracer,
     parent: Option<u64>,
     part: &PlanPart,
-    cache: &C,
-    rel: &Relation,
+    columnar: bool,
+    access: &Access,
+    rows: Option<usize>,
 ) {
-    if !env.trace.enabled() {
+    if !trace.enabled() {
         return;
     }
-    let repr = match &part.source {
-        PartSource::Cache { element, .. } if cache.is_columnar(*element) => "columnar",
-        _ => "rows",
-    };
-    env.trace.event_under(
-        parent,
-        TraceKind::CachePart,
-        part_label(part),
-        vec![("rows", rel.len().to_string()), ("repr", repr.to_string())],
-    );
+    let repr = if columnar { "columnar" } else { "rows" };
+    let mut fields = Vec::with_capacity(3);
+    if let Some(n) = rows {
+        fields.push(("rows", n.to_string()));
+    }
+    fields.push(("repr", repr.to_string()));
+    fields.push(("access", access.to_string()));
+    trace.event_under(parent, TraceKind::CachePart, part_label(part), fields);
 }
 
 /// Human-readable description of a plan part (atoms & comparisons, or

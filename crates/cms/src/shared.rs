@@ -15,13 +15,13 @@
 //! `N` issues the strided sequence `s, s+N, s+2N, …`; `id % N` recovers
 //! the owning shard without any shared counter.
 
-use crate::cache::{CacheManager, CacheRead};
+use crate::cache::{Access, CacheManager, CacheRead, Derived};
 use crate::element::{CacheElement, ElemId, Repr};
 use crate::error::Result;
 use crate::metrics::CmsMetrics;
 use crate::model::ModelRow;
 use braid_caql::ConjunctiveQuery;
-use braid_relational::{Generator, Relation};
+use braid_relational::{ExecConfig, Generator};
 use braid_subsume::{base_footprint, CandidateUse, Derivation, ViewDef};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,16 +257,59 @@ impl SharedCache {
         self.read(self.shard_of_id(id)).repr_of(id)
     }
 
-    /// Build the compensation pipeline for a derivation. The returned
-    /// [`Generator`] owns its inputs (`Arc`-shared with the element), so
-    /// it stays valid after the lock is released; hold a [`PinGuard`]
-    /// while streaming to keep the element itself resident.
+    /// The form a derivation should read. The first range derivation over
+    /// an unclustered columnar element clusters it on the range column
+    /// (see [`crate::cache::range_column`]). That derivation claims the
+    /// sort under the shard write lock, sorts outside every lock, and
+    /// swaps the clustered copy in only if the element still holds the
+    /// copy it sorted. Derivations racing it read the unclustered form
+    /// meanwhile, so one element costs one sort and one transient copy of
+    /// its bytes (not charged to `used_bytes`), however many sessions
+    /// warm it at once. An element is clustered at most once, so a poor
+    /// choice of column never thrashes; streams holding the old form stay
+    /// valid, since both forms are immutable.
+    fn repr_for(&self, id: ElemId, derivation: &Derivation) -> Result<Repr> {
+        let repr = self.repr_of(id)?;
+        let Repr::Columns(cols) = &repr else {
+            return Ok(repr);
+        };
+        if cols.sorted_on().is_some() {
+            return Ok(repr);
+        }
+        let Some(c) = crate::cache::range_column(cols, derivation) else {
+            return Ok(repr);
+        };
+        let shard = self.shard_of_id(id);
+        if !self.write(shard).claim_clustering(id, cols) {
+            return Ok(repr);
+        }
+        let clustered = Arc::new(
+            cols.clustered_on(c)
+                .expect("range_column picks a clusterable column"),
+        );
+        let swapped = self
+            .write(shard)
+            .recluster(id, cols, Arc::clone(&clustered));
+        self.metrics.add_clusterings(u64::from(swapped));
+        Ok(Repr::Columns(clustered))
+    }
+
+    /// Build the compensation pipeline for a derivation, and say how it
+    /// will reach the element's rows. The returned [`Generator`] owns its
+    /// inputs (`Arc`-shared with the element), so it stays valid after
+    /// the lock is released; hold a [`PinGuard`] while streaming to keep
+    /// the element itself resident.
     ///
     /// # Errors
     /// Returns an error if the element is gone or a projection variable
     /// is unavailable.
-    pub fn derive(&self, id: ElemId, derivation: &Derivation, vars: &[&str]) -> Result<Generator> {
-        crate::cache::derive(id, &self.repr_of(id)?, derivation, vars)
+    pub fn derive(
+        &self,
+        id: ElemId,
+        derivation: &Derivation,
+        vars: &[&str],
+    ) -> Result<(Generator, Access)> {
+        crate::cache::derive(id, &self.repr_for(id, derivation)?, derivation, vars)
     }
 
     /// Cache-model rows across all shards, ordered by element id.
@@ -331,11 +374,13 @@ impl CacheRead for SharedCache {
         id: ElemId,
         derivation: &Derivation,
         vars: &[&str],
-    ) -> Result<Relation> {
+        exec: ExecConfig,
+    ) -> Result<Derived> {
         // The kernel runs outside the lock: a long scan must not hold up
         // another session's hit, which needs the shard's write lock to pin
         // and touch.
-        crate::cache::derive_relation(id, &self.repr_of(id)?, derivation, vars)
+        let repr = self.repr_for(id, derivation)?;
+        crate::cache::derive_relation(id, &repr, derivation, vars, exec)
     }
 }
 
@@ -365,7 +410,7 @@ impl Drop for PinGuard {
 mod tests {
     use super::*;
     use braid_caql::parse_rule;
-    use braid_relational::{tuple, Schema};
+    use braid_relational::{tuple, Relation, Schema};
 
     fn metrics() -> Arc<CmsMetrics> {
         Arc::new(CmsMetrics::new())

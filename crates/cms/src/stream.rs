@@ -13,8 +13,10 @@
 //! call, so the IE sees single-tuple demand while the executor amortizes
 //! per-operator overhead across the batch.
 
+use crate::metrics::CmsMetrics;
 use braid_relational::{RunningGenerator, Schema, Tuple, TupleStream};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How complete an answer stream is with respect to the query's true
 /// result. Exact is the normal case; Partial arises only in degraded
@@ -57,6 +59,9 @@ pub struct AnswerStream {
     // Held only for their Drop impl: while the stream is open, concurrent
     // sessions cannot evict those elements out from under it.
     _pins: Vec<crate::shared::PinGuard>,
+    // Where a lazy stream books its executor counters when it drops: its
+    // generator runs as the IE pulls, so the work is known only then.
+    exec_sink: Option<Arc<CmsMetrics>>,
 }
 
 impl AnswerStream {
@@ -69,6 +74,7 @@ impl AnswerStream {
             lazy: false,
             completeness: Completeness::Exact,
             _pins: Vec::new(),
+            exec_sink: None,
         }
     }
 
@@ -82,17 +88,21 @@ impl AnswerStream {
             lazy: true,
             completeness: Completeness::Exact,
             _pins: Vec::new(),
+            exec_sink: None,
         }
     }
 
     /// A lazy stream holding session pins on the cache elements it reads
-    /// from, released when the stream drops.
+    /// from, released when the stream drops, when it also books the
+    /// generator's executor counters into `metrics`.
     pub fn lazy_pinned(
         generator: RunningGenerator,
         pins: Vec<crate::shared::PinGuard>,
+        metrics: Arc<CmsMetrics>,
     ) -> AnswerStream {
         let mut s = AnswerStream::lazy(generator);
         s._pins = pins;
+        s.exec_sink = Some(metrics);
         s
     }
 
@@ -154,6 +164,14 @@ impl Iterator for AnswerStream {
     type Item = Tuple;
     fn next(&mut self) -> Option<Tuple> {
         self.next_tuple()
+    }
+}
+
+impl Drop for AnswerStream {
+    fn drop(&mut self) {
+        if let (Some(metrics), Inner::Lazy(g)) = (&self.exec_sink, &self.inner) {
+            metrics.add_exec_stats(g.stats());
+        }
     }
 }
 

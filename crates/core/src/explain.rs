@@ -64,6 +64,10 @@ pub struct ExplainReport {
     pub remote_fetches: u64,
     /// Plan parts served from the cache by the execution monitor.
     pub cache_parts: u64,
+    /// How each cache part reached its element's rows, as
+    /// `element #id: access` — `probe(col)` for an index probe,
+    /// `range(col) read/total` for a clustered slice, `scan` otherwise.
+    pub cache_access: Vec<String>,
     /// The raw span/event log (completion order), for
     /// [`ExplainReport::render_trace`] and JSON export.
     pub events: Vec<TraceEvent>,
@@ -121,6 +125,7 @@ impl ExplainReport {
             sched: Vec::new(),
             remote_fetches: 0,
             cache_parts: 0,
+            cache_access: Vec::new(),
             events,
         };
         for e in &report.events {
@@ -157,7 +162,12 @@ impl ExplainReport {
                     report.sched.push(line);
                 }
                 TraceKind::RemoteFetch => report.remote_fetches += 1,
-                TraceKind::CachePart => report.cache_parts += 1,
+                TraceKind::CachePart => {
+                    report.cache_parts += 1;
+                    if let Some(access) = e.field("access") {
+                        report.cache_access.push(format!("{}: {access}", e.label));
+                    }
+                }
                 _ => {}
             }
         }
@@ -267,6 +277,9 @@ impl fmt::Display for ExplainReport {
             "  monitor: {} remote fetch(es), {} cache part(s)",
             self.remote_fetches, self.cache_parts
         )?;
+        for a in &self.cache_access {
+            writeln!(f, "    cache part {a}")?;
+        }
         write!(f, "{}", self.render_trace())
     }
 }

@@ -1,5 +1,5 @@
-//! Column-major relation representation — the cache's third
-//! representation alongside the row extension and the lazy generator.
+//! Column-major relation representation — the cache's sequential
+//! extension format, beside the indexed row extension.
 //!
 //! The paper's CMS "frequently maintains co-existing, alternative
 //! representations of the same relation" (§5.2). A [`ColumnarRelation`]
@@ -8,8 +8,14 @@
 //! mask for nulls, with a [`ColData::Mixed`] fallback for heterogeneous
 //! columns. Conversion from and back to a row [`Relation`] is lossless
 //! (`Relation → ColumnarRelation → Relation` is the identity, including
-//! row order), so the CMS can flip an element between representations as
-//! its consumers change.
+//! row order); the CMS chooses an element's form once, at insert.
+//!
+//! A columnar relation may be *clustered*
+//! ([`ColumnarRelation::clustered_on`]): the same rows, stored sorted on
+//! one numeric column, so a range selection on that column reads only
+//! the slice a binary search finds
+//! ([`ColumnarRelation::clustered_range`]). Clustering permutes rows and
+//! nothing else, so the byte footprint is unchanged.
 //!
 //! Invariant: a `ColumnarRelation` is only ever built from a [`Relation`]
 //! (a set), so its rows are duplicate-free — the vectorized aggregate
@@ -17,11 +23,14 @@
 //! dedup pass.
 
 use crate::error::Result;
+use crate::expr::{CmpOp, Expr};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The typed storage behind one column.
@@ -126,6 +135,28 @@ impl ColVec {
             _ => None,
         }
     }
+
+    /// The column's rows in `perm` order. Dictionaries and validity
+    /// masks travel with their rows; a dictionary keeps its entries.
+    fn gather(&self, perm: &[u32]) -> ColVec {
+        fn pick<T: Clone>(v: &[T], perm: &[u32]) -> Vec<T> {
+            perm.iter().map(|&i| v[i as usize].clone()).collect()
+        }
+        let data = match &self.data {
+            ColData::Ints(v) => ColData::Ints(pick(v, perm)),
+            ColData::Floats(v) => ColData::Floats(pick(v, perm)),
+            ColData::Bools(v) => ColData::Bools(pick(v, perm)),
+            ColData::Strs { dict, codes } => ColData::Strs {
+                dict: dict.clone(),
+                codes: pick(codes, perm),
+            },
+            ColData::Mixed(v) => ColData::Mixed(pick(v, perm)),
+        };
+        ColVec {
+            data,
+            validity: self.validity.as_deref().map(|m| pick(m, perm)),
+        }
+    }
 }
 
 /// A relation stored column-major. See the module docs for the format
@@ -135,6 +166,8 @@ pub struct ColumnarRelation {
     schema: Schema,
     len: usize,
     cols: Vec<ColVec>,
+    /// The column the rows are sorted on, if clustered.
+    sorted_on: Option<usize>,
 }
 
 impl ColumnarRelation {
@@ -149,6 +182,7 @@ impl ColumnarRelation {
             schema: rel.schema().clone(),
             len: rel.len(),
             cols,
+            sorted_on: None,
         }
     }
 
@@ -205,6 +239,112 @@ impl ColumnarRelation {
     /// smaller than the row extension for repetitive string columns).
     pub fn approx_size(&self) -> usize {
         64 + self.cols.iter().map(ColVec::approx_size).sum::<usize>()
+    }
+
+    /// The column the rows are sorted on, if the relation is clustered.
+    pub fn sorted_on(&self) -> Option<usize> {
+        self.sorted_on
+    }
+
+    /// Whether [`ColumnarRelation::clustered_on`] accepts column `c`: an
+    /// integer or float column without nulls.
+    pub fn is_clusterable(&self, c: usize) -> bool {
+        self.cols.get(c).is_some_and(|col| {
+            col.validity.is_none() && matches!(col.data, ColData::Ints(_) | ColData::Floats(_))
+        })
+    }
+
+    /// The same rows, stably sorted on column `c` under the order the
+    /// comparison kernels use (`(x as f64).total_cmp`), so a binary
+    /// search means exactly what a comparison predicate means — NaN,
+    /// ±0.0 and integers beyond 2^53 included. `None` when `c` is not
+    /// clusterable ([`ColumnarRelation::is_clusterable`]).
+    pub fn clustered_on(&self, c: usize) -> Option<ColumnarRelation> {
+        if !self.is_clusterable(c) {
+            return None;
+        }
+        let mut keyed: Vec<(f64, u32)> = match &self.cols[c].data {
+            ColData::Ints(xs) => (0u32..).zip(xs).map(|(i, &x)| (x as f64, i)).collect(),
+            ColData::Floats(xs) => (0u32..).zip(xs).map(|(i, &x)| (x, i)).collect(),
+            _ => unreachable!("guarded by is_clusterable"),
+        };
+        // The row id breaks ties, which makes the unstable sort stable.
+        keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let perm: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
+        Some(ColumnarRelation {
+            schema: self.schema.clone(),
+            len: self.len,
+            cols: self.cols.iter().map(|col| col.gather(&perm)).collect(),
+            sorted_on: Some(c),
+        })
+    }
+
+    /// The rows a conjunction of `preds` can select in a clustered
+    /// relation: every AND-ed `col op numeric-constant` conjunct on the
+    /// sort column (`<`, `<=`, `>`, `>=`, `=`, either operand order,
+    /// nested `And`s included) narrows the range by binary search; `!=`,
+    /// `Or`, `Not` and non-numeric constants do not. `None` when the
+    /// relation is unclustered or no conjunct narrows. Rows outside the
+    /// range fail some conjunct; rows inside still need every predicate.
+    pub fn clustered_range(&self, preds: &[Expr]) -> Option<Range<usize>> {
+        let c = self.sorted_on?;
+        let mut bounds: Option<Range<usize>> = None;
+        let mut narrow = |op: CmpOp, y: f64| {
+            // First row not below `y`, and first row above it.
+            let (lo, hi) = match &self.cols[c].data {
+                ColData::Ints(xs) => (
+                    xs.partition_point(|&x| (x as f64).total_cmp(&y) == Ordering::Less),
+                    xs.partition_point(|&x| (x as f64).total_cmp(&y) != Ordering::Greater),
+                ),
+                ColData::Floats(xs) => (
+                    xs.partition_point(|x| x.total_cmp(&y) == Ordering::Less),
+                    xs.partition_point(|x| x.total_cmp(&y) != Ordering::Greater),
+                ),
+                _ => unreachable!("only clusterable columns are sorted on"),
+            };
+            let (from, to) = match op {
+                CmpOp::Lt => (0, lo),
+                CmpOp::Le => (0, hi),
+                CmpOp::Gt => (hi, self.len),
+                CmpOp::Ge => (lo, self.len),
+                CmpOp::Eq => (lo, hi),
+                CmpOp::Ne => return,
+            };
+            let r = bounds.get_or_insert(0..self.len);
+            let start = r.start.max(from);
+            *r = start..r.end.min(to).max(start);
+        };
+        for p in preds {
+            sort_column_conjuncts(p, c, &mut narrow);
+        }
+        bounds
+    }
+}
+
+/// Call `f(op, y)` for every AND-ed conjunct of `e` reading
+/// `col c op y` with a numeric constant `y` (the `const op col` form is
+/// flipped).
+fn sort_column_conjuncts(e: &Expr, c: usize, f: &mut impl FnMut(CmpOp, f64)) {
+    match e {
+        Expr::And(es) => {
+            for e in es {
+                sort_column_conjuncts(e, c, f);
+            }
+        }
+        Expr::Cmp(op, a, b) => match (a.as_ref(), b.as_ref()) {
+            (Expr::Col(i), Expr::Const(v)) if *i == c => {
+                if let Some(y) = v.as_f64() {
+                    f(*op, y);
+                }
+            }
+            (Expr::Const(v), Expr::Col(i)) if *i == c => {
+                if let Some(y) = v.as_f64() {
+                    f(op.flipped(), y);
+                }
+            }
+            _ => {}
+        },
+        _ => {}
     }
 }
 

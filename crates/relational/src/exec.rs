@@ -31,6 +31,7 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -679,28 +680,36 @@ fn vectorizable_pred(e: &Expr, arity: usize) -> bool {
     }
 }
 
-/// AND together the bitmaps of a filter chain's predicates.
-fn selection_bitmap(rel: &ColumnarRelation, preds: &[Expr]) -> Vec<bool> {
-    let mut sel = vec![true; rel.len()];
+/// The rows a filter chain selects, ascending. Over a clustered
+/// relation only the slice the sort-column conjuncts leave
+/// ([`ColumnarRelation::clustered_range`]) is evaluated; rows outside it
+/// fail a conjunct, so the answer is the full scan's.
+fn selected_rows(rel: &ColumnarRelation, preds: &[Expr]) -> Vec<u32> {
+    let rows = rel.clustered_range(preds).unwrap_or(0..rel.len());
+    let from = rows.start;
+    let mut sel = vec![true; rows.len()];
     for p in preds {
-        for (s, v) in sel.iter_mut().zip(pred_bitmap(rel, p)) {
+        for (s, v) in sel.iter_mut().zip(pred_bitmap(rel, p, &rows)) {
             *s &= v;
         }
     }
-    sel
+    (from..)
+        .zip(sel)
+        .filter_map(|(i, keep)| keep.then_some(i as u32))
+        .collect()
 }
 
-/// One predicate as a bitmap over all rows. Logical connectives combine
+/// One predicate as a bitmap over `rows`. Logical connectives combine
 /// child bitmaps; in the vectorizable subset no operand can error, so
 /// eager bitwise combination equals the row evaluator's short-circuit.
-fn pred_bitmap(rel: &ColumnarRelation, e: &Expr) -> Vec<bool> {
-    let n = rel.len();
+fn pred_bitmap(rel: &ColumnarRelation, e: &Expr, rows: &Range<usize>) -> Vec<bool> {
+    let n = rows.len();
     match e {
         Expr::Const(Value::Bool(b)) => vec![*b; n],
         Expr::And(es) => {
             let mut acc = vec![true; n];
             for e in es {
-                for (a, v) in acc.iter_mut().zip(pred_bitmap(rel, e)) {
+                for (a, v) in acc.iter_mut().zip(pred_bitmap(rel, e, rows)) {
                     *a &= v;
                 }
             }
@@ -709,68 +718,82 @@ fn pred_bitmap(rel: &ColumnarRelation, e: &Expr) -> Vec<bool> {
         Expr::Or(es) => {
             let mut acc = vec![false; n];
             for e in es {
-                for (a, v) in acc.iter_mut().zip(pred_bitmap(rel, e)) {
+                for (a, v) in acc.iter_mut().zip(pred_bitmap(rel, e, rows)) {
                     *a |= v;
                 }
             }
             acc
         }
         Expr::Not(inner) => {
-            let mut acc = pred_bitmap(rel, inner);
+            let mut acc = pred_bitmap(rel, inner, rows);
             for v in &mut acc {
                 *v = !*v;
             }
             acc
         }
-        Expr::Cmp(op, a, b) => cmp_bitmap(rel, *op, a, b),
+        Expr::Cmp(op, a, b) => cmp_bitmap(rel, *op, a, b, rows),
         _ => unreachable!("guarded by vectorizable_pred"),
     }
 }
 
-fn cmp_bitmap(rel: &ColumnarRelation, op: CmpOp, a: &Expr, b: &Expr) -> Vec<bool> {
+fn cmp_bitmap(
+    rel: &ColumnarRelation,
+    op: CmpOp,
+    a: &Expr,
+    b: &Expr,
+    rows: &Range<usize>,
+) -> Vec<bool> {
     match (a, b) {
-        (Expr::Col(i), Expr::Const(v)) => col_const_bitmap(rel.col(*i), op, v),
+        (Expr::Col(i), Expr::Const(v)) => col_const_bitmap(rel.col(*i), op, v, rows),
         // `const op col` flips to `col flipped(op) const`.
-        (Expr::Const(v), Expr::Col(i)) => col_const_bitmap(rel.col(*i), op.flipped(), v),
-        (Expr::Col(i), Expr::Col(j)) => (0..rel.len())
+        (Expr::Const(v), Expr::Col(i)) => col_const_bitmap(rel.col(*i), op.flipped(), v, rows),
+        (Expr::Col(i), Expr::Col(j)) => rows
+            .clone()
             .map(|r| op.eval(&rel.value_at(r, *i), &rel.value_at(r, *j)))
             .collect(),
-        (Expr::Const(u), Expr::Const(v)) => vec![op.eval(u, v); rel.len()],
+        (Expr::Const(u), Expr::Const(v)) => vec![op.eval(u, v); rows.len()],
         _ => unreachable!("guarded by vectorizable_pred"),
     }
 }
 
-/// `column op constant` over every row. Typed columns compared against a
+/// `column op constant` over `rows`. Typed columns compared against a
 /// numeric constant run a tight loop replicating [`CmpOp::eval`]'s
 /// numeric path exactly (ints widen to f64, `total_cmp`); string columns
 /// compare once per *dictionary entry* and map codes through the table;
 /// everything else falls back to per-slot [`CmpOp::eval`]. Null slots
 /// are patched afterwards with the null-vs-constant result.
-fn col_const_bitmap(col: &ColVec, op: CmpOp, v: &Value) -> Vec<bool> {
+fn col_const_bitmap(col: &ColVec, op: CmpOp, v: &Value, rows: &Range<usize>) -> Vec<bool> {
     let mut out: Vec<bool> = match (&col.data, v.as_f64()) {
-        (ColData::Ints(xs), Some(y)) => xs
+        (ColData::Ints(xs), Some(y)) => xs[rows.clone()]
             .iter()
             .map(|&x| op.holds((x as f64).total_cmp(&y)))
             .collect(),
-        (ColData::Floats(xs), Some(y)) => xs.iter().map(|&x| op.holds(x.total_cmp(&y))).collect(),
+        (ColData::Floats(xs), Some(y)) => xs[rows.clone()]
+            .iter()
+            .map(|&x| op.holds(x.total_cmp(&y)))
+            .collect(),
         (ColData::Strs { dict, codes }, _) => {
             let table: Vec<bool> = dict
                 .iter()
                 .map(|s| op.eval(&Value::Str(Arc::clone(s)), v))
                 .collect();
-            codes.iter().map(|&c| table[c as usize]).collect()
+            codes[rows.clone()]
+                .iter()
+                .map(|&c| table[c as usize])
+                .collect()
         }
-        (ColData::Mixed(vals), _) => vals.iter().map(|x| op.eval(x, v)).collect(),
+        (ColData::Mixed(vals), _) => vals[rows.clone()].iter().map(|x| op.eval(x, v)).collect(),
         // Bool columns, and typed numerics against a non-numeric
         // constant: row semantics bottom out in the total value order;
         // evaluate per raw slot (null slots are patched below).
-        _ => (0..col.len())
+        _ => rows
+            .clone()
             .map(|i| op.eval(&col.raw_value_at(i), v))
             .collect(),
     };
     if let Some(valid) = &col.validity {
         let null_result = op.eval(&Value::Null, v);
-        for (o, &ok) in out.iter_mut().zip(valid) {
+        for (o, &ok) in out.iter_mut().zip(&valid[rows.clone()]) {
             if !ok {
                 *o = null_result;
             }
@@ -840,12 +863,7 @@ impl ColFilterProjectOp {
 impl Operator for ColFilterProjectOp {
     fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
         if self.sel.is_none() {
-            let bitmap = selection_bitmap(&self.rel, &self.preds);
-            let sel: Vec<u32> = bitmap
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &keep)| keep.then_some(i as u32))
-                .collect();
+            let sel = selected_rows(&self.rel, &self.preds);
             self.counters.pruned(self.rel.len() - sel.len());
             self.sel = Some(sel);
         }
@@ -990,14 +1008,10 @@ impl Operator for ColAggregateOp {
         let Some((rel, preds)) = self.input.take() else {
             return Ok(None);
         };
-        let bitmap = selection_bitmap(&rel, &preds);
+        let sel = selected_rows(&rel, &preds);
         let mut groups: HashMap<Vec<Value>, Vec<AggAcc>> = HashMap::new();
-        let mut selected = 0usize;
-        for (r, keep) in bitmap.into_iter().enumerate() {
-            if !keep {
-                continue;
-            }
-            selected += 1;
+        for &r in &sel {
+            let r = r as usize;
             let key: Vec<Value> = self.group_by.iter().map(|&c| rel.value_at(r, c)).collect();
             let accs = groups
                 .entry(key)
@@ -1006,7 +1020,7 @@ impl Operator for ColAggregateOp {
                 acc.update(rel.value_at(r, a.col))?;
             }
         }
-        self.counters.pruned(rel.len() - selected);
+        self.counters.pruned(rel.len() - sel.len());
         let mut out: TupleBatch = Vec::with_capacity(groups.len());
         if groups.is_empty() && self.group_by.is_empty() {
             // Global aggregate over the empty input: COUNT is 0, other

@@ -34,25 +34,26 @@ pub fn select(r: &Relation, pred: &Expr) -> Result<Relation> {
 }
 
 /// Index-assisted selection on a conjunction of column-equals-constant
-/// terms: probes an existing index on `eq_cols` when available, then
-/// applies `residual`. Used by the cache's Query Processor for point
-/// probes driven by consumer annotations.
+/// terms: probes an existing index on `eq_cols` when available (scans
+/// otherwise), then applies `residual`. Returns the plan, so the caller
+/// can project it and run it under its own executor configuration. Used
+/// by the cache's Query Processor for point probes (§5.4).
 pub fn select_eq(
     r: &Relation,
     eq_cols: &[usize],
     key: &[Value],
-    residual: Option<&Expr>,
-) -> Result<Relation> {
+    residual: Option<Expr>,
+) -> PhysicalPlan {
     let rows: Vec<Tuple> = r
         .lookup(eq_cols, key)
         .into_iter()
         .map(|row| r.row(row).expect("lookup returned valid row id").clone())
         .collect();
-    let mut plan = PhysicalPlan::rows(r.schema().clone(), rows);
-    if let Some(p) = residual {
-        plan = plan.filter_strict(p.clone());
+    let plan = PhysicalPlan::rows(r.schema().clone(), rows);
+    match residual {
+        Some(p) => plan.filter_strict(p),
+        None => plan,
     }
-    plan.materialize()
 }
 
 /// π — projection onto `cols` (indices may repeat or reorder); result is
@@ -228,8 +229,9 @@ mod tests {
             &p,
             &[0],
             &[Value::str("ann")],
-            Some(&Expr::col_cmp(1, CmpOp::Ne, "cal")),
+            Some(Expr::col_cmp(1, CmpOp::Ne, "cal")),
         )
+        .materialize()
         .unwrap();
         assert_eq!(r.sorted_tuples(), vec![tuple!["ann", "bob"]]);
     }

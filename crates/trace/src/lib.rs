@@ -263,6 +263,7 @@ pub fn json_escape(s: &str) -> String {
 /// [`intern_field_key`] resolves wire-decoded keys against this table
 /// first, so round-tripping a span over TCP allocates nothing.
 const KNOWN_FIELD_KEYS: &[&str] = &[
+    "access",
     "addr",
     "backoff",
     "batch_size",
@@ -294,6 +295,7 @@ const KNOWN_FIELD_KEYS: &[&str] = &[
     "queries",
     "remainder",
     "replans",
+    "repr",
     "rows",
     "schema",
     "state",

@@ -43,6 +43,12 @@ bench-smoke:
 bench-compare a b:
     bash benchmark/run.sh compare {{a}} {{b}}
 
+# A perf claim's evidence: alternating untraced parent/change pairs, each
+# tree built into its own target dir, then `compare` and the spread test
+# (e.g. `just bench-pairs HEAD~1 10`).
+bench-pairs rev pairs:
+    ./scripts/bench-pairs.sh {{rev}} {{pairs}}
+
 # The observability invariants (monotone counters, span forests,
 # histogram algebra, EXPLAIN stability); the overhead budget is the
 # pinned benchmark's `trace.overhead_ratio` (`just bench`).

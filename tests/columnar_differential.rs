@@ -368,3 +368,278 @@ fn fused_kernel_actually_engages_on_vectorizable_chains() {
         row_stats.batches
     );
 }
+
+// ---------- clustering: the same rows sorted on one numeric column ----------
+//
+// A clustered relation answers a range conjunct on its sort column by
+// binary search and evaluates the predicates over that slice only. The
+// answer set and the executor counters must equal the unclustered scan's
+// for every comparison, both operand orders, and the float corners where
+// a sort order and a comparison could disagree (NaN, ±0.0, ±inf, and
+// integers that do not survive the widening to f64).
+
+const TWO_53: i64 = 1 << 53;
+
+fn edge_int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -3..4i64,
+        -3..4i64,
+        Just(TWO_53 - 1),
+        Just(TWO_53),
+        Just(TWO_53 + 1),
+        Just(-TWO_53 - 1),
+        Just(i64::MAX),
+        Just(i64::MIN),
+    ]
+}
+
+fn edge_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-3..4i64).prop_map(|i| i as f64 * 0.5),
+        (-3..4i64).prop_map(|i| i as f64 * 0.5),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::NAN),
+        Just(-f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(TWO_53 as f64),
+    ]
+}
+
+/// Constants a range conjunct may name: ints and floats from the edge
+/// pools (an int column against a float constant included), plus
+/// non-numeric constants, which must not narrow the range.
+fn edge_const() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        edge_int().prop_map(Value::Int),
+        edge_int().prop_map(Value::Int),
+        edge_float().prop_map(Value::Float),
+        edge_float().prop_map(Value::Float),
+        prop_oneof![
+            Just(Value::str("x")),
+            Just(Value::Bool(true)),
+            Just(Value::Null),
+        ],
+    ]
+}
+
+/// 1 to 40 rows `(int, float, tag)`: column 0 is `Ints`, column 1
+/// `Floats`, both clusterable, with duplicate keys likely. (An empty
+/// relation's columns are `Mixed`, which does not cluster.)
+fn numeric_rel() -> impl Strategy<Value = Relation> {
+    proptest::collection::vec((edge_int(), edge_float(), 0..3u8), 1..40).prop_map(|rows| {
+        let mut r = Relation::new(Schema::positional("n", 3));
+        for (i, f, t) in rows {
+            let row = vec![Value::Int(i), Value::Float(f), Value::str(format!("t{t}"))];
+            r.insert(Tuple::new(row)).unwrap();
+        }
+        r
+    })
+}
+
+/// `col op const` on one of the two numeric columns, in either operand
+/// order.
+fn range_leaf() -> impl Strategy<Value = Expr> {
+    (0..2usize, cmp_op(), edge_const(), 0..2u8).prop_map(|(c, op, v, flip)| {
+        let (col, k) = (Box::new(Expr::Col(c)), Box::new(Expr::Const(v)));
+        if flip == 1 {
+            Expr::Cmp(op, k, col)
+        } else {
+            Expr::Cmp(op, col, k)
+        }
+    })
+}
+
+/// Conjunctions of range leaves (nested `And`s included), with `Or` and
+/// `Not` over them, and a tag comparison for a non-sort conjunct.
+fn range_pred() -> impl Strategy<Value = Expr> {
+    let tag = (0..3u8).prop_map(|t| Expr::col_cmp(2, CmpOp::Eq, Value::str(format!("t{t}"))));
+    prop_oneof![
+        range_leaf(),
+        proptest::collection::vec(range_leaf(), 1..4).prop_map(Expr::And),
+        proptest::collection::vec(range_leaf(), 1..4).prop_map(Expr::And),
+        (range_leaf(), proptest::collection::vec(range_leaf(), 1..3))
+            .prop_map(|(a, rest)| Expr::And(vec![a, Expr::And(rest)])),
+        (range_leaf(), tag).prop_map(|(a, t)| Expr::And(vec![t, a])),
+        proptest::collection::vec(range_leaf(), 1..3).prop_map(Expr::Or),
+        range_leaf().prop_map(|e| Expr::Not(Box::new(e))),
+    ]
+}
+
+/// Rows and counters of `preds` chained over `rel`, rows sorted.
+fn run_chain(rel: Arc<ColumnarRelation>, preds: &[Expr], bs: usize) -> (Vec<Tuple>, u64) {
+    let plan = preds
+        .iter()
+        .fold(PhysicalPlan::scan_columnar(rel), |p, e| p.filter(e.clone()));
+    let (out, stats) = plan
+        .materialize_with(ExecConfig::with_batch_size(bs))
+        .unwrap();
+    let mut rows = out.to_vec();
+    rows.sort();
+    (rows, stats.rows_pruned)
+}
+
+proptest! {
+    #[test]
+    fn clustered_filter_matches_unclustered(
+        rel in numeric_rel(),
+        on in 0..2usize,
+        preds in proptest::collection::vec(range_pred(), 1..3),
+    ) {
+        let plain = Arc::new(ColumnarRelation::from_relation(&rel));
+        let clustered = Arc::new(plain.clustered_on(on).expect("numeric, no nulls"));
+        let mut want = row_plan(&rel).filter(Expr::And(preds.clone())).materialize().unwrap().to_vec();
+        want.sort();
+        for bs in BATCH_SIZES {
+            let (got_plain, pruned_plain) = run_chain(Arc::clone(&plain), &preds, bs);
+            let (got, pruned) = run_chain(Arc::clone(&clustered), &preds, bs);
+            prop_assert_eq!(&got_plain, &want, "batch size {}", bs);
+            prop_assert_eq!(&got, &want, "clustered on {}, batch size {}", on, bs);
+            prop_assert_eq!(pruned, pruned_plain, "rows outside the slice count as pruned");
+        }
+    }
+
+    #[test]
+    fn clustered_aggregate_matches_unclustered(
+        rel in numeric_rel(),
+        on in 0..2usize,
+        pred in range_pred(),
+    ) {
+        let aggs = [Aggregate { func: AggFunc::Count, col: 0 }];
+        let plain = Arc::new(ColumnarRelation::from_relation(&rel));
+        let clustered = Arc::new(plain.clustered_on(on).unwrap());
+        let agg = |c: Arc<ColumnarRelation>| {
+            PhysicalPlan::scan_columnar(c).filter(pred.clone()).aggregate(&[2], &aggs).unwrap()
+        };
+        for bs in BATCH_SIZES {
+            prop_assert_eq!(outcome_of(&agg(Arc::clone(&clustered)), bs), outcome_of(&agg(Arc::clone(&plain)), bs));
+        }
+    }
+
+    #[test]
+    fn clustering_keeps_rows_and_bytes(rel in numeric_rel(), on in 0..2usize) {
+        let plain = ColumnarRelation::from_relation(&rel);
+        let clustered = plain.clustered_on(on).unwrap();
+        prop_assert_eq!(clustered.sorted_on(), Some(on));
+        prop_assert_eq!(clustered.to_relation().unwrap(), rel);
+        prop_assert_eq!(clustered.approx_size(), plain.approx_size());
+        // Sorted under the comparison kernels' order.
+        let key = |r: usize| clustered.value_at(r, on).as_f64().unwrap();
+        for r in 1..clustered.len() {
+            prop_assert!(key(r - 1).total_cmp(&key(r)).is_le());
+        }
+    }
+}
+
+/// `(k, v, tag)` with `v = k % 10`: ten rows per key value, so every
+/// range edge falls among duplicates.
+fn banded(n: i64) -> Relation {
+    let mut rel = Relation::new(Schema::positional("b", 3));
+    for k in 0..n {
+        rel.insert(tuple![k, k % 10, format!("t{}", k % 3)])
+            .unwrap();
+    }
+    rel
+}
+
+#[test]
+fn range_conjuncts_read_only_their_slice() {
+    let plain = Arc::new(ColumnarRelation::from_relation(&banded(100)));
+    let clustered = Arc::new(plain.clustered_on(1).unwrap());
+    let cases: [(Vec<Expr>, Option<usize>); 9] = [
+        // Duplicate keys at both edges: v in [3, 5) is 20 rows.
+        (
+            vec![
+                Expr::col_cmp(1, CmpOp::Ge, 3),
+                Expr::col_cmp(1, CmpOp::Lt, 5),
+            ],
+            Some(20),
+        ),
+        // The same range, flipped and nested, with a float constant.
+        (
+            vec![Expr::And(vec![
+                Expr::Cmp(
+                    CmpOp::Le,
+                    Box::new(Expr::Const(Value::Float(2.5))),
+                    Box::new(Expr::Col(1)),
+                ),
+                Expr::And(vec![Expr::col_cmp(1, CmpOp::Le, 4)]),
+            ])],
+            Some(20),
+        ),
+        (vec![Expr::col_cmp(1, CmpOp::Eq, 7)], Some(10)),
+        (vec![Expr::col_cmp(1, CmpOp::Gt, 8)], Some(10)),
+        // Empty ranges: crossed bounds, and constants beyond min / max.
+        (
+            vec![
+                Expr::col_cmp(1, CmpOp::Gt, 6),
+                Expr::col_cmp(1, CmpOp::Lt, 2),
+            ],
+            Some(0),
+        ),
+        (vec![Expr::col_cmp(1, CmpOp::Lt, -1)], Some(0)),
+        (vec![Expr::col_cmp(1, CmpOp::Ge, 1_000)], Some(0)),
+        // Neither `!=`, `Or`, `Not` nor a non-numeric constant narrows.
+        (
+            vec![
+                Expr::col_cmp(1, CmpOp::Ne, 3),
+                Expr::Or(vec![Expr::col_cmp(1, CmpOp::Lt, 2)]),
+                Expr::Not(Box::new(Expr::col_cmp(1, CmpOp::Ge, 2))),
+                Expr::col_cmp(1, CmpOp::Lt, Value::str("z")),
+            ],
+            None,
+        ),
+        // A conjunct on another column does not narrow either.
+        (vec![Expr::col_cmp(0, CmpOp::Lt, 5)], None),
+    ];
+    for (preds, slice) in cases {
+        assert_eq!(
+            clustered.clustered_range(&preds).map(|r| r.len()),
+            slice,
+            "{preds:?}"
+        );
+        assert_eq!(
+            plain.clustered_range(&preds),
+            None,
+            "unclustered never narrows"
+        );
+        let (got, pruned) = run_chain(Arc::clone(&clustered), &preds, 7);
+        assert_eq!(
+            (got, pruned),
+            run_chain(Arc::clone(&plain), &preds, 7),
+            "{preds:?}"
+        );
+    }
+}
+
+#[test]
+fn clustering_refuses_null_dictionary_bool_and_mixed_columns() {
+    let rel = Relation::from_tuples(
+        Schema::positional("m", 5),
+        vec![
+            Tuple::new(vec![
+                Value::Int(1),
+                Value::str("a"),
+                Value::Bool(true),
+                Value::Int(1),
+                Value::Int(1),
+            ]),
+            Tuple::new(vec![
+                Value::Null,
+                Value::str("b"),
+                Value::Bool(false),
+                Value::str("x"),
+                Value::Int(2),
+            ]),
+        ],
+    )
+    .unwrap();
+    let col = ColumnarRelation::from_relation(&rel);
+    for c in 0..4 {
+        assert!(!col.is_clusterable(c), "column {c}");
+        assert!(col.clustered_on(c).is_none(), "column {c}");
+    }
+    assert!(col.clustered_on(4).is_some(), "an int column without nulls");
+    assert!(col.clustered_on(5).is_none(), "out of range");
+}

@@ -164,3 +164,75 @@ fn session_protocol_advice_then_queries() {
     let rows = stream.drain();
     assert_eq!(rows.len(), s.catalog.relation("parent").unwrap().len());
 }
+
+/// Range queries over an int relation cached whole as one columnar
+/// element: the first range derivation clusters the element on the
+/// range column, once, without changing the bytes it is charged, and
+/// every answer before and after equals the reference model's.
+#[test]
+fn range_answers_match_the_model_across_clustering() {
+    use braid::{BraidSystem, KnowledgeBase};
+    use braid_relational::{Relation, Schema, Tuple, Value};
+    use braid_remote::Catalog;
+    use braid_sim::RefModel;
+
+    const N: i64 = 2_000;
+    let catalog = || {
+        let rows = (0..N).map(|k| Tuple::new(vec![Value::int(k), Value::int((k * 7919) % 300)]));
+        let mut c = Catalog::new();
+        c.install(Relation::from_tuples(Schema::of_strs("num", &["k", "v"]), rows).unwrap());
+        c
+    };
+    let bands = [(10, 20), (0, 1), (299, 400), (-5, 3), (150, 150), (40, 90)];
+    let mut program = vec!["all(K, V) :- num(K, V).".to_string()];
+    program.push("at(K) :- num(K, 42).".to_string());
+    for (i, (lo, hi)) in bands.iter().enumerate() {
+        program.push(format!("band{i}(K, V) :- num(K, V), V >= {lo}, V < {hi}."));
+        program.push(format!("upto{i}(K) :- num(K, V), V <= {lo}, K > {hi}."));
+    }
+    let kb = || {
+        let mut kb = KnowledgeBase::new();
+        kb.declare_base("num", 2);
+        kb.add_program(&program.join("\n")).unwrap();
+        kb
+    };
+    let model = RefModel::new(&catalog(), &kb()).unwrap();
+    let config = BraidConfig::with_cms(
+        CmsConfig::braid()
+            .with_prefetching(false)
+            .with_generalization(false),
+    );
+    let mut sys = BraidSystem::new(catalog(), kb(), config);
+    let ask = |sys: &mut BraidSystem, q: &str| {
+        let got = sys.solve_all(q, Strategy::ConjunctionCompiled).unwrap();
+        assert_eq!(got, model.solve_text(q).unwrap(), "`{q}`");
+    };
+
+    // Cache `num` whole, then answer a point query from it: equality
+    // does not cluster.
+    ask(&mut sys, "?- all(K, V).");
+    ask(&mut sys, "?- at(K).");
+    let cache = sys.cms().shared_cache();
+    let (bytes, elements) = (cache.used_bytes(), cache.len());
+    assert_eq!(elements, 1);
+    assert_eq!(cache.model()[0].repr, "columnar");
+    assert_eq!(sys.metrics().cms.clusterings, 0);
+
+    let requests = sys.metrics().remote.requests;
+    for round in 0..2 {
+        for i in 0..bands.len() {
+            ask(&mut sys, &format!("?- band{i}(K, V)."));
+            ask(&mut sys, &format!("?- upto{i}(K)."));
+        }
+        ask(&mut sys, "?- at(K).");
+        assert_eq!(sys.metrics().cms.clusterings, 1, "round {round}");
+    }
+    assert_eq!(
+        sys.metrics().remote.requests,
+        requests,
+        "every range was derived"
+    );
+    let cache = sys.cms().shared_cache();
+    assert_eq!((cache.used_bytes(), cache.len()), (bytes, elements));
+    assert!(cache.byte_drift().is_empty());
+}

@@ -260,3 +260,39 @@ fn explain_names_matched_views_and_remainder() {
     assert!(text.contains("matched views:"));
     assert!(text.contains("completeness: exact"));
 }
+
+#[test]
+fn explain_shows_how_each_cache_part_reached_its_rows() {
+    // A cached int relation, a point query that scans it, then a band
+    // that clusters it and reads only its slice.
+    let mut db = Catalog::new();
+    let rows = (0..1_000i64).map(|k| tuple![k, k % 100]);
+    db.install(Relation::from_tuples(Schema::of_strs("num", &["k", "v"]), rows).unwrap());
+    let mut kb = KnowledgeBase::new();
+    kb.declare_base("num", 2);
+    kb.add_program(
+        "all(K, V) :- num(K, V).\n\
+         band(K, V) :- num(K, V), V >= 10, V < 12.\n\
+         at(K) :- num(K, 7).",
+    )
+    .unwrap();
+    let mut braid = BraidSystem::new(db, kb, BraidConfig::default());
+    braid.solve_all("?- all(K, V).", STRATEGY).unwrap();
+    let access = |braid: &mut BraidSystem, q: &str| {
+        let explained = braid.solve_explained(q, STRATEGY).expect("query solves");
+        assert_eq!(explained.report.remote_fetches, 0, "`{q}` is derived");
+        explained.report.cache_access
+    };
+    let point = access(&mut braid, "?- at(K).");
+    let band = access(&mut braid, "?- band(K, V).");
+    assert_eq!(point.len(), 1, "{point:?}");
+    assert!(point[0].ends_with(": scan"), "{point:?}");
+    assert_eq!(band.len(), 1, "{band:?}");
+    assert!(band[0].ends_with(": range(1) 20/1000"), "{band:?}");
+    let text = braid
+        .solve_explained("?- band(K, V).", STRATEGY)
+        .unwrap()
+        .report
+        .to_string();
+    assert!(text.contains("range(1) 20/1000"), "{text}");
+}
