@@ -8,11 +8,14 @@
 //! sufficient historical meta-data to support cache replacement and
 //! accumulate performance measurement statistics" (§5.4).
 
-use crate::element::{CacheElement, ElemId, Repr};
+use crate::element::{CacheElement, ElemId};
 use crate::error::Result;
 use crate::model::ModelRow;
 use braid_caql::ConjunctiveQuery;
-use braid_relational::{CmpOp, ColumnarRelation, ExecConfig, ExecStats, Generator, Relation};
+use braid_relational::{
+    Candidates, CmpOp, ColumnarRelation, ExecConfig, ExecStats, Expr, Generator, PhysicalPlan,
+    Relation,
+};
 use braid_subsume::derive::ResidualFilter;
 use braid_subsume::{CandidateUse, Derivation, SubsumptionEngine, ViewDef};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -127,15 +130,16 @@ impl CacheManager {
         q.canonical_key()
     }
 
-    /// Install an element in the form the caller chose. Returns `None`
+    /// Install an element over `columns`, indexed as the caller chose.
+    /// Returns `None`
     /// (and drops the element, evicting nothing) if it cannot fit even
     /// once every unpinned element is gone. Evicts LRU-first among
     /// unpinned elements when needed — the paper's advice-modified LRU
     /// (§5.4). An element's size is fixed here: nothing resizes it later.
-    pub fn insert(&mut self, def: ViewDef, repr: Repr) -> Option<ElemId> {
+    pub fn insert(&mut self, def: ViewDef, columns: Arc<ColumnarRelation>) -> Option<ElemId> {
         let id = self.next_id;
         let now = self.tick();
-        let element = CacheElement::new(id, def, repr, now);
+        let element = CacheElement::new(id, def, columns, now);
         let bytes = element.approx_bytes();
         // Advice and session pins keep their bytes through any eviction:
         // refuse up front rather than evict every other element and still
@@ -176,10 +180,10 @@ impl CacheManager {
     pub fn insert_with_aliases(
         &mut self,
         def: ViewDef,
-        repr: Repr,
+        columns: Arc<ColumnarRelation>,
         aliases: &[String],
     ) -> Option<ElemId> {
-        let id = self.insert(def, repr)?;
+        let id = self.insert(def, columns)?;
         for a in aliases {
             self.register_exact(a.clone(), id);
         }
@@ -320,16 +324,16 @@ impl CacheManager {
         self.engine.find_whole(q)
     }
 
-    /// The stored form of an element, shared (an `Arc` clone). A form is
-    /// immutable (clustering swaps in a new one), so a derivation may run
-    /// over it after the caller has let go of the cache.
+    /// The stored columns of an element, shared (an `Arc` clone). They
+    /// are immutable (clustering swaps in a new copy), so a derivation may
+    /// run over them after the caller has let go of the cache.
     ///
     /// # Errors
     /// Returns an error if the element is gone.
-    pub(crate) fn repr_of(&self, id: ElemId) -> Result<Repr> {
+    pub(crate) fn columns_of(&self, id: ElemId) -> Result<Arc<ColumnarRelation>> {
         self.elements
             .get(&id)
-            .map(|e| e.repr.clone())
+            .map(|e| Arc::clone(&e.columns))
             .ok_or_else(|| crate::error::CmsError::Unplannable(format!("no element {id}")))
     }
 
@@ -339,7 +343,7 @@ impl CacheManager {
     /// Returns an error if the element is gone or a projection variable
     /// is unavailable.
     pub fn derive(&self, id: ElemId, derivation: &Derivation, vars: &[&str]) -> Result<Generator> {
-        derive(id, &self.repr_of(id)?, derivation, vars).map(|(g, _)| g)
+        derive(id, &self.columns_of(id)?, derivation, vars).map(|(g, _)| g)
     }
 
     /// [`derive_relation`] over a cached element.
@@ -354,19 +358,16 @@ impl CacheManager {
         vars: &[&str],
         exec: ExecConfig,
     ) -> Result<Derived> {
-        derive_relation(id, &self.repr_of(id)?, derivation, vars, exec)
+        derive_relation(id, &self.columns_of(id)?, derivation, vars, exec)
     }
 
-    /// Claim the one clustering of a columnar element whose stored form
-    /// is still `old`: true for the first caller only, so one caller
+    /// Claim the one clustering of an element whose stored columns are
+    /// still `old`: true for the first caller only, so one caller
     /// sorts and the others read `old` until [`CacheManager::recluster`]
     /// swaps the sorted copy in.
     pub(crate) fn claim_clustering(&mut self, id: ElemId, old: &Arc<ColumnarRelation>) -> bool {
         match self.elements.get_mut(&id) {
-            Some(e)
-                if !e.cluster_claimed
-                    && matches!(&e.repr, Repr::Columns(cur) if Arc::ptr_eq(cur, old)) =>
-            {
+            Some(e) if !e.cluster_claimed && Arc::ptr_eq(&e.columns, old) => {
                 e.cluster_claimed = true;
                 true
             }
@@ -374,7 +375,7 @@ impl CacheManager {
         }
     }
 
-    /// Replace a columnar element's stored form with `clustered`, the same
+    /// Replace an element's stored columns with `clustered`, the same
     /// rows sorted on one column — only if the element is still resident
     /// and still holds `old`, so a concurrent replacement is never
     /// overwritten. The bytes charged do not change. Returns whether the
@@ -388,22 +389,17 @@ impl CacheManager {
         let Some(e) = self.elements.get_mut(&id) else {
             return false;
         };
-        if !matches!(&e.repr, Repr::Columns(cur) if Arc::ptr_eq(cur, old)) {
+        if !Arc::ptr_eq(&e.columns, old) {
             return false;
         }
         debug_assert_eq!(old.approx_size(), clustered.approx_size());
-        e.repr = Repr::Columns(clustered);
+        e.columns = clustered;
         true
     }
 
     /// Cardinality of an element's extension, if the element exists.
     pub fn cardinality_of(&self, id: ElemId) -> Option<usize> {
         self.elements.get(&id).map(CacheElement::cardinality)
-    }
-
-    /// Whether an element is stored column-major.
-    pub fn is_columnar(&self, id: ElemId) -> bool {
-        self.elements.get(&id).is_some_and(|e| e.is_columnar())
     }
 
     /// Cache-model rows for all elements (§5.3.2's `(E_id, E_def, ...)`).
@@ -424,22 +420,23 @@ fn projection(id: ElemId, derivation: &Derivation, vars: &[&str]) -> Result<Vec<
 }
 
 /// Build the local compensation pipeline computing a derivation from
-/// element `id`, stored as `repr`: scan/generator → residual filter →
-/// projection onto `vars` (in order), and the access path it will take.
-/// This is the Query Processor at work (§5.4).
+/// element `id`'s `columns`: generator → residual filter → projection
+/// onto `vars` (in order), and the access path it will take. This is the
+/// Query Processor at work (§5.4).
 ///
 /// # Errors
 /// Returns an error if a projection variable is unavailable.
 pub(crate) fn derive(
     id: ElemId,
-    repr: &Repr,
+    columns: &Arc<ColumnarRelation>,
     derivation: &Derivation,
     vars: &[&str],
 ) -> Result<(Generator, Access)> {
     let cols = projection(id, derivation, vars)?;
     let filter = derivation.filter_expr();
-    let access = scan_access(repr, &filter);
-    let g = repr.as_generator().filter(filter).project(&cols)?;
+    let access = scan_access(columns, &filter);
+    let scan = Generator::from_plan(PhysicalPlan::scan_columnar(Arc::clone(columns)));
+    let g = scan.filter(filter).project(&cols)?;
     Ok((g, access))
 }
 
@@ -487,61 +484,41 @@ pub struct Derived {
 }
 
 /// Eagerly evaluate a derivation with the executor configuration `exec`.
-/// An equality residual on an indexed column of a row element probes the
-/// index — the Query Processor "uses hash indices when available to
-/// speed up joins and some selections" (§5.4) — and keeps the whole
-/// filter as the residual; a clustered columnar element reads only the
-/// slice its range residuals leave; anything else scans.
+/// The columnar kernels read only the candidate rows: an equality
+/// residual on an indexed column probes the index — the Query Processor
+/// "uses hash indices when available to speed up joins and some
+/// selections" (§5.4) — and a clustered element reads only the slice
+/// its range residuals leave; anything else scans.
 ///
 /// # Errors
 /// Returns an error if a projection variable is unavailable.
 pub(crate) fn derive_relation(
     id: ElemId,
-    repr: &Repr,
+    columns: &Arc<ColumnarRelation>,
     derivation: &Derivation,
     vars: &[&str],
     exec: ExecConfig,
 ) -> Result<Derived> {
     let cols = projection(id, derivation, vars)?;
     let filter = derivation.filter_expr();
-    let probe = match repr {
-        Repr::Rows(ext) => (derivation.probe_cols().into_iter())
-            .find(|(c, _)| ext.index_on(&[*c]).is_some())
-            .map(|(c, v)| (ext, c, v)),
-        Repr::Columns(_) => None,
-    };
-    let (plan, access) = match probe {
-        Some((ext, c, v)) => {
-            let plan = braid_relational::ops::select_eq(ext, &[c], &[v], Some(filter));
-            (plan, Access::Probe(c))
-        }
-        None => {
-            let access = scan_access(repr, &filter);
-            (repr.scan_plan().filter(filter), access)
-        }
-    };
+    let access = scan_access(columns, &filter);
+    let plan = PhysicalPlan::scan_columnar(Arc::clone(columns)).filter(filter);
     let (rel, stats) = plan.project(&cols)?.materialize_with(exec)?;
     Ok(Derived { rel, stats, access })
 }
 
-/// The access path a filter over `repr` takes without an index probe: the
-/// slice of a clustered element its range conjuncts leave, or a scan. The
-/// slice is [`ColumnarRelation::clustered_range`]'s, the same call the
-/// columnar kernels read by, so the label is the slice the kernel reads.
-fn scan_access(repr: &Repr, filter: &braid_relational::Expr) -> Access {
-    let Repr::Columns(c) = repr else {
-        return Access::Scan;
-    };
-    match (
-        c.sorted_on(),
-        c.clustered_range(std::slice::from_ref(filter)),
-    ) {
-        (Some(col), Some(r)) => Access::Range {
+/// The access path a filter over `columns` takes: the candidate rows
+/// the columnar kernels read ([`ColumnarRelation::candidate_rows`]), so
+/// the label is the access the kernel makes.
+fn scan_access(columns: &ColumnarRelation, filter: &Expr) -> Access {
+    match columns.candidate_rows(std::slice::from_ref(filter)) {
+        Candidates::Probe { col, .. } => Access::Probe(col),
+        Candidates::Range { col, rows } => Access::Range {
             col,
-            read: r.len(),
-            total: c.len(),
+            read: rows.len(),
+            total: columns.len(),
         },
-        _ => Access::Scan,
+        Candidates::Scan => Access::Scan,
     }
 }
 
@@ -574,10 +551,6 @@ pub trait CacheRead {
     fn exact_lookup(&self, q: &ConjunctiveQuery) -> Option<ElemId>;
     /// Cardinality of an element's materialized extension, if any.
     fn cardinality_of(&self, id: ElemId) -> Option<usize>;
-    /// Whether an element is stored column-major
-    /// (served by the vectorized kernels — feeds the `columnar_hits`
-    /// metric and the EXPLAIN `repr` field).
-    fn is_columnar(&self, id: ElemId) -> bool;
     /// Eagerly evaluate a derivation over an element with the executor
     /// configuration `exec`.
     ///
@@ -610,10 +583,6 @@ impl CacheRead for CacheManager {
         CacheManager::cardinality_of(self, id)
     }
 
-    fn is_columnar(&self, id: ElemId) -> bool {
-        CacheManager::is_columnar(self, id)
-    }
-
     fn derive_relation(
         &self,
         id: ElemId,
@@ -635,12 +604,17 @@ mod tests {
         ViewDef::new(parse_rule(src).unwrap()).unwrap()
     }
 
-    fn rel(n: usize) -> Relation {
+    fn rel(n: usize) -> Arc<ColumnarRelation> {
         let mut r = Relation::new(Schema::of_strs("e", &["x", "y"]));
         for i in 0..n {
             r.insert(tuple![format!("k{i}"), format!("v{i}")]).unwrap();
         }
-        r
+        columns(&r, &[])
+    }
+
+    fn columns(rel: &Relation, index: &[usize]) -> Arc<ColumnarRelation> {
+        let c = ColumnarRelation::from_relation(rel);
+        Arc::new(c.with_indexes(index).unwrap())
     }
 
     fn views(names: &[&str]) -> BTreeSet<String> {
@@ -650,9 +624,7 @@ mod tests {
     #[test]
     fn insert_and_exact_lookup() {
         let mut c = CacheManager::new(usize::MAX);
-        let id = c
-            .insert(def("e(X, Y) :- b1(X, Y)."), rel(3).into())
-            .unwrap();
+        let id = c.insert(def("e(X, Y) :- b1(X, Y)."), rel(3)).unwrap();
         // Exact match is canonical: variable names don't matter.
         let q = parse_rule("q(A, B) :- b1(A, B).").unwrap();
         assert_eq!(c.exact_lookup(&q), Some(id));
@@ -663,21 +635,15 @@ mod tests {
     #[test]
     fn lru_eviction_under_pressure() {
         let bytes_of_3 = {
-            let e = CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0);
+            let e = CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0);
             e.approx_bytes()
         };
         let mut c = CacheManager::new(bytes_of_3 * 2 + 64);
-        let a = c
-            .insert(def("a(X, Y) :- b1(X, Y)."), rel(3).into())
-            .unwrap();
-        let b = c
-            .insert(def("b(X, Y) :- b2(X, Y)."), rel(3).into())
-            .unwrap();
+        let a = c.insert(def("a(X, Y) :- b1(X, Y)."), rel(3)).unwrap();
+        let b = c.insert(def("b(X, Y) :- b2(X, Y)."), rel(3)).unwrap();
         // Touch `a` so `b` becomes LRU.
         c.touch(a);
-        let d = c
-            .insert(def("d(X, Y) :- b3(X, Y)."), rel(3).into())
-            .unwrap();
+        let d = c.insert(def("d(X, Y) :- b3(X, Y)."), rel(3)).unwrap();
         assert!(c.get(a).is_some());
         assert!(c.get(b).is_none(), "LRU element must be evicted");
         assert!(c.get(d).is_some());
@@ -686,27 +652,20 @@ mod tests {
 
     #[test]
     fn pinned_elements_survive_eviction() {
-        let unit =
-            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
+        let unit = CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
         let mut c = CacheManager::new(unit * 2 + 64);
-        let a = c
-            .insert(def("a(X, Y) :- b1(X, Y)."), rel(3).into())
-            .unwrap();
-        let b = c
-            .insert(def("b(X, Y) :- b2(X, Y)."), rel(3).into())
-            .unwrap();
+        let a = c.insert(def("a(X, Y) :- b1(X, Y)."), rel(3)).unwrap();
+        let b = c.insert(def("b(X, Y) :- b2(X, Y)."), rel(3)).unwrap();
         // `a` is older but pinned: `b` gets evicted instead.
         c.pin_views(&views(&["a"]));
-        let d = c
-            .insert(def("d(X, Y) :- b3(X, Y)."), rel(3).into())
-            .unwrap();
+        let d = c.insert(def("d(X, Y) :- b3(X, Y)."), rel(3)).unwrap();
         assert!(c.get(a).is_some());
         assert!(c.get(b).is_none());
         // An element that would fit an empty cache but not beside the
         // pinned `a` is refused without evicting `d` first.
-        let big = CacheElement::new(0, def("x(X, Y) :- b9(X, Y)."), rel(5).into(), 0);
+        let big = CacheElement::new(0, def("x(X, Y) :- b9(X, Y)."), rel(5), 0);
         assert!(unit + big.approx_bytes() > unit * 2 + 64 && big.approx_bytes() <= unit * 2 + 64);
-        let refused = c.insert(def("x(X, Y) :- b9(X, Y)."), rel(5).into());
+        let refused = c.insert(def("x(X, Y) :- b9(X, Y)."), rel(5));
         assert!(refused.is_none());
         assert!(
             c.get(d).is_some(),
@@ -720,21 +679,14 @@ mod tests {
         // The touch/pin ordering bug: pin bookkeeping used to leave
         // `last_used` stale, so an element that had just been unpinned
         // was evicted ahead of elements it outlived while protected.
-        let unit =
-            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
+        let unit = CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
         let mut c = CacheManager::new(unit * 2 + 64);
-        let a = c
-            .insert(def("a(X, Y) :- b1(X, Y)."), rel(3).into())
-            .unwrap();
-        let b = c
-            .insert(def("b(X, Y) :- b2(X, Y)."), rel(3).into())
-            .unwrap();
+        let a = c.insert(def("a(X, Y) :- b1(X, Y)."), rel(3)).unwrap();
+        let b = c.insert(def("b(X, Y) :- b2(X, Y)."), rel(3)).unwrap();
         c.touch(b); // b is now more recent than a…
         c.pin_views(&views(&["a"])); // …but pinning a counts as a use of a.
         c.pin_views(&views(&[])); // advice withdrawn: both unpinned again.
-        let d = c
-            .insert(def("d(X, Y) :- b3(X, Y)."), rel(3).into())
-            .unwrap();
+        let d = c.insert(def("d(X, Y) :- b3(X, Y)."), rel(3)).unwrap();
         assert!(c.get(b).is_none(), "b is LRU once pinning refreshed a");
         assert!(c.get(a).is_some(), "pinning a refreshed its recency");
         assert!(c.get(d).is_some());
@@ -742,27 +694,20 @@ mod tests {
 
     #[test]
     fn session_pins_block_eviction_until_released() {
-        let unit =
-            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
+        let unit = CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
         let mut c = CacheManager::new(unit * 2 + 64);
-        let a = c
-            .insert(def("a(X, Y) :- b1(X, Y)."), rel(3).into())
-            .unwrap();
-        let b = c
-            .insert(def("b(X, Y) :- b2(X, Y)."), rel(3).into())
-            .unwrap();
+        let a = c.insert(def("a(X, Y) :- b1(X, Y)."), rel(3)).unwrap();
+        let b = c.insert(def("b(X, Y) :- b2(X, Y)."), rel(3)).unwrap();
         c.pin(a);
         c.pin(a); // two concurrent streams over a
-        let d = c
-            .insert(def("d(X, Y) :- b3(X, Y)."), rel(3).into())
-            .unwrap();
+        let d = c.insert(def("d(X, Y) :- b3(X, Y)."), rel(3)).unwrap();
         assert!(c.get(a).is_some(), "session-pinned element survives");
         assert!(c.get(b).is_none(), "unpinned LRU element is the victim");
         c.unpin(a);
         assert_eq!(c.get(a).unwrap().pin_count, 1, "one stream still open");
         c.unpin(a);
         // Fully released: a is evictable again (and is LRU vs d).
-        let e2 = c.insert(def("f(X, Y) :- b1(X, Z), b2(Z, Y)."), rel(3).into());
+        let e2 = c.insert(def("f(X, Y) :- b1(X, Z), b2(Z, Y)."), rel(3));
         assert!(e2.is_some());
         assert!(c.get(a).is_none(), "released element evicts normally");
         assert!(c.get(d).is_some());
@@ -772,15 +717,9 @@ mod tests {
     fn strided_id_sequences_never_collide() {
         let mut shard0 = CacheManager::with_id_sequence(usize::MAX, 0, 4);
         let mut shard3 = CacheManager::with_id_sequence(usize::MAX, 3, 4);
-        let a = shard0
-            .insert(def("a(X, Y) :- b1(X, Y)."), rel(1).into())
-            .unwrap();
-        let b = shard0
-            .insert(def("b(X, Y) :- b2(X, Y)."), rel(1).into())
-            .unwrap();
-        let c = shard3
-            .insert(def("c(X, Y) :- b3(X, Y)."), rel(1).into())
-            .unwrap();
+        let a = shard0.insert(def("a(X, Y) :- b1(X, Y)."), rel(1)).unwrap();
+        let b = shard0.insert(def("b(X, Y) :- b2(X, Y)."), rel(1)).unwrap();
+        let c = shard3.insert(def("c(X, Y) :- b3(X, Y)."), rel(1)).unwrap();
         assert_eq!((a, b, c), (0, 4, 3));
         assert_eq!(a % 4, 0);
         assert_eq!(c % 4, 3);
@@ -789,18 +728,14 @@ mod tests {
     #[test]
     fn oversized_element_rejected() {
         let mut c = CacheManager::new(10);
-        assert!(c
-            .insert(def("a(X, Y) :- b1(X, Y)."), rel(100).into())
-            .is_none());
+        assert!(c.insert(def("a(X, Y) :- b1(X, Y)."), rel(100)).is_none());
         assert!(c.is_empty());
     }
 
     #[test]
     fn derive_builds_compensation_pipeline() {
         let mut c = CacheManager::new(usize::MAX);
-        let id = c
-            .insert(def("e(X, Y) :- b1(X, Y)."), rel(4).into())
-            .unwrap();
+        let id = c.insert(def("e(X, Y) :- b1(X, Y)."), rel(4)).unwrap();
         let q = parse_rule("q(X) :- b1(X, v2).").unwrap();
         let uses = c.relevant(&q);
         assert!(!uses.is_empty());
@@ -814,46 +749,52 @@ mod tests {
 
     #[test]
     fn point_probes_and_band_derivations_agree_over_both_forms() {
+        // Indexed and unindexed columns, unclustered and clustered.
         let mut nums = Relation::new(Schema::of_strs("e", &["k", "n"]));
         for i in 0..40i64 {
             nums.insert(tuple![format!("k{}", i % 8), i]).unwrap();
         }
         let d = def("e(K, N) :- b1(K, N).");
-        let (mut rows, mut cols) = (CacheManager::new(usize::MAX), CacheManager::new(usize::MAX));
-        let r = rows.insert(d.clone(), Repr::choose(&nums, &[0]).unwrap());
-        let c = cols.insert(d, Repr::choose(&nums, &[]).unwrap());
-        let (r, c) = (r.unwrap(), c.unwrap());
-        assert!(!rows.is_columnar(r) && cols.is_columnar(c));
-        for (src, vars) in [
-            ("q(N) :- b1(k3, N).", &["N"][..]),
-            ("q(K, N) :- b1(K, N), N >= 10, N < 20.", &["K", "N"][..]),
-        ] {
+        let indexed = columns(&nums, &[0]);
+        let forms = [
+            Arc::clone(&indexed),
+            columns(&nums, &[]),
+            Arc::new(indexed.clustered_on(1).unwrap()),
+        ];
+        let cases = [
+            ("q(N) :- b1(k3, N).", &["N"][..], Some(Access::Probe(0))),
+            (
+                "q(K, N) :- b1(K, N), N >= 10, N < 20.",
+                &["K", "N"][..],
+                None,
+            ),
+        ];
+        for (src, vars, indexed_access) in cases {
             let q = parse_rule(src).unwrap();
-            let (_, via_rows) = rows.whole_subsumers(&q).remove(0);
-            let (_, via_cols) = cols.whole_subsumers(&q).remove(0);
-            let exec = ExecConfig::default();
-            let a = rows.derive_relation(r, &via_rows, vars, exec).unwrap().rel;
-            let b = cols.derive_relation(c, &via_cols, vars, exec).unwrap().rel;
-            assert!(!a.is_empty(), "{src}");
-            assert_eq!(a.sorted_tuples(), b.sorted_tuples(), "{src}");
+            let mut answers = Vec::new();
+            for (i, form) in forms.iter().enumerate() {
+                let mut c = CacheManager::new(usize::MAX);
+                let id = c.insert(d.clone(), Arc::clone(form)).unwrap();
+                let (_, via) = c.whole_subsumers(&q).remove(0);
+                let got = c
+                    .derive_relation(id, &via, vars, ExecConfig::default())
+                    .unwrap();
+                if let (0, Some(access)) = (i, &indexed_access) {
+                    assert_eq!(&got.access, access, "{src}");
+                }
+                let lazy = c.derive(id, &via, vars).unwrap().materialize().unwrap();
+                assert_eq!(lazy.to_vec(), got.rel.to_vec(), "{src}: lazy ≡ eager");
+                answers.push(got.rel.sorted_tuples());
+            }
+            assert!(!answers[0].is_empty(), "{src}");
+            assert!(answers.iter().all(|a| *a == answers[0]), "{src}");
         }
-        // The point query took the index path on the row form.
-        let probe = parse_rule("q(N) :- b1(k3, N).").unwrap();
-        let (_, d) = rows.whole_subsumers(&probe).remove(0);
-        assert_eq!(d.probe_cols().len(), 1);
-        assert!(rows
-            .get(r)
-            .unwrap()
-            .rows()
-            .unwrap()
-            .index_on(&[0])
-            .is_some());
     }
 
     #[test]
     fn two_equality_residuals_probe_the_indexed_column() {
-        // Indexes are single-column (`Repr::choose`), so `K = k3, N = 3`
-        // over an element indexed on K probes K and filters the bucket.
+        // Indexes are single-column, so `K = k3, N = 3` over an element
+        // indexed on K probes K and filters the bucket.
         let mut rel = Relation::new(Schema::of_strs("e", &["k", "n"]));
         for i in 0..400i64 {
             rel.insert(tuple![format!("k{}", i % 40), i % 13]).unwrap();
@@ -861,10 +802,8 @@ mod tests {
         let d = def("e(K, N) :- b1(K, N).");
         let (mut indexed, mut plain) =
             (CacheManager::new(usize::MAX), CacheManager::new(usize::MAX));
-        let i = indexed
-            .insert(d.clone(), Repr::choose(&rel, &[0]).unwrap())
-            .unwrap();
-        let p = plain.insert(d, rel.into()).unwrap();
+        let i = indexed.insert(d.clone(), columns(&rel, &[0])).unwrap();
+        let p = plain.insert(d, columns(&rel, &[])).unwrap();
         let derivation = Derivation {
             var_cols: [("K".to_string(), 0), ("N".to_string(), 1)].into(),
             filters: vec![
@@ -882,11 +821,20 @@ mod tests {
         assert_eq!(probed.access, Access::Probe(0));
         assert_eq!(scanned.access, Access::Scan);
         assert!(!probed.rel.is_empty());
-        assert_eq!(probed.rel.sorted_tuples(), scanned.rel.sorted_tuples());
-        // The probe reads k3's bucket (10 rows), the scan all 400.
-        let survivors = probed.rel.len() as u64;
-        assert_eq!(probed.stats.rows_pruned, 10 - survivors);
-        assert_eq!(scanned.stats.rows_pruned, 400 - survivors);
+        assert_eq!(
+            probed.rel.to_vec(),
+            scanned.rel.to_vec(),
+            "same rows, same order"
+        );
+        // Rows outside the bucket count as pruned, as a scan prunes them.
+        assert_eq!(probed.stats, scanned.stats);
+        // The probe reads k3's bucket: 10 of the 400 rows.
+        let filter = derivation.filter_expr();
+        let read = match indexed.columns_of(i).unwrap().candidate_rows(&[filter]) {
+            Candidates::Probe { rows, .. } => rows.len(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(read, 10);
     }
 
     #[test]
@@ -895,14 +843,9 @@ mod tests {
         let rel = Relation::from_tuples(Schema::of_strs("e", &["k", "v"]), rows).unwrap();
         let mut c = CacheManager::new(usize::MAX);
         let id = c
-            .insert(
-                def("e(K, V) :- b1(K, V)."),
-                Repr::choose(&rel, &[]).unwrap(),
-            )
+            .insert(def("e(K, V) :- b1(K, V)."), columns(&rel, &[]))
             .unwrap();
-        let Repr::Columns(old) = c.repr_of(id).unwrap() else {
-            panic!("int columns are stored column-major");
-        };
+        let old = c.columns_of(id).unwrap();
         assert!(c.claim_clustering(id, &old));
         assert!(
             !c.claim_clustering(id, &old),
@@ -921,9 +864,7 @@ mod tests {
     #[test]
     fn remove_clears_indices() {
         let mut c = CacheManager::new(usize::MAX);
-        let id = c
-            .insert(def("a(X, Y) :- b1(X, Y)."), rel(2).into())
-            .unwrap();
+        let id = c.insert(def("a(X, Y) :- b1(X, Y)."), rel(2)).unwrap();
         assert!(c.remove(id).is_some());
         let q = parse_rule("q(A, B) :- b1(A, B).").unwrap();
         assert!(c.exact_lookup(&q).is_none());
@@ -936,14 +877,10 @@ mod tests {
         let mut c = CacheManager::new(usize::MAX);
         let alias = |k: &str| vec![k.to_string(), format!("{k}_own")];
         let a = c
-            .insert_with_aliases(def("a(X, Y) :- b1(X, Y)."), rel(2).into(), &alias("shared"))
+            .insert_with_aliases(def("a(X, Y) :- b1(X, Y)."), rel(2), &alias("shared"))
             .unwrap();
         let b = c
-            .insert_with_aliases(
-                def("b(X, Y) :- b2(X, Y)."),
-                rel(2).into(),
-                &["shared".to_string()],
-            )
+            .insert_with_aliases(def("b(X, Y) :- b2(X, Y)."), rel(2), &["shared".to_string()])
             .unwrap();
         c.remove(a).unwrap();
         assert_eq!(c.exact.get("shared"), Some(&b));
@@ -956,10 +893,9 @@ mod tests {
 
     #[test]
     fn equal_stamps_evict_the_smallest_id_first() {
-        let unit =
-            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
+        let unit = CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
         let mut c = CacheManager::new(unit * 3 + 64);
-        let mut put = |src: &str| c.insert(def(src), rel(3).into()).unwrap();
+        let mut put = |src: &str| c.insert(def(src), rel(3)).unwrap();
         let (a, b, d) = (
             put("v(X, Y) :- b1(X, Y)."),
             put("w(X, Y) :- b2(X, Y)."),
@@ -970,7 +906,7 @@ mod tests {
         c.pin_views(&views(&[]));
         assert_eq!(c.get(a).unwrap().last_used, c.get(d).unwrap().last_used);
         for (src, gone) in [("x(X, Y) :- b4(X, Y).", b), ("y(X, Y) :- b5(X, Y).", a)] {
-            c.insert(def(src), rel(3).into()).unwrap();
+            c.insert(def(src), rel(3)).unwrap();
             assert!(c.get(gone).is_none());
         }
         assert!(c.get(d).is_some(), "the larger id of the tie outlives a");
@@ -983,9 +919,7 @@ mod tests {
         let pinned = views(&["d2"]);
         c.pin_views(&pinned);
         assert!(!c.pins_stale(&pinned));
-        let id = c
-            .insert(def("d2(X, Y) :- b2(X, Y)."), rel(2).into())
-            .unwrap();
+        let id = c.insert(def("d2(X, Y) :- b2(X, Y)."), rel(2)).unwrap();
         assert!(
             !c.get(id).unwrap().pinned,
             "pinned when advice next applies"
@@ -1001,7 +935,7 @@ mod tests {
     #[test]
     fn model_reports_elements() {
         let mut c = CacheManager::new(usize::MAX);
-        c.insert(def("a(X, Y) :- b1(X, Y)."), rel(2).into());
+        c.insert(def("a(X, Y) :- b1(X, Y)."), rel(2));
         let m = c.model();
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].cardinality, 2);

@@ -10,11 +10,11 @@
 use crate::advice_mgr::AdviceManager;
 use crate::cache::{CacheManager, CacheRead};
 use crate::config::CmsConfig;
-use crate::element::Repr;
+use crate::element::CacheElement;
 use crate::error::{CmsError, Result};
 use crate::flight::Waker;
 use crate::metrics::{CmsMetrics, CmsMetricsSnapshot};
-use crate::model::ModelRow;
+use crate::model::{col_list, ModelRow};
 use crate::monitor::{self, ExecEnv, ParkCtx, RemoteFlight};
 use crate::planner::{self, PartSource, Plan};
 use crate::resilience::Resilience;
@@ -22,7 +22,7 @@ use crate::shared::{PinGuard, SharedCache};
 use crate::stream::{AnswerStream, Completeness};
 use braid_advice::Advice;
 use braid_caql::{Atom, ConjunctiveQuery, Term};
-use braid_relational::Schema;
+use braid_relational::{ColumnarRelation, Schema};
 use braid_remote::{PoolStats, RemoteDbms, RemoteTransport, TcpClientPool, TransportConfig};
 use braid_subsume::ViewDef;
 use braid_trace::{TraceKind, TraceSink, Tracer};
@@ -601,19 +601,14 @@ impl Cms {
                             .event(TraceKind::PlanDecision, q.head.to_string(), fields);
                     }
                     let (g, access) = self.shared.cache.derive(*element, derivation, &head_vars)?;
-                    let columnar = self.shared.cache.is_columnar(*element);
                     self.shared.metrics.add_lazy(1);
-                    self.shared.metrics.add_columnar_hits(u64::from(columnar));
-                    if self.tracer.enabled() {
-                        monitor::trace_cache_part(
-                            &self.tracer,
-                            self.tracer.current(),
-                            &plan.parts[0],
-                            columnar,
-                            &access,
-                            None,
-                        );
-                    }
+                    monitor::trace_cache_part(
+                        &self.tracer,
+                        self.tracer.current(),
+                        &plan.parts[0],
+                        &access,
+                        None,
+                    );
                     // The stream keeps the pins: the generator reads the
                     // element's (Arc-shared) extension, and the pin keeps
                     // concurrent eviction from dropping the element — and
@@ -706,9 +701,6 @@ impl Cms {
         drop(pins);
         self.shared.metrics.add_local_ops(executed.local_tuple_ops);
         self.shared.metrics.add_exec_stats(executed.exec_stats);
-        self.shared
-            .metrics
-            .add_columnar_hits(executed.columnar_parts);
         let vars: Vec<String> = executed
             .joined
             .schema()
@@ -724,9 +716,9 @@ impl Cms {
 
     /// Store the (pre-head-projection) result as a new cache element under
     /// an all-variables definition, plus an exact-match alias for the
-    /// original query. The representation is chosen here, once, before
-    /// the insert: indexed rows for consumer-annotated columns, columns
-    /// otherwise (§5.2).
+    /// original query. The element is stored column-major, with hash
+    /// indexes built here, once, before the insert, on its
+    /// consumer-annotated columns (§5.2).
     fn cache_result(
         &mut self,
         q: &ConjunctiveQuery,
@@ -743,19 +735,25 @@ impl Cms {
             return; // non-PSJ bodies are not cacheable for reuse
         };
         let to_index = self.consumer_columns(&def);
-        let Ok(repr) = Repr::choose(joined, &to_index) else {
+        let Ok(columns) = ColumnarRelation::from_relation(joined).with_indexes(&to_index) else {
             return;
         };
-        let traced = self
-            .tracer
-            .enabled()
-            .then(|| (repr.label(), repr.approx_bytes()));
+        let columns = Arc::new(columns);
+        let traced = self.tracer.enabled().then(|| {
+            (
+                col_list(&columns.indexed_cols()),
+                CacheElement::charge(&columns),
+            )
+        });
         let aliases = vec![{
             let mut aq = q.clone();
             aq.head.pred = "_".to_string();
             aq.canonical_key()
         }];
-        let (id, evicted) = self.shared.cache.insert_with_aliases(def, repr, &aliases);
+        let (id, evicted) = self
+            .shared
+            .cache
+            .insert_with_aliases(def, columns, &aliases);
         self.shared.metrics.add_evictions(evicted);
         if evicted > 0 {
             self.tracer.event(
@@ -767,14 +765,14 @@ impl Cms {
         let Some(id) = id else {
             return;
         };
-        if let Some((label, bytes)) = traced {
+        if let Some((indexed, bytes)) = traced {
             self.tracer.event(
                 TraceKind::CacheInsert,
                 q.head.pred.clone(),
                 vec![
                     ("element", id.to_string()),
                     ("rows", joined.len().to_string()),
-                    ("repr", label.to_string()),
+                    ("indexed", indexed),
                     ("bytes", bytes.to_string()),
                 ],
             );
@@ -1084,8 +1082,8 @@ mod tests {
             let rows = (0..n).map(|k| tuple![k, (k * 37) % n]);
             let rel = Relation::from_tuples(Schema::of_strs("num", &["k", "v"]), rows).unwrap();
             let def = ViewDef::new(parse_rule("num(K, V) :- b9(K, V).").unwrap()).unwrap();
-            let repr = Repr::choose(&rel, &[]).unwrap();
-            cms.shared_cache().insert_with_aliases(def, repr, &[]);
+            let columns = Arc::new(ColumnarRelation::from_relation(&rel));
+            cms.shared_cache().insert_with_aliases(def, columns, &[]);
             let bytes = cms.shared_cache().used_bytes();
             for (lo, hi) in [(100, 110), (500, 540), (990, 2_000)] {
                 let band = format!("q(K, V) :- b9(K, V), V >= {lo}, V < {hi}.");
@@ -1122,8 +1120,9 @@ mod tests {
                     Schema::of_strs("look", &["v"]),
                     vec![tuple![format!("v{k}")]],
                 );
+                let columns = Arc::new(ColumnarRelation::from_relation(&rows.unwrap()));
                 cms.shared_cache()
-                    .insert_with_aliases(def.unwrap(), rows.unwrap().into(), &[]);
+                    .insert_with_aliases(def.unwrap(), columns, &[]);
             }
             let requests = cms.remote().metrics().requests;
             let before = cms.metrics().subsume_tests;
@@ -1290,9 +1289,9 @@ mod tests {
     #[test]
     fn columnar_mode_answers_identically_and_counts_repr_decisions() {
         // The same session with and without consumer annotations: the
-        // general b3 extension is cached as indexed rows in one CMS and as
-        // columns in the other, and an instance of it answers identically
-        // from either.
+        // general b3 extension is cached with an index in one CMS and
+        // without in the other, and an instance of it answers identically
+        // from either (a probe in the first, a scan in the second).
         let cfg = CmsConfig::braid()
             .with_prefetching(false)
             .with_generalization(false);
@@ -1310,31 +1309,31 @@ mod tests {
         }
         assert_eq!(rows.remote().metrics().requests, 1);
         assert_eq!(cols.remote().metrics().requests, 1);
-        let (r, c) = (rows.metrics(), cols.metrics());
-        assert_eq!((r.indices_built, r.columnar_hits), (1, 0));
-        assert_eq!((c.indices_built, c.columnar_hits), (0, 1));
+        assert_eq!(rows.metrics().indices_built, 1);
+        assert_eq!(cols.metrics().indices_built, 0);
     }
 
     #[test]
-    fn columnar_mode_keeps_indexed_rows_for_consumer_annotated_elements() {
+    fn consumer_annotated_elements_are_columns_with_the_index_built() {
         let config = CmsConfig::braid()
             .with_prefetching(false)
             .with_generalization(false);
         let mut cms = Cms::new(remote(), config);
         cms.begin_session(example1_advice());
         // This extension serves d2's b3(Z, c2, Y?) component: the
-        // consumer annotation predicts point probes, so the element is
-        // stored as rows with the index built.
+        // consumer annotation predicts point probes, so the element's
+        // columns carry an index on Y's column, charged at insert.
         let e12 = parse_rule("e12(A, B) :- b3(A, c2, B).").unwrap();
         cms.query(e12).unwrap().drain();
         assert_eq!(cms.metrics().indices_built, 1);
         let model = cms.cache_model();
         assert_eq!(model.len(), 1);
-        assert_eq!(model[0].repr, "rows", "{model:?}");
-        let indexed = cms.shared_cache().with_element(model[0].id, |e| {
-            e.rows().is_some_and(|r| r.index_on(&[1]).is_some())
-        });
-        assert_eq!(indexed, Some(true));
+        assert_eq!(model[0].indexed, vec![1], "{model:?}");
+        let charged = cms
+            .shared_cache()
+            .with_element(model[0].id, |e| CacheElement::charge(&e.columns));
+        assert_eq!(charged, Some(model[0].bytes));
+        assert_eq!(cms.shared_cache().used_bytes(), model[0].bytes);
     }
 
     #[test]
@@ -1348,13 +1347,14 @@ mod tests {
         let q = parse_rule("q(X, Y) :- b2(X, Y).").unwrap();
         let answers = cms.query(q).unwrap().drain();
         let model = cms.cache_model();
-        assert_eq!(model[0].repr, "columnar", "{model:?}");
+        assert!(model[0].indexed.is_empty(), "{model:?}");
+        assert_eq!(model[0].sorted_on, None);
         // Charged its columnar bytes, which are fewer than the rows'.
         let stored = Relation::from_tuples(Schema::of_strs("q", &["x", "y"]), answers).unwrap();
-        let columnar = Repr::choose(&stored, &[]).unwrap().approx_bytes();
+        let columnar = CacheElement::charge(&ColumnarRelation::from_relation(&stored));
         assert_eq!(model[0].bytes, columnar);
         assert_eq!(cms.shared_cache().used_bytes(), columnar);
-        assert!(columnar < Repr::from(stored).approx_bytes());
+        assert!(columnar < 128 + stored.approx_size());
         assert_eq!(cms.metrics().indices_built, 0);
     }
 
@@ -1370,11 +1370,10 @@ mod tests {
         probe.query(first.clone()).unwrap().drain();
         let answers = probe.query(second.clone()).unwrap().drain();
         let capacity = probe.shared_cache().used_bytes();
-        let stored = Relation::from_tuples(Schema::of_strs("g", &["x", "y", "z"]), answers);
-        let as_columns = Repr::choose(stored.as_ref().unwrap(), &[])
-            .unwrap()
-            .approx_bytes();
-        let as_rows = Repr::from(stored.unwrap()).approx_bytes();
+        let stored =
+            Relation::from_tuples(Schema::of_strs("g", &["x", "y", "z"]), answers).unwrap();
+        let as_columns = CacheElement::charge(&ColumnarRelation::from_relation(&stored));
+        let as_rows = 128 + stored.approx_size();
         assert!(
             as_rows > as_columns,
             "rows {as_rows} vs columns {as_columns}"

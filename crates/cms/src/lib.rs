@@ -49,7 +49,7 @@ pub mod stream;
 pub use cache::CacheRead;
 pub use cms::Cms;
 pub use config::{CmsConfig, Coupling};
-pub use element::{CacheElement, ElemId, Repr};
+pub use element::{CacheElement, ElemId};
 pub use error::{CmsError, Result};
 pub use flight::{SingleFlight, Waker};
 pub use metrics::{CmsMetrics, CmsMetricsSnapshot};

@@ -181,9 +181,6 @@ cms_metrics! {
         wakes => add_wakes,
         /// Cooperative scheduler steps executed across all pool workers.
         steps_executed => add_steps_executed,
-        /// Cache parts served from a column-major element (the plan leaf
-        /// compiled to the vectorized kernels).
-        columnar_hits => add_columnar_hits,
         /// Containment tests the subsumption engine ran: candidates that
         /// passed the candidate index and got the full `subsumes` check.
         subsume_tests => add_subsume_tests,
@@ -300,7 +297,7 @@ mod tests {
                 * std::mem::size_of::<u64>()
                 + CmsMetricsSnapshot::HISTOGRAM_FIELDS * std::mem::size_of::<HistogramSnapshot>(),
         );
-        assert_eq!(CmsMetricsSnapshot::COUNTER_FIELDS, 29);
+        assert_eq!(CmsMetricsSnapshot::COUNTER_FIELDS, 28);
         assert_eq!(CmsMetricsSnapshot::GAUGE_FIELDS, 1);
         assert_eq!(CmsMetricsSnapshot::HISTOGRAM_FIELDS, 2);
     }

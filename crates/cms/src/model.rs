@@ -16,8 +16,10 @@ pub struct ModelRow {
     pub id: u64,
     /// `E_def` — printed view definition.
     pub def: String,
-    /// Representation: `"columnar"` or `"rows"`.
-    pub repr: &'static str,
+    /// The columns carrying a hash index, ascending (empty when none).
+    pub indexed: Vec<usize>,
+    /// The column the rows are clustered on, if any.
+    pub sorted_on: Option<usize>,
     /// Cardinality.
     pub cardinality: usize,
     /// Approximate bytes held.
@@ -36,7 +38,8 @@ impl ModelRow {
         ModelRow {
             id: e.id,
             def: e.def.to_string(),
-            repr: e.repr.label(),
+            indexed: e.columns.indexed_cols(),
+            sorted_on: e.columns.sorted_on(),
             cardinality: e.cardinality(),
             bytes: e.approx_bytes(),
             hits: e.hits,
@@ -53,7 +56,8 @@ pub fn model_schema() -> Schema {
         vec![
             Column::new("e_id", ValueType::Int),
             Column::new("e_def", ValueType::Str),
-            Column::new("repr", ValueType::Str),
+            Column::new("indexed", ValueType::Str),
+            Column::new("sorted_on", ValueType::Int),
             Column::new("cardinality", ValueType::Int),
             Column::new("bytes", ValueType::Int),
             Column::new("hits", ValueType::Int),
@@ -64,6 +68,12 @@ pub fn model_schema() -> Schema {
     .expect("static schema is valid")
 }
 
+/// Columns as the model and the trace print them: `"0,2"`, or `""`.
+pub(crate) fn col_list(cols: &[usize]) -> String {
+    let cols: Vec<String> = cols.iter().map(ToString::to_string).collect();
+    cols.join(",")
+}
+
 /// Export rows as a relation the IE can query.
 pub fn as_relation<'a>(rows: impl Iterator<Item = &'a ModelRow>) -> Relation {
     let mut rel = Relation::new(model_schema());
@@ -71,7 +81,8 @@ pub fn as_relation<'a>(rows: impl Iterator<Item = &'a ModelRow>) -> Relation {
         let t = Tuple::new(vec![
             Value::Int(r.id as i64),
             Value::str(&r.def),
-            Value::str(r.repr),
+            Value::str(col_list(&r.indexed)),
+            r.sorted_on.map_or(Value::Null, |c| Value::Int(c as i64)),
             Value::Int(r.cardinality as i64),
             Value::Int(r.bytes as i64),
             Value::Int(r.hits as i64),
@@ -87,7 +98,9 @@ pub fn as_relation<'a>(rows: impl Iterator<Item = &'a ModelRow>) -> Relation {
 mod tests {
     use super::*;
     use braid_caql::parse_rule;
+    use braid_relational::ColumnarRelation;
     use braid_subsume::ViewDef;
+    use std::sync::Arc;
 
     #[test]
     fn model_row_and_relation_export() {
@@ -97,13 +110,16 @@ mod tests {
             vec![braid_relational::tuple!["a", "b"]],
         )
         .unwrap();
-        let e = CacheElement::new(7, def, rel.into(), 3);
+        let columns = ColumnarRelation::from_relation(&rel).with_indexes(&[1, 0]);
+        let e = CacheElement::new(7, def, Arc::new(columns.unwrap()), 3);
         let row = ModelRow::of(&e);
         assert_eq!(row.id, 7);
-        assert_eq!(row.repr, "rows");
+        assert_eq!((row.indexed.as_slice(), row.sorted_on), (&[0, 1][..], None));
         assert_eq!(row.cardinality, 1);
         let exported = as_relation([row].iter());
         assert_eq!(exported.len(), 1);
-        assert_eq!(exported.schema().arity(), 8);
+        assert_eq!(exported.schema().arity(), 9);
+        let t = &exported.to_vec()[0];
+        assert_eq!(t.values()[2..4], [Value::str("0,1"), Value::Null]);
     }
 }

@@ -197,9 +197,6 @@ pub struct Executed {
     pub local_tuple_ops: u64,
     /// Number of subqueries shipped to the remote DBMS.
     pub remote_subqueries: u64,
-    /// Cache parts served from a column-major element (the derivation
-    /// compiled to the vectorized kernels).
-    pub columnar_parts: u64,
     /// Batched-executor work counters: the cache parts' derivations and
     /// the local join pipeline.
     pub exec_stats: ExecStats,
@@ -377,7 +374,6 @@ pub fn execute<C: CacheRead>(plan: &Plan, cache: &C, env: &ExecEnv<'_>) -> Resul
         joined,
         local_tuple_ops: local_ops,
         remote_subqueries: remote_count,
-        columnar_parts: work.columnar_parts,
         exec_stats,
     })
 }
@@ -393,15 +389,13 @@ fn part_plan(rel: &Relation) -> PhysicalPlan {
 struct CacheWork {
     /// Tuples the derivations produced (their share of the cost proxy).
     tuples_out: u64,
-    /// Parts served from a column-major element.
-    columnar_parts: u64,
     /// The derivations' executor counters.
     exec: ExecStats,
 }
 
 /// Derive one cache part with the session's executor configuration,
 /// book its work, and record it under the `exec.run` span (EXPLAIN's
-/// per-part row: rows, stored form and access path).
+/// per-part row: rows and access path).
 fn eval_cache_part<C: CacheRead>(
     part: &PlanPart,
     cache: &C,
@@ -417,16 +411,13 @@ fn eval_cache_part<C: CacheRead>(
         unreachable!("eval_cache_part called on a remote part");
     };
     let var_refs: Vec<&str> = part.vars.iter().map(String::as_str).collect();
-    let columnar = cache.is_columnar(*element);
     let derived = cache.derive_relation(*element, derivation, &var_refs, env.exec)?;
     work.tuples_out += derived.rel.len() as u64;
-    work.columnar_parts += u64::from(columnar);
     work.exec.merge(derived.stats);
     trace_cache_part(
         env.trace,
         parent,
         part,
-        columnar,
         &derived.access,
         Some(derived.rel.len()),
     );
@@ -434,26 +425,23 @@ fn eval_cache_part<C: CacheRead>(
 }
 
 /// Record one cache-served part under `parent`: EXPLAIN's per-part row
-/// with its rows (when known: a lazy part has not run yet), stored form
-/// and access path. The eager parts here and the CMS's lazy answers both
+/// with its rows (when known: a lazy part has not run yet) and access
+/// path. The eager parts here and the CMS's lazy answers both
 /// record through this.
 pub(crate) fn trace_cache_part(
     trace: &Tracer,
     parent: Option<u64>,
     part: &PlanPart,
-    columnar: bool,
     access: &Access,
     rows: Option<usize>,
 ) {
     if !trace.enabled() {
         return;
     }
-    let repr = if columnar { "columnar" } else { "rows" };
-    let mut fields = Vec::with_capacity(3);
+    let mut fields = Vec::with_capacity(2);
     if let Some(n) = rows {
         fields.push(("rows", n.to_string()));
     }
-    fields.push(("repr", repr.to_string()));
     fields.push(("access", access.to_string()));
     trace.event_under(parent, TraceKind::CachePart, part_label(part), fields);
 }
@@ -725,6 +713,7 @@ mod tests {
     use crate::planner::plan;
     use braid_caql::parse_rule;
     use braid_relational::tuple;
+    use braid_relational::ColumnarRelation;
     use braid_remote::{Catalog, RemoteDbms};
     use braid_subsume::ViewDef;
     use std::sync::Arc;
@@ -822,7 +811,7 @@ mod tests {
         .unwrap();
         cache.insert(
             ViewDef::new(parse_rule("e12(A, B) :- b3(A, c2, B).").unwrap()).unwrap(),
-            e12.into(),
+            Arc::new(ColumnarRelation::from_relation(&e12)),
         );
         let r = remote();
         let q = parse_rule("d2(X) :- b2(X, Z), b3(Z, c2, c6).").unwrap();

@@ -463,14 +463,15 @@ mod tests {
     use super::*;
     use crate::cache::CacheManager;
     use braid_caql::parse_rule;
-    use braid_relational::{Relation, Schema};
+    use braid_relational::{ColumnarRelation, Relation, Schema};
     use braid_subsume::ViewDef;
+    use std::sync::Arc;
 
     fn def(src: &str) -> ViewDef {
         ViewDef::new(parse_rule(src).unwrap()).unwrap()
     }
 
-    fn rel(name: &str, arity: usize, n: usize) -> Relation {
+    fn rel(name: &str, arity: usize, n: usize) -> Arc<ColumnarRelation> {
         let cols: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
         let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
         let mut r = Relation::new(Schema::of_strs(name, &col_refs));
@@ -480,7 +481,7 @@ mod tests {
                 .collect();
             r.insert(braid_relational::Tuple::new(vals)).unwrap();
         }
-        r
+        Arc::new(ColumnarRelation::from_relation(&r))
     }
 
     #[test]
@@ -499,12 +500,12 @@ mod tests {
         // Query: b1(X,Y) & b2(Y,c1). The QPO must use a selection on E103
         // rather than the E101 ⋈ E102 join.
         let mut cache = CacheManager::new(usize::MAX);
-        cache.insert(def("e101(X, Y) :- b1(X, Y)."), rel("e101", 2, 10).into());
-        cache.insert(def("e102(X) :- b2(X, c1)."), rel("e102", 1, 10).into());
+        cache.insert(def("e101(X, Y) :- b1(X, Y)."), rel("e101", 2, 10));
+        cache.insert(def("e102(X) :- b2(X, c1)."), rel("e102", 1, 10));
         let e103 = cache
             .insert(
                 def("e103(X, Y, Z) :- b1(X, Y), b2(Y, Z)."),
-                rel("e103", 3, 10).into(),
+                rel("e103", 3, 10),
             )
             .unwrap();
         let q = parse_rule("q(X, Y) :- b1(X, Y), b2(Y, c1).").unwrap();
@@ -529,7 +530,7 @@ mod tests {
         // Paper §5.3.2/§5.3.3: with E12 cached, d2(X, c6) splits into the
         // cached b3 part and a remote b2 fetch.
         let mut cache = CacheManager::new(usize::MAX);
-        cache.insert(def("e12(X, Y) :- b3(X, c2, Y)."), rel("e12", 2, 5).into());
+        cache.insert(def("e12(X, Y) :- b3(X, c2, Y)."), rel("e12", 2, 5));
         let q = parse_rule("d2(X) :- b2(X, Z), b3(Z, c2, c6).").unwrap();
         let p = plan(&q, &cache, true).unwrap();
         assert_eq!(p.parts.len(), 2);
@@ -549,7 +550,7 @@ mod tests {
     #[test]
     fn exact_match_mode_ignores_subsuming_elements() {
         let mut cache = CacheManager::new(usize::MAX);
-        cache.insert(def("e(X, Y) :- b1(X, Y)."), rel("e", 2, 5).into());
+        cache.insert(def("e(X, Y) :- b1(X, Y)."), rel("e", 2, 5));
         // The instantiated query is subsumed but not an exact match.
         let q = parse_rule("q(X) :- b1(X, c1).").unwrap();
         let exact = plan(&q, &cache, false).unwrap();
@@ -561,7 +562,7 @@ mod tests {
     #[test]
     fn exact_match_mode_hits_identical_query() {
         let mut cache = CacheManager::new(usize::MAX);
-        cache.insert(def("e(X) :- b1(X, c1)."), rel("e", 1, 5).into());
+        cache.insert(def("e(X) :- b1(X, c1)."), rel("e", 1, 5));
         let q = parse_rule("q(A) :- b1(A, c1).").unwrap();
         let p = plan(&q, &cache, false).unwrap();
         assert!(p.all_cache());
@@ -614,7 +615,7 @@ mod tests {
         assert_eq!(p.neg_parts[0].vars, vec!["X", "Y"]);
         // A cached cover for the negated atom is preferred.
         let mut warm = CacheManager::new(usize::MAX);
-        warm.insert(def("e(X, Y) :- b2(X, Y)."), rel("e", 2, 5).into());
+        warm.insert(def("e(X, Y) :- b2(X, Y)."), rel("e", 2, 5));
         let p2 = plan(&q, &warm, true).unwrap();
         assert!(p2.neg_parts[0].is_cache());
     }
@@ -635,7 +636,7 @@ mod tests {
         // unselective: a mixed plan ships all of `huge`, while the server
         // can join and ship only the (small) result — §5.3.3's plan (b).
         let mut cache = CacheManager::new(usize::MAX);
-        cache.insert(def("e(X, Y) :- small(X, Y)."), rel("small", 2, 4).into());
+        cache.insert(def("e(X, Y) :- small(X, Y)."), rel("small", 2, 4));
         let q = parse_rule("q(X, Z) :- small(X, Y), huge(Y, Z).").unwrap();
         let mixed = plan(&q, &cache, true).unwrap();
         assert_eq!(mixed.remote_parts(), 1);
@@ -678,7 +679,7 @@ mod tests {
     #[test]
     fn placement_keeps_mixed_plan_when_remote_part_is_selective() {
         let mut cache = CacheManager::new(usize::MAX);
-        cache.insert(def("e(X, Y) :- small(X, Y)."), rel("small", 2, 4).into());
+        cache.insert(def("e(X, Y) :- small(X, Y)."), rel("small", 2, 4));
         // The remote atom is pinned by a constant: it ships almost nothing.
         let q = parse_rule("q(X, Z) :- small(X, Y), huge(Y, c7, Z).").unwrap();
         let mixed = plan(&q, &cache, true).unwrap();
@@ -713,7 +714,7 @@ mod tests {
     #[test]
     fn placement_never_touches_pure_plans() {
         let mut cache = CacheManager::new(usize::MAX);
-        cache.insert(def("e(X, Y) :- b1(X, Y)."), rel("e", 2, 5).into());
+        cache.insert(def("e(X, Y) :- b1(X, Y)."), rel("e", 2, 5));
         let stats = RemoteStats::new();
         // All-cache plan.
         let q = parse_rule("q(X, Y) :- b1(X, Y).").unwrap();
@@ -756,7 +757,7 @@ mod tests {
     #[test]
     fn noncontiguous_uncovered_atoms_make_separate_remote_parts() {
         let mut cache = CacheManager::new(usize::MAX);
-        cache.insert(def("e(X, Y) :- b2(X, Y)."), rel("e", 2, 5).into());
+        cache.insert(def("e(X, Y) :- b2(X, Y)."), rel("e", 2, 5));
         // b2 (middle atom) is covered; b1 and b3 become two remote runs.
         let q = parse_rule("q(X, W) :- b1(X, Y), b2(Y, Z), b3(Z, W).").unwrap();
         let p = plan(&q, &cache, true).unwrap();

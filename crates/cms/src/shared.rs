@@ -16,12 +16,12 @@
 //! the owning shard without any shared counter.
 
 use crate::cache::{Access, CacheManager, CacheRead, Derived};
-use crate::element::{CacheElement, ElemId, Repr};
+use crate::element::{CacheElement, ElemId};
 use crate::error::Result;
 use crate::metrics::CmsMetrics;
 use crate::model::ModelRow;
 use braid_caql::ConjunctiveQuery;
-use braid_relational::{ExecConfig, Generator};
+use braid_relational::{ColumnarRelation, ExecConfig, Generator};
 use braid_subsume::{base_footprint, CandidateUse, Derivation, ViewDef};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -181,7 +181,7 @@ impl SharedCache {
     pub fn insert_with_aliases(
         &self,
         def: ViewDef,
-        repr: Repr,
+        columns: Arc<ColumnarRelation>,
         aliases: &[String],
     ) -> (Option<ElemId>, u64) {
         let idx = self.home_shard(def.query());
@@ -191,7 +191,7 @@ impl SharedCache {
             return (Some(id), 0);
         }
         let before = mgr.evictions();
-        let id = mgr.insert_with_aliases(def, repr, aliases);
+        let id = mgr.insert_with_aliases(def, columns, aliases);
         let evicted = mgr.evictions() - before;
         (id, evicted)
     }
@@ -251,14 +251,14 @@ impl SharedCache {
             .collect()
     }
 
-    /// The stored form of an element, taken under the shard's read lock
-    /// and used after it is released.
-    fn repr_of(&self, id: ElemId) -> Result<Repr> {
-        self.read(self.shard_of_id(id)).repr_of(id)
+    /// The stored columns of an element, taken under the shard's read
+    /// lock and used after it is released.
+    fn columns_of(&self, id: ElemId) -> Result<Arc<ColumnarRelation>> {
+        self.read(self.shard_of_id(id)).columns_of(id)
     }
 
-    /// The form a derivation should read. The first range derivation over
-    /// an unclustered columnar element clusters it on the range column
+    /// The columns a derivation should read. The first range derivation
+    /// over an unclustered element clusters it on the range column
     /// (see [`crate::cache::range_column`]). That derivation claims the
     /// sort under the shard write lock, sorts outside every lock, and
     /// swaps the clustered copy in only if the element still holds the
@@ -266,22 +266,19 @@ impl SharedCache {
     /// meanwhile, so one element costs one sort and one transient copy of
     /// its bytes (not charged to `used_bytes`), however many sessions
     /// warm it at once. An element is clustered at most once, so a poor
-    /// choice of column never thrashes; streams holding the old form stay
-    /// valid, since both forms are immutable.
-    fn repr_for(&self, id: ElemId, derivation: &Derivation) -> Result<Repr> {
-        let repr = self.repr_of(id)?;
-        let Repr::Columns(cols) = &repr else {
-            return Ok(repr);
-        };
+    /// choice of column never thrashes; streams holding the old copy stay
+    /// valid, since both copies are immutable.
+    fn columns_for(&self, id: ElemId, derivation: &Derivation) -> Result<Arc<ColumnarRelation>> {
+        let cols = self.columns_of(id)?;
         if cols.sorted_on().is_some() {
-            return Ok(repr);
+            return Ok(cols);
         }
-        let Some(c) = crate::cache::range_column(cols, derivation) else {
-            return Ok(repr);
+        let Some(c) = crate::cache::range_column(&cols, derivation) else {
+            return Ok(cols);
         };
         let shard = self.shard_of_id(id);
-        if !self.write(shard).claim_clustering(id, cols) {
-            return Ok(repr);
+        if !self.write(shard).claim_clustering(id, &cols) {
+            return Ok(cols);
         }
         let clustered = Arc::new(
             cols.clustered_on(c)
@@ -289,9 +286,9 @@ impl SharedCache {
         );
         let swapped = self
             .write(shard)
-            .recluster(id, cols, Arc::clone(&clustered));
+            .recluster(id, &cols, Arc::clone(&clustered));
         self.metrics.add_clusterings(u64::from(swapped));
-        Ok(Repr::Columns(clustered))
+        Ok(clustered)
     }
 
     /// Build the compensation pipeline for a derivation, and say how it
@@ -309,7 +306,7 @@ impl SharedCache {
         derivation: &Derivation,
         vars: &[&str],
     ) -> Result<(Generator, Access)> {
-        crate::cache::derive(id, &self.repr_for(id, derivation)?, derivation, vars)
+        crate::cache::derive(id, &self.columns_for(id, derivation)?, derivation, vars)
     }
 
     /// Cache-model rows across all shards, ordered by element id.
@@ -365,10 +362,6 @@ impl CacheRead for SharedCache {
         self.read(self.shard_of_id(id)).cardinality_of(id)
     }
 
-    fn is_columnar(&self, id: ElemId) -> bool {
-        self.read(self.shard_of_id(id)).is_columnar(id)
-    }
-
     fn derive_relation(
         &self,
         id: ElemId,
@@ -379,8 +372,8 @@ impl CacheRead for SharedCache {
         // The kernel runs outside the lock: a long scan must not hold up
         // another session's hit, which needs the shard's write lock to pin
         // and touch.
-        let repr = self.repr_for(id, derivation)?;
-        crate::cache::derive_relation(id, &repr, derivation, vars, exec)
+        let columns = self.columns_for(id, derivation)?;
+        crate::cache::derive_relation(id, &columns, derivation, vars, exec)
     }
 }
 
@@ -420,12 +413,12 @@ mod tests {
         ViewDef::new(parse_rule(src).unwrap()).unwrap()
     }
 
-    fn rel(n: usize) -> Relation {
+    fn rel(n: usize) -> Arc<ColumnarRelation> {
         let mut r = Relation::new(Schema::of_strs("e", &["x", "y"]));
         for i in 0..n {
             r.insert(tuple![format!("k{i}"), format!("v{i}")]).unwrap();
         }
-        r
+        Arc::new(ColumnarRelation::from_relation(&r))
     }
 
     #[test]
@@ -434,7 +427,7 @@ mod tests {
         let mut ids = Vec::new();
         for rel_name in ["b1", "b2", "b3", "b4", "b5", "b6"] {
             let d = def(&format!("v(X, Y) :- {rel_name}(X, Y)."));
-            let (id, _) = c.insert_with_aliases(d, rel(2).into(), &[]);
+            let (id, _) = c.insert_with_aliases(d, rel(2), &[]);
             ids.push(id.unwrap());
         }
         let mut sorted = ids.clone();
@@ -453,7 +446,7 @@ mod tests {
         // Same content, different shard counts: candidate sets agree.
         for shards in [1usize, 2, 4, 8] {
             let c = SharedCache::new(usize::MAX, shards, metrics());
-            c.insert_with_aliases(def("v(X, Y) :- b3(X, Y)."), rel(3).into(), &[]);
+            c.insert_with_aliases(def("v(X, Y) :- b3(X, Y)."), rel(3), &[]);
             let q = parse_rule("q(A) :- b3(A, v1).").unwrap();
             assert_eq!(c.relevant(&q).len(), 1, "shards={shards}");
             assert_eq!(c.whole_subsumers(&q).len(), 1, "shards={shards}");
@@ -463,23 +456,22 @@ mod tests {
     #[test]
     fn duplicate_definitions_collapse_to_one_element() {
         let c = SharedCache::new(usize::MAX, 2, metrics());
-        let (a, _) = c.insert_with_aliases(def("v(X, Y) :- b1(X, Y)."), rel(2).into(), &[]);
-        let (b, _) = c.insert_with_aliases(def("w(P, Q) :- b1(P, Q)."), rel(2).into(), &[]);
+        let (a, _) = c.insert_with_aliases(def("v(X, Y) :- b1(X, Y)."), rel(2), &[]);
+        let (b, _) = c.insert_with_aliases(def("w(P, Q) :- b1(P, Q)."), rel(2), &[]);
         assert_eq!(a, b, "second racing insert reuses the first element");
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn pin_guard_blocks_eviction_and_releases_on_drop() {
-        let unit =
-            CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3).into(), 0).approx_bytes();
+        let unit = CacheElement::new(0, def("e(X, Y) :- b1(X, Y)."), rel(3), 0).approx_bytes();
         let c = Arc::new(SharedCache::new(unit * 2 + 64, 1, metrics()));
-        let (a, _) = c.insert_with_aliases(def("a(X, Y) :- b1(X, Y)."), rel(3).into(), &[]);
+        let (a, _) = c.insert_with_aliases(def("a(X, Y) :- b1(X, Y)."), rel(3), &[]);
         let a = a.unwrap();
         let guard = c.try_pin(a).expect("element present");
         // Pressure: inserting two more elements evicts around the pin.
-        c.insert_with_aliases(def("b(X, Y) :- b2(X, Y)."), rel(3).into(), &[]);
-        c.insert_with_aliases(def("d(X, Y) :- b3(X, Y)."), rel(3).into(), &[]);
+        c.insert_with_aliases(def("b(X, Y) :- b2(X, Y)."), rel(3), &[]);
+        c.insert_with_aliases(def("d(X, Y) :- b3(X, Y)."), rel(3), &[]);
         assert!(
             c.with_element(a, |_| ()).is_some(),
             "pinned element survived the storm"
@@ -495,7 +487,7 @@ mod tests {
         let c = SharedCache::new(usize::MAX, 4, metrics());
         for rel_name in ["b1", "b2", "b3"] {
             let d = def(&format!("v(X, Y) :- {rel_name}(X, Y)."));
-            c.insert_with_aliases(d, rel(4).into(), &[]);
+            c.insert_with_aliases(d, rel(4), &[]);
         }
         assert!(c.byte_drift().is_empty(), "accounting is exact");
         assert_eq!(

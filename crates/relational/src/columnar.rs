@@ -1,29 +1,37 @@
-//! Column-major relation representation — the cache's sequential
-//! extension format, beside the indexed row extension.
+//! Column-major relation representation — the cache's one stored form.
 //!
 //! The paper's CMS "frequently maintains co-existing, alternative
-//! representations of the same relation" (§5.2). A [`ColumnarRelation`]
-//! is an alternative *extension* format: per-column typed vectors
+//! representations of the same relation" (§5.2): a generator for
+//! sequential production and an indexed extension for random probes. A
+//! [`ColumnarRelation`] is that extension: per-column typed vectors
 //! (`i64` / `f64` / `bool`), dictionary-encoded strings, and a validity
 //! mask for nulls, with a [`ColData::Mixed`] fallback for heterogeneous
 //! columns. Conversion from and back to a row [`Relation`] is lossless
 //! (`Relation → ColumnarRelation → Relation` is the identity, including
-//! row order); the CMS chooses an element's form once, at insert.
+//! row order).
 //!
-//! A columnar relation may be *clustered*
-//! ([`ColumnarRelation::clustered_on`]): the same rows, stored sorted on
-//! one numeric column, so a range selection on that column reads only
-//! the slice a binary search finds
-//! ([`ColumnarRelation::clustered_range`]). Clustering permutes rows and
-//! nothing else, so the byte footprint is unchanged.
+//! Two optional access structures ride on the columns, and the columnar
+//! kernels read through both ([`ColumnarRelation::candidate_rows`]):
+//!
+//! - single-column [hash indexes](HashIndex)
+//!   ([`ColumnarRelation::with_indexes`]): a `col = constant` conjunct on
+//!   an indexed column reads the constant's bucket;
+//! - a *clustering* ([`ColumnarRelation::clustered_on`]): the same rows,
+//!   stored sorted on one numeric column, so a range conjunct on that
+//!   column reads only the slice a binary search finds.
+//!
+//! Indexes are built once, when the relation is built, and clustering
+//! permutes rows (and the index positions with them) and nothing else,
+//! so a relation's byte footprint never changes after it is built.
 //!
 //! Invariant: a `ColumnarRelation` is only ever built from a [`Relation`]
 //! (a set), so its rows are duplicate-free — the vectorized aggregate
 //! kernel in [`crate::exec`] relies on this to skip the row operator's
 //! dedup pass.
 
-use crate::error::Result;
+use crate::error::{RelationalError, Result};
 use crate::expr::{CmpOp, Expr};
+use crate::index::HashIndex;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -168,13 +176,37 @@ pub struct ColumnarRelation {
     cols: Vec<ColVec>,
     /// The column the rows are sorted on, if clustered.
     sorted_on: Option<usize>,
+    /// Single-column hash indexes, by ascending column.
+    indexes: Vec<(usize, HashIndex)>,
+}
+
+/// The rows a conjunction of predicates can select, and the access path
+/// that finds them ([`ColumnarRelation::candidate_rows`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Candidates<'a> {
+    /// The bucket of a `col = constant` conjunct on an indexed column:
+    /// row positions, ascending.
+    Probe {
+        /// The indexed column.
+        col: usize,
+        /// The bucket.
+        rows: &'a [u32],
+    },
+    /// The slice of a clustered relation its sort-column conjuncts leave.
+    Range {
+        /// The sort column.
+        col: usize,
+        /// The slice.
+        rows: Range<usize>,
+    },
+    /// Every row.
+    Scan,
 }
 
 impl ColumnarRelation {
-    /// Convert a row relation into columnar form. Row order is
-    /// preserved; indices and the dedup set are not carried over (the
-    /// columnar form has no point-probe structures — that is the row
-    /// representation's job).
+    /// Convert a row relation into columnar form, unindexed and
+    /// unclustered. Row order is preserved; the dedup set is not carried
+    /// over.
     pub fn from_relation(rel: &Relation) -> ColumnarRelation {
         let arity = rel.schema().arity();
         let cols = (0..arity).map(|c| build_col(rel, c)).collect();
@@ -183,7 +215,44 @@ impl ColumnarRelation {
             len: rel.len(),
             cols,
             sorted_on: None,
+            indexes: Vec::new(),
         }
+    }
+
+    /// The same relation with a hash index on each column in `cols` (a
+    /// column named twice, or already indexed, is indexed once). The
+    /// indexes count in [`ColumnarRelation::approx_size`].
+    ///
+    /// # Errors
+    /// A column out of range.
+    pub fn with_indexes(mut self, cols: &[usize]) -> Result<ColumnarRelation> {
+        for &c in cols {
+            if c >= self.arity() {
+                return Err(RelationalError::ColumnIndexOutOfRange {
+                    index: c,
+                    arity: self.arity(),
+                });
+            }
+            if self.index_on(c).is_none() {
+                let idx = HashIndex::build(&self.cols[c]);
+                self.indexes.push((c, idx));
+            }
+        }
+        self.indexes.sort_unstable_by_key(|(c, _)| *c);
+        Ok(self)
+    }
+
+    /// The hash index on column `c`, if one was built.
+    pub fn index_on(&self, c: usize) -> Option<&HashIndex> {
+        self.indexes
+            .iter()
+            .find(|(i, _)| *i == c)
+            .map(|(_, idx)| idx)
+    }
+
+    /// The indexed columns, ascending.
+    pub fn indexed_cols(&self) -> Vec<usize> {
+        self.indexes.iter().map(|(c, _)| *c).collect()
     }
 
     /// Convert back to a row relation — the lossless inverse of
@@ -235,10 +304,12 @@ impl ColumnarRelation {
         Tuple::new(self.cols.iter().map(|c| c.value_at(row)).collect())
     }
 
-    /// Approximate bytes held (dictionary encoding typically makes this
-    /// smaller than the row extension for repetitive string columns).
+    /// Approximate bytes held, indexes included (dictionary encoding
+    /// typically makes this smaller than the row extension for
+    /// repetitive string columns).
     pub fn approx_size(&self) -> usize {
-        64 + self.cols.iter().map(ColVec::approx_size).sum::<usize>()
+        let indexes: usize = self.indexes.iter().map(|(_, i)| i.approx_size()).sum();
+        64 + indexes + self.cols.iter().map(ColVec::approx_size).sum::<usize>()
     }
 
     /// The column the rows are sorted on, if the relation is clustered.
@@ -258,7 +329,9 @@ impl ColumnarRelation {
     /// comparison kernels use (`(x as f64).total_cmp`), so a binary
     /// search means exactly what a comparison predicate means — NaN,
     /// ±0.0 and integers beyond 2^53 included. `None` when `c` is not
-    /// clusterable ([`ColumnarRelation::is_clusterable`]).
+    /// clusterable ([`ColumnarRelation::is_clusterable`]). Indexes move
+    /// with their rows, buckets kept ascending, so the byte footprint is
+    /// unchanged and a probe still yields rows in scan order.
     pub fn clustered_on(&self, c: usize) -> Option<ColumnarRelation> {
         if !self.is_clusterable(c) {
             return None;
@@ -271,22 +344,56 @@ impl ColumnarRelation {
         // The row id breaks ties, which makes the unstable sort stable.
         keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let perm: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
+        let mut moved_to = vec![0u32; self.len];
+        for (new, &old) in (0u32..).zip(&perm) {
+            moved_to[old as usize] = new;
+        }
         Some(ColumnarRelation {
             schema: self.schema.clone(),
             len: self.len,
             cols: self.cols.iter().map(|col| col.gather(&perm)).collect(),
             sorted_on: Some(c),
+            indexes: (self.indexes.iter())
+                .map(|(i, idx)| (*i, idx.remapped(&moved_to)))
+                .collect(),
         })
     }
 
-    /// The rows a conjunction of `preds` can select in a clustered
-    /// relation: every AND-ed `col op numeric-constant` conjunct on the
-    /// sort column (`<`, `<=`, `>`, `>=`, `=`, either operand order,
-    /// nested `And`s included) narrows the range by binary search; `!=`,
-    /// `Or`, `Not` and non-numeric constants do not. `None` when the
-    /// relation is unclustered or no conjunct narrows. Rows outside the
-    /// range fail some conjunct; rows inside still need every predicate.
-    pub fn clustered_range(&self, preds: &[Expr]) -> Option<Range<usize>> {
+    /// The rows a conjunction of `preds` can select — the access path
+    /// the columnar kernels read and EXPLAIN reports. Rows outside the
+    /// candidates fail some conjunct; rows inside still need every
+    /// predicate. In order:
+    ///
+    /// - the bucket of the first AND-ed `col = constant` conjunct (either
+    ///   operand order, nested `And`s included) on an indexed column;
+    /// - in a clustered relation, the slice every AND-ed
+    ///   `col op numeric-constant` conjunct on the sort column (`<`,
+    ///   `<=`, `>`, `>=`, `=`) leaves after a binary search each;
+    /// - every row. `!=`, `Or`, `Not` and (for the slice) non-numeric
+    ///   constants never narrow.
+    pub fn candidate_rows(&self, preds: &[Expr]) -> Candidates<'_> {
+        if !self.indexes.is_empty() {
+            let mut probe = None;
+            for p in preds {
+                col_const_conjuncts(p, &mut |c, op, v| {
+                    if probe.is_none() && op == CmpOp::Eq {
+                        probe = self.index_on(c).map(|idx| (c, idx.get(v)));
+                    }
+                });
+            }
+            if let Some((col, rows)) = probe {
+                return Candidates::Probe { col, rows };
+            }
+        }
+        match (self.sorted_on, self.clustered_range(preds)) {
+            (Some(col), Some(rows)) => Candidates::Range { col, rows },
+            _ => Candidates::Scan,
+        }
+    }
+
+    /// The slice of a clustered relation the sort-column conjuncts of
+    /// `preds` leave; `None` when unclustered or no conjunct narrows.
+    fn clustered_range(&self, preds: &[Expr]) -> Option<Range<usize>> {
         let c = self.sorted_on?;
         let mut bounds: Option<Range<usize>> = None;
         let mut narrow = |op: CmpOp, y: f64| {
@@ -315,33 +422,28 @@ impl ColumnarRelation {
             *r = start..r.end.min(to).max(start);
         };
         for p in preds {
-            sort_column_conjuncts(p, c, &mut narrow);
+            col_const_conjuncts(p, &mut |col, op, v| {
+                if let Some(y) = v.as_f64().filter(|_| col == c) {
+                    narrow(op, y);
+                }
+            });
         }
         bounds
     }
 }
 
-/// Call `f(op, y)` for every AND-ed conjunct of `e` reading
-/// `col c op y` with a numeric constant `y` (the `const op col` form is
-/// flipped).
-fn sort_column_conjuncts(e: &Expr, c: usize, f: &mut impl FnMut(CmpOp, f64)) {
+/// Call `f(col, op, v)` for every AND-ed conjunct of `e` reading
+/// `col op v` with a constant `v` (the `const op col` form is flipped).
+fn col_const_conjuncts(e: &Expr, f: &mut impl FnMut(usize, CmpOp, &Value)) {
     match e {
         Expr::And(es) => {
             for e in es {
-                sort_column_conjuncts(e, c, f);
+                col_const_conjuncts(e, f);
             }
         }
         Expr::Cmp(op, a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Col(i), Expr::Const(v)) if *i == c => {
-                if let Some(y) = v.as_f64() {
-                    f(*op, y);
-                }
-            }
-            (Expr::Const(v), Expr::Col(i)) if *i == c => {
-                if let Some(y) = v.as_f64() {
-                    f(op.flipped(), y);
-                }
-            }
+            (Expr::Col(i), Expr::Const(v)) => f(*i, *op, v),
+            (Expr::Const(v), Expr::Col(i)) => f(*i, op.flipped(), v),
             _ => {}
         },
         _ => {}
@@ -527,6 +629,46 @@ mod tests {
         let col = ColumnarRelation::from_relation(&rel);
         assert!(col.is_empty());
         assert_eq!(roundtrip(&rel), rel);
+    }
+
+    #[test]
+    fn index_probe_matches_scan() {
+        let rel = Relation::from_tuples(
+            Schema::of_strs("parent", &["p", "c"]),
+            vec![
+                tuple!["ann", "bob"],
+                tuple!["bob", "cal"],
+                tuple!["ann", "dee"],
+            ],
+        )
+        .unwrap();
+        let plain = ColumnarRelation::from_relation(&rel);
+        let indexed = plain.clone().with_indexes(&[0, 0]).unwrap();
+        assert_eq!(indexed.indexed_cols(), vec![0]);
+        assert!(indexed.approx_size() > plain.approx_size(), "charged");
+        let ann = [Expr::col_cmp(0, CmpOp::Eq, "ann")];
+        assert_eq!(plain.candidate_rows(&ann), Candidates::Scan);
+        assert_eq!(
+            indexed.candidate_rows(&ann),
+            Candidates::Probe {
+                col: 0,
+                rows: &[0, 2]
+            }
+        );
+        // Not an equality, or not on the indexed column: no probe.
+        for p in [
+            Expr::col_cmp(0, CmpOp::Ne, "ann"),
+            Expr::col_cmp(1, CmpOp::Eq, "bob"),
+            Expr::Or(vec![Expr::col_cmp(0, CmpOp::Eq, "ann")]),
+        ] {
+            assert_eq!(indexed.candidate_rows(&[p]), Candidates::Scan);
+        }
+    }
+
+    #[test]
+    fn index_out_of_range_errors() {
+        let col = ColumnarRelation::from_relation(&typed_rel());
+        assert!(col.with_indexes(&[7]).is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! CMS and the simulated remote DBMS fold these counters into their own
 //! metrics.
 
-use crate::columnar::{ColData, ColVec, ColumnarRelation};
+use crate::columnar::{Candidates, ColData, ColVec, ColumnarRelation};
 use crate::error::{RelationalError, Result};
 use crate::expr::{CmpOp, Expr};
 use crate::plan::{AggFunc, Aggregate, PhysicalPlan, PlanNode};
@@ -680,12 +680,21 @@ fn vectorizable_pred(e: &Expr, arity: usize) -> bool {
     }
 }
 
-/// The rows a filter chain selects, ascending. Over a clustered
-/// relation only the slice the sort-column conjuncts leave
-/// ([`ColumnarRelation::clustered_range`]) is evaluated; rows outside it
-/// fail a conjunct, so the answer is the full scan's.
+/// The rows a filter chain selects, ascending. Only the candidates
+/// ([`ColumnarRelation::candidate_rows`]) are evaluated — an index
+/// bucket row by row, a clustered slice or every row as bitmaps; rows
+/// outside the candidates fail a conjunct, so the answer is the full
+/// scan's.
 fn selected_rows(rel: &ColumnarRelation, preds: &[Expr]) -> Vec<u32> {
-    let rows = rel.clustered_range(preds).unwrap_or(0..rel.len());
+    let rows = match rel.candidate_rows(preds) {
+        Candidates::Probe { rows, .. } => {
+            return (rows.iter().copied())
+                .filter(|&r| preds.iter().all(|p| row_holds(rel, p, r as usize)))
+                .collect();
+        }
+        Candidates::Range { rows, .. } => rows,
+        Candidates::Scan => 0..rel.len(),
+    };
     let from = rows.start;
     let mut sel = vec![true; rows.len()];
     for p in preds {
@@ -697,6 +706,24 @@ fn selected_rows(rel: &ColumnarRelation, preds: &[Expr]) -> Vec<u32> {
         .zip(sel)
         .filter_map(|(i, keep)| keep.then_some(i as u32))
         .collect()
+}
+
+/// One vectorizable predicate at one row: [`CmpOp::eval`] over the
+/// row's values, which is what every bitmap kernel replicates.
+fn row_holds(rel: &ColumnarRelation, e: &Expr, r: usize) -> bool {
+    let value = |e: &Expr| match e {
+        Expr::Col(i) => rel.value_at(r, *i),
+        Expr::Const(v) => v.clone(),
+        _ => unreachable!("guarded by vectorizable_pred"),
+    };
+    match e {
+        Expr::Const(Value::Bool(b)) => *b,
+        Expr::And(es) => es.iter().all(|e| row_holds(rel, e, r)),
+        Expr::Or(es) => es.iter().any(|e| row_holds(rel, e, r)),
+        Expr::Not(inner) => !row_holds(rel, inner, r),
+        Expr::Cmp(op, a, b) => op.eval(&value(a), &value(b)),
+        _ => unreachable!("guarded by vectorizable_pred"),
+    }
 }
 
 /// One predicate as a bitmap over `rows`. Logical connectives combine

@@ -10,8 +10,10 @@
 //!   Britton-Lee IDM-500 back ends.
 //!
 //! The crate provides typed [`Value`]s, [`Schema`]s, immutable shared
-//! [`Tuple`]s, materialized [`Relation`]s with optional [hash
-//! indices](index::HashIndex), and a single physical-plan layer
+//! [`Tuple`]s, materialized [`Relation`]s, the column-major
+//! [`ColumnarRelation`] the cache stores (with optional [hash
+//! indexes](index::HashIndex) and clustering as access paths), and a
+//! single physical-plan layer
 //! ([`plan`]) executed by a batched pull executor ([`exec`]). The eager
 //! relational [operators](ops) and the *lazy* generator API ([`lazy`]) —
 //! the paper's **generators** ("a generator ... produces a single tuple
@@ -36,7 +38,7 @@ pub mod stats;
 pub mod tuple;
 pub mod value;
 
-pub use columnar::{ColVec, ColumnarRelation};
+pub use columnar::{Candidates, ColVec, ColumnarRelation};
 pub use error::{RelationalError, Result};
 pub use exec::{ExecConfig, ExecStats, RunningPlan, TupleBatch};
 pub use expr::{CmpOp, Expr};

@@ -17,13 +17,11 @@ use crate::error::{RelationalError, Result};
 use crate::expr::Expr;
 use crate::plan::PhysicalPlan;
 use crate::relation::Relation;
-use crate::tuple::Tuple;
-use crate::value::Value;
 
 pub use crate::plan::{AggFunc, Aggregate};
 
 /// One-leaf plan over a borrowed relation: shares the tuples (they are
-/// `Arc`-backed) without cloning the relation's dedup set or indices.
+/// `Arc`-backed) without cloning the relation's dedup set.
 fn plan_of(r: &Relation) -> PhysicalPlan {
     PhysicalPlan::rows(r.schema().clone(), r.to_vec())
 }
@@ -31,29 +29,6 @@ fn plan_of(r: &Relation) -> PhysicalPlan {
 /// σ — tuples of `r` satisfying `pred`.
 pub fn select(r: &Relation, pred: &Expr) -> Result<Relation> {
     plan_of(r).filter_strict(pred.clone()).materialize()
-}
-
-/// Index-assisted selection on a conjunction of column-equals-constant
-/// terms: probes an existing index on `eq_cols` when available (scans
-/// otherwise), then applies `residual`. Returns the plan, so the caller
-/// can project it and run it under its own executor configuration. Used
-/// by the cache's Query Processor for point probes (§5.4).
-pub fn select_eq(
-    r: &Relation,
-    eq_cols: &[usize],
-    key: &[Value],
-    residual: Option<Expr>,
-) -> PhysicalPlan {
-    let rows: Vec<Tuple> = r
-        .lookup(eq_cols, key)
-        .into_iter()
-        .map(|row| r.row(row).expect("lookup returned valid row id").clone())
-        .collect();
-    let plan = PhysicalPlan::rows(r.schema().clone(), rows);
-    match residual {
-        Some(p) => plan.filter_strict(p),
-        None => plan,
-    }
 }
 
 /// π — projection onto `cols` (indices may repeat or reorder); result is
@@ -178,7 +153,7 @@ mod tests {
     use super::*;
     use crate::expr::CmpOp;
     use crate::schema::Column;
-    use crate::value::ValueType;
+    use crate::value::{Value, ValueType};
     use crate::{tuple, Schema};
 
     fn parent() -> Relation {
@@ -219,21 +194,6 @@ mod tests {
     fn select_filters() {
         let r = select(&parent(), &Expr::col_cmp(0, CmpOp::Eq, "ann")).unwrap();
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn select_eq_uses_index_and_residual() {
-        let mut p = parent();
-        p.build_index(&[0]).unwrap();
-        let r = select_eq(
-            &p,
-            &[0],
-            &[Value::str("ann")],
-            Some(Expr::col_cmp(1, CmpOp::Ne, "cal")),
-        )
-        .materialize()
-        .unwrap();
-        assert_eq!(r.sorted_tuples(), vec![tuple!["ann", "bob"]]);
     }
 
     #[test]

@@ -5,21 +5,19 @@
 //! data, and makes cache-element semantics (materialized views) crisp.
 
 use crate::error::{RelationalError, Result};
-use crate::index::HashIndex;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use std::collections::HashMap;
 use std::collections::HashSet;
 use std::fmt;
 
-/// A materialized relation: schema, tuples and any hash indices built over
-/// them. This is the paper's relation *extension* (§5.1).
+/// A materialized relation: schema and tuples. This is the paper's
+/// relation *extension* (§5.1) in row-major shape; the cache stores it
+/// column-major ([`crate::ColumnarRelation`]).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
     tuples: Vec<Tuple>,
     seen: HashSet<Tuple>,
-    indices: HashMap<Vec<usize>, HashIndex>,
     approx_bytes: usize,
 }
 
@@ -30,7 +28,6 @@ impl Relation {
             schema,
             tuples: Vec::new(),
             seen: HashSet::new(),
-            indices: HashMap::new(),
             approx_bytes: 0,
         }
     }
@@ -89,11 +86,7 @@ impl Relation {
         if !self.seen.insert(t.clone()) {
             return Ok(false);
         }
-        let row = self.tuples.len();
         self.approx_bytes += t.approx_size();
-        for (cols, idx) in self.indices.iter_mut() {
-            idx.add(&t, cols, row);
-        }
         self.tuples.push(t);
         Ok(true)
     }
@@ -116,52 +109,6 @@ impl Relation {
     /// Owned snapshot of all tuples (cheap: tuples are `Arc`-backed).
     pub fn to_vec(&self) -> Vec<Tuple> {
         self.tuples.clone()
-    }
-
-    /// Build (or rebuild) a hash index on the given columns and return a
-    /// reference to it. Index construction is what the CMS does when advice
-    /// marks an attribute as a *consumer* ("a prime candidate for
-    /// indexing", §4.2.1).
-    ///
-    /// # Errors
-    /// Returns an error if any index column is out of range.
-    pub fn build_index(&mut self, cols: &[usize]) -> Result<&HashIndex> {
-        for &c in cols {
-            if c >= self.schema.arity() {
-                return Err(RelationalError::ColumnIndexOutOfRange {
-                    index: c,
-                    arity: self.schema.arity(),
-                });
-            }
-        }
-        let key: Vec<usize> = cols.to_vec();
-        if !self.indices.contains_key(&key) {
-            let mut idx = HashIndex::new();
-            for (row, t) in self.tuples.iter().enumerate() {
-                idx.add(t, cols, row);
-            }
-            self.indices.insert(key.clone(), idx);
-        }
-        Ok(&self.indices[&key])
-    }
-
-    /// Existing index on exactly these columns, if one has been built.
-    pub fn index_on(&self, cols: &[usize]) -> Option<&HashIndex> {
-        self.indices.get(cols)
-    }
-
-    /// Probe an index: row ids of tuples whose `cols` equal `key`.
-    /// Falls back to a scan when no index exists.
-    pub fn lookup(&self, cols: &[usize], key: &[crate::Value]) -> Vec<usize> {
-        if let Some(idx) = self.indices.get(cols) {
-            return idx.get(key).to_vec();
-        }
-        self.tuples
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| cols.iter().zip(key).all(|(&c, v)| t.get(c) == Some(v)))
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Deterministically sorted copy of the tuples (for tests and display).
@@ -193,7 +140,6 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
     use crate::{tuple, Schema};
 
     fn rel() -> Relation {
@@ -222,30 +168,6 @@ mod tests {
                 got: 1
             })
         ));
-    }
-
-    #[test]
-    fn index_probe_matches_scan() {
-        let mut r = rel();
-        let scan = r.lookup(&[0], &[Value::str("ann")]);
-        r.build_index(&[0]).unwrap();
-        let probe = r.lookup(&[0], &[Value::str("ann")]);
-        assert_eq!(scan, probe);
-        assert_eq!(probe.len(), 2);
-    }
-
-    #[test]
-    fn index_stays_current_after_insert() {
-        let mut r = rel();
-        r.build_index(&[0]).unwrap();
-        r.insert(tuple!["ann", "eli"]).unwrap();
-        assert_eq!(r.lookup(&[0], &[Value::str("ann")]).len(), 3);
-    }
-
-    #[test]
-    fn index_out_of_range_errors() {
-        let mut r = rel();
-        assert!(r.build_index(&[7]).is_err());
     }
 
     #[test]

@@ -280,6 +280,7 @@ const KNOWN_FIELD_KEYS: &[&str] = &[
     "flight",
     "generalization",
     "i",
+    "indexed",
     "k",
     "latency_spike_units",
     "lazy",
@@ -295,7 +296,6 @@ const KNOWN_FIELD_KEYS: &[&str] = &[
     "queries",
     "remainder",
     "replans",
-    "repr",
     "rows",
     "schema",
     "state",

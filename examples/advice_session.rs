@@ -91,8 +91,8 @@ fn main() {
     println!("\n=== cache model (the CMS's meta-relation, §5.3.2) ===");
     for row in braid.cms().cache_model() {
         println!(
-            "    E{}: {} [{} tuples, {} hits, {}]",
-            row.id, row.def, row.cardinality, row.hits, row.repr
+            "    E{}: {} [{} tuples, {} hits, indexed on {:?}, sorted on {:?}]",
+            row.id, row.def, row.cardinality, row.hits, row.indexed, row.sorted_on
         );
     }
 }

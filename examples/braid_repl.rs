@@ -56,12 +56,13 @@ fn main() {
             ":cache" => {
                 for row in system.cms().cache_model() {
                     println!(
-                        "  E{}: {} [{} tuples, {} hits, {}{}]",
+                        "  E{}: {} [{} tuples, {} hits, indexed on {:?}, sorted on {:?}{}]",
                         row.id,
                         row.def,
                         row.cardinality,
                         row.hits,
-                        row.repr,
+                        row.indexed,
+                        row.sorted_on,
                         if row.pinned { ", pinned" } else { "" }
                     );
                 }

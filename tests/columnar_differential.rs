@@ -10,15 +10,17 @@
 //! 2. **Execution equivalence**: any plan over a columnar scan produces
 //!    results identical to the same plan over the row relation, across
 //!    batch sizes 1 / 7 / 256 — whether the plan compiles to the
-//!    vectorized bitmap/fused kernels or falls back to row operators.
+//!    vectorized bitmap/fused kernels or falls back to row operators,
+//!    and whichever access path (index probe, clustered slice, scan) the
+//!    kernels read through.
 //!
 //! The row executor is itself differentially tested against a naive
 //! reference in `executor_differential.rs`, so agreement with it is
 //! agreement with the spec.
 
 use braid_relational::{
-    tuple, AggFunc, Aggregate, CmpOp, ColumnarRelation, ExecConfig, Expr, PhysicalPlan, Relation,
-    Schema, Tuple, Value,
+    tuple, AggFunc, Aggregate, Candidates, CmpOp, ColumnarRelation, ExecConfig, Expr, PhysicalPlan,
+    Relation, Schema, Tuple, Value,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -594,14 +596,15 @@ fn range_conjuncts_read_only_their_slice() {
         (vec![Expr::col_cmp(0, CmpOp::Lt, 5)], None),
     ];
     for (preds, slice) in cases {
+        let read = match clustered.candidate_rows(&preds) {
+            Candidates::Range { col: 1, rows } => Some(rows.len()),
+            Candidates::Scan => None,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(read, slice, "{preds:?}");
         assert_eq!(
-            clustered.clustered_range(&preds).map(|r| r.len()),
-            slice,
-            "{preds:?}"
-        );
-        assert_eq!(
-            plain.clustered_range(&preds),
-            None,
+            plain.candidate_rows(&preds),
+            Candidates::Scan,
             "unclustered never narrows"
         );
         let (got, pruned) = run_chain(Arc::clone(&clustered), &preds, 7);
@@ -642,4 +645,188 @@ fn clustering_refuses_null_dictionary_bool_and_mixed_columns() {
     }
     assert!(col.clustered_on(4).is_some(), "an int column without nulls");
     assert!(col.clustered_on(5).is_none(), "out of range");
+}
+
+// ---------- index probes ----------
+//
+// A hash index on a column makes a `col = const` conjunct read the
+// constant's bucket. Keys follow the kernels' comparison, so the probe
+// must select exactly what the scan selects — ints against floats, NaN,
+// ±0.0 and integers past 2^53 included — in scan order, with the rows
+// outside the bucket counted as pruned, clustered or not.
+
+/// `col = const` on one of three columns, in either operand order.
+fn eq_leaf(consts: impl Strategy<Value = Value>) -> impl Strategy<Value = Expr> {
+    (0..3usize, consts, 0..2u8).prop_map(|(c, v, flip)| {
+        let (col, k) = (Box::new(Expr::Col(c)), Box::new(Expr::Const(v)));
+        if flip == 1 {
+            Expr::Cmp(CmpOp::Eq, k, col)
+        } else {
+            Expr::Cmp(CmpOp::Eq, col, k)
+        }
+    })
+}
+
+/// A filter chain holding an equality leaf: alone, beside another
+/// predicate, or nested in a conjunction with it.
+fn probe_chain(
+    eq: impl Strategy<Value = Expr>,
+    other: impl Strategy<Value = Expr>,
+) -> impl Strategy<Value = Vec<Expr>> {
+    (eq, other, 0..3u8).prop_map(|(eq, other, shape)| match shape {
+        0 => vec![eq],
+        1 => vec![other, eq],
+        _ => vec![Expr::And(vec![other, eq])],
+    })
+}
+
+/// What a filter chain over `rel` yields at batch size `bs`: its rows in
+/// produced order and the rows pruned, a projection (produced order),
+/// and a grouped aggregate (sorted, errors by kind).
+type ProbeOutcome = (Vec<Tuple>, u64, Vec<Tuple>, Result<Vec<Tuple>, String>);
+
+fn probe_outcome(rel: &Arc<ColumnarRelation>, preds: &[Expr], bs: usize) -> ProbeOutcome {
+    let chain = preds
+        .iter()
+        .fold(PhysicalPlan::scan_columnar(Arc::clone(rel)), |p, e| {
+            p.filter(e.clone())
+        });
+    let (out, stats) = chain
+        .materialize_with(ExecConfig::with_batch_size(bs))
+        .unwrap();
+    let projected = rows_of(&chain.clone().project(&[2, 0]).unwrap(), bs);
+    let aggs = [
+        Aggregate {
+            func: AggFunc::Count,
+            col: 0,
+        },
+        Aggregate {
+            func: AggFunc::Min,
+            col: 1,
+        },
+        Aggregate {
+            func: AggFunc::Sum,
+            col: 0,
+        },
+    ];
+    let grouped = outcome_of(&chain.aggregate(&[2], &aggs).unwrap(), bs);
+    (out.to_vec(), stats.rows_pruned, projected, grouped)
+}
+
+/// Indexed ≡ unindexed in order, and indexed-and-clustered ≡ unindexed
+/// as sets (clustering reorders rows), at every batch size.
+fn indexed_forms_agree(rel: &Relation, preds: &[Expr]) {
+    let plain = Arc::new(ColumnarRelation::from_relation(rel));
+    let indexed = Arc::new(
+        ColumnarRelation::from_relation(rel)
+            .with_indexes(&[0, 1, 2])
+            .unwrap(),
+    );
+    let clustered = (0..3)
+        .find(|&c| plain.is_clusterable(c))
+        .map(|c| Arc::new(indexed.clustered_on(c).unwrap()));
+    let sorted = |(mut rows, pruned, mut projected, grouped): ProbeOutcome| {
+        rows.sort();
+        projected.sort();
+        (rows, pruned, projected, grouped)
+    };
+    for bs in BATCH_SIZES {
+        let want = probe_outcome(&plain, preds, bs);
+        prop_assert_eq!(
+            &probe_outcome(&indexed, preds, bs),
+            &want,
+            "batch size {}",
+            bs
+        );
+        if let Some(both) = &clustered {
+            let got = sorted(probe_outcome(both, preds, bs));
+            prop_assert_eq!(got, sorted(want), "clustered, batch size {}", bs);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn indexed_numeric_filters_projections_and_aggregates_match_unindexed(
+        rel in numeric_rel(),
+        preds in probe_chain(
+            eq_leaf(prop_oneof![edge_const(), Just(Value::str("t1"))]),
+            range_pred(),
+        ),
+    ) {
+        indexed_forms_agree(&rel, &preds);
+    }
+
+    #[test]
+    fn indexed_mixed_filters_projections_and_aggregates_match_unindexed(
+        rel in rel_3col(),
+        preds in probe_chain(eq_leaf(prop_oneof![edge_const(), any_value()]), vec_pred()),
+    ) {
+        indexed_forms_agree(&rel, &preds);
+    }
+}
+
+#[test]
+fn an_int_constant_probes_a_float_column_as_a_scan_compares() {
+    let rel = Relation::from_tuples(
+        Schema::positional("t", 2),
+        vec![tuple!["a", 1.0], tuple!["b", 2.0]],
+    )
+    .unwrap();
+    let pred = Expr::col_cmp(1, CmpOp::Eq, Value::int(1));
+    let scanned = row_plan(&rel).filter(pred.clone()).materialize().unwrap();
+    assert_eq!(scanned.to_vec(), vec![tuple!["a", 1.0]]);
+    let indexed = ColumnarRelation::from_relation(&rel)
+        .with_indexes(&[1])
+        .unwrap();
+    assert_eq!(
+        indexed.candidate_rows(std::slice::from_ref(&pred)),
+        Candidates::Probe { col: 1, rows: &[0] }
+    );
+    let probed = PhysicalPlan::scan_columnar(Arc::new(indexed))
+        .filter(pred)
+        .materialize()
+        .unwrap();
+    assert_eq!(probed.to_vec(), scanned.to_vec());
+}
+
+#[test]
+fn clustering_an_indexed_relation_keeps_its_bytes_and_every_probe() {
+    let rel = banded(100);
+    let indexed = ColumnarRelation::from_relation(&rel)
+        .with_indexes(&[0, 2])
+        .unwrap();
+    // Sorting on v moves nearly every row.
+    let clustered = Arc::new(indexed.clustered_on(1).unwrap());
+    let unindexed = Arc::new(
+        ColumnarRelation::from_relation(&rel)
+            .clustered_on(1)
+            .unwrap(),
+    );
+    assert_eq!(clustered.approx_size(), indexed.approx_size());
+    assert_eq!(clustered.indexed_cols(), vec![0, 2]);
+    let indexed = Arc::new(indexed);
+    let keys = (0..100)
+        .map(|k| (0, Value::int(k)))
+        .chain((0..3).map(|t| (2, Value::str(format!("t{t}")))));
+    for (col, key) in keys {
+        let eq = [Expr::col_cmp(col, CmpOp::Eq, key)];
+        let Candidates::Probe { rows, .. } = clustered.candidate_rows(&eq) else {
+            panic!("column {col} is indexed");
+        };
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "buckets ascending");
+        // The probe yields what a scan of the same rows yields, in its
+        // order, and the rows the unclustered probe found.
+        let (probed, pruned) = run_unsorted(&clustered, &eq);
+        assert_eq!((probed.clone(), pruned), run_unsorted(&unindexed, &eq));
+        let mut probed = probed;
+        probed.sort();
+        assert_eq!(probed, run_chain(Arc::clone(&indexed), &eq, 7).0);
+    }
+}
+
+/// Rows and counters of `preds` chained over `rel`, in produced order.
+fn run_unsorted(rel: &Arc<ColumnarRelation>, preds: &[Expr]) -> (Vec<Tuple>, u64) {
+    let (rows, pruned, _, _) = probe_outcome(rel, preds, 7);
+    (rows, pruned)
 }

@@ -20,7 +20,7 @@ use std::sync::{Arc, Barrier};
 use braid::{BraidConfig, BraidSystem, CmsConfig, Strategy, Tuple};
 use braid_caql::parse_rule;
 use braid_cms::{Cms, CmsMetrics, SharedCache};
-use braid_relational::{tuple, Relation, Schema};
+use braid_relational::{tuple, ColumnarRelation, Relation, Schema};
 use braid_remote::{Catalog, LatencyModel, RemoteDbms};
 use braid_subsume::ViewDef;
 use braid_workload::{genealogy, suppliers, Scenario};
@@ -307,12 +307,12 @@ fn view(def_src: &str) -> ViewDef {
     ViewDef::new(parse_rule(def_src).unwrap()).unwrap()
 }
 
-fn payload(rows: usize) -> Relation {
+fn payload(rows: usize) -> Arc<ColumnarRelation> {
     let mut r = Relation::new(Schema::of_strs("p", &["x", "y"]));
     for i in 0..rows {
         r.insert(tuple![format!("x{i}"), format!("y{i}")]).unwrap();
     }
-    r
+    Arc::new(ColumnarRelation::from_relation(&r))
 }
 
 proptest! {
@@ -345,7 +345,7 @@ proptest! {
                         let rows = 1 + (x % 13) as usize;
                         let (id, _) = cache.insert_with_aliases(
                             d,
-                            payload(rows).into(),
+                            payload(rows),
                             &[],
                         );
                         let Some(id) = id else { continue };
@@ -359,7 +359,7 @@ proptest! {
                                     ));
                                     cache.insert_with_aliases(
                                         d2,
-                                        payload(16).into(),
+                                        payload(16),
                                         &[],
                                     );
                                     assert!(

@@ -215,7 +215,10 @@ fn range_answers_match_the_model_across_clustering() {
     let cache = sys.cms().shared_cache();
     let (bytes, elements) = (cache.used_bytes(), cache.len());
     assert_eq!(elements, 1);
-    assert_eq!(cache.model()[0].repr, "columnar");
+    assert_eq!(
+        (cache.model()[0].indexed.clone(), cache.model()[0].sorted_on),
+        (vec![], None)
+    );
     assert_eq!(sys.metrics().cms.clusterings, 0);
 
     let requests = sys.metrics().remote.requests;

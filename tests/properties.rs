@@ -9,7 +9,10 @@ use braid::{
     BraidConfig, BraidSystem, CmsConfig, Coupling, KnowledgeBase, Strategy as BraidStrategy,
 };
 use braid_caql::parse_rule;
-use braid_relational::{ops, tuple, Expr, Generator, Relation, Schema, Tuple, Value};
+use braid_relational::{
+    ops, tuple, Candidates, CmpOp, ColumnarRelation, Expr, Generator, Relation, Schema, Tuple,
+    Value,
+};
 use braid_subsume::{subsumes, Component, ViewDef};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -82,12 +85,22 @@ proptest! {
     }
 
     #[test]
-    fn index_probe_equals_scan(rel in relation_2col("b"), key in small_value()) {
-        let scan: Vec<usize> = rel.lookup(&[0], std::slice::from_ref(&key));
-        let mut indexed = rel.clone();
-        indexed.build_index(&[0]).unwrap();
-        let probe = indexed.lookup(&[0], std::slice::from_ref(&key));
-        prop_assert_eq!(scan, probe);
+    fn index_probe_equals_scan(
+        rel in relation_2col("b"),
+        key in prop_oneof![small_value(), (0..6i64).prop_map(|i| Value::Float(i as f64))],
+    ) {
+        // The rows a scan's `col0 = key` keeps, by position.
+        let scan: Vec<u32> = (0u32..)
+            .zip(rel.iter())
+            .filter(|(_, t)| CmpOp::Eq.eval(&t.values()[0], &key))
+            .map(|(i, _)| i)
+            .collect();
+        let indexed = ColumnarRelation::from_relation(&rel).with_indexes(&[0]).unwrap();
+        let eq = [Expr::col_cmp(0, CmpOp::Eq, key)];
+        let Candidates::Probe { col: 0, rows } = indexed.candidate_rows(&eq) else {
+            panic!("an equality on the indexed column probes");
+        };
+        prop_assert_eq!(scan, rows.to_vec());
     }
 }
 

@@ -130,10 +130,12 @@ fn span_log_forms_a_well_nested_forest() {
             kind.as_str()
         );
     }
-    // Every insert says which representation it chose and what it costs.
+    // Every insert says which columns it indexed and what it costs.
     for e in events.iter().filter(|e| e.kind == TraceKind::CacheInsert) {
         assert!(
-            matches!(e.field("repr"), Some("columnar" | "rows")),
+            e.field("indexed").is_some_and(
+                |cols| cols.is_empty() || cols.split(',').all(|c| c.parse::<usize>().is_ok())
+            ),
             "{e:?}"
         );
         assert!(
