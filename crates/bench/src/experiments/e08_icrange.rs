@@ -97,4 +97,28 @@ mod tests {
             "compiled wins the all-solutions profile on requests"
         );
     }
+
+    #[test]
+    fn quick_counts_are_pinned() {
+        // Requests, tuples shipped and server-ops per row: the paper's
+        // cost measures, deterministic for the scenario's seed. A change
+        // to how the stand-in server executes must leave them be.
+        let t = run(true);
+        let counts: Vec<[&str; 5]> = t
+            .rows
+            .iter()
+            .map(|r| [&r[0], &r[1], &r[2], &r[3], &r[4]].map(String::as_str))
+            .collect();
+        assert_eq!(
+            counts,
+            vec![
+                ["Interpreted", "first", "1", "2", "32"],
+                ["Interpreted", "all", "31", "30", "960"],
+                ["ConjunctionCompiled", "first", "1", "2", "32"],
+                ["ConjunctionCompiled", "all", "31", "30", "960"],
+                ["FullyCompiled", "first", "1", "30", "60"],
+                ["FullyCompiled", "all", "1", "30", "60"],
+            ]
+        );
+    }
 }

@@ -800,10 +800,18 @@ fn col_const_bitmap(col: &ColVec, op: CmpOp, v: &Value, rows: &Range<usize>) -> 
             .map(|&x| op.holds(x.total_cmp(&y)))
             .collect(),
         (ColData::Strs { dict, codes }, _) => {
-            let table: Vec<bool> = dict
-                .iter()
-                .map(|s| op.eval(&Value::Str(Arc::clone(s)), v))
-                .collect();
+            let table: Vec<bool> = match v {
+                // `CmpOp::eval` on two strings is `str` order; compare
+                // the borrowed entries without building a `Value` each.
+                Value::Str(c) => dict
+                    .iter()
+                    .map(|s| op.holds(s.as_ref().cmp(c.as_ref())))
+                    .collect(),
+                _ => dict
+                    .iter()
+                    .map(|s| op.eval(&Value::Str(Arc::clone(s)), v))
+                    .collect(),
+            };
             codes[rows.clone()]
                 .iter()
                 .map(|&c| table[c as usize])

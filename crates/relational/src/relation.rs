@@ -50,11 +50,10 @@ impl Relation {
         &self.schema
     }
 
-    /// Rename the relation (returns a view with shared tuples).
-    pub fn renamed(&self, name: &str) -> Relation {
-        let mut r = self.clone();
-        r.schema = self.schema.renamed(name);
-        r
+    /// The same relation under another name; the tuples move, untouched.
+    pub fn renamed(mut self, name: &str) -> Relation {
+        self.schema = self.schema.renamed(name);
+        self
     }
 
     /// Number of tuples.

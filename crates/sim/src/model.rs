@@ -16,7 +16,7 @@
 
 use braid::{KnowledgeBase, Rule};
 use braid_caql::{parse_query, Atom, ConjunctiveQuery, Literal, Subst, Term};
-use braid_relational::{Relation, Schema, Tuple, Value};
+use braid_relational::{CmpOp, Relation, Schema, Tuple, Value};
 use braid_remote::Catalog;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -70,7 +70,9 @@ impl RefModel {
 
     /// All solutions of a goal atom: the predicate's extension selected by
     /// the goal's constants and repeated variables, full goal arity,
-    /// sorted and deduplicated.
+    /// sorted and deduplicated. A constant matches a stored value as the
+    /// engines' comparisons do (`1` matches `1.0`), and the answer shows
+    /// the goal's constant, as the system's does.
     ///
     /// # Errors
     /// Unknown predicates.
@@ -82,23 +84,23 @@ impl RefModel {
         let mut out: BTreeSet<Tuple> = BTreeSet::new();
         'tuples: for t in rel.iter() {
             let mut bound: BTreeMap<&str, &Value> = BTreeMap::new();
+            let mut row = Vec::with_capacity(goal.arity());
             for (arg, v) in goal.args.iter().zip(t.values()) {
-                match arg {
-                    Term::Const(c) => {
-                        if c != v {
-                            continue 'tuples;
-                        }
-                    }
+                let shown = match arg {
+                    Term::Const(c) if CmpOp::Eq.eval(c, v) => c,
+                    Term::Const(_) => continue 'tuples,
                     Term::Var(name) => match bound.get(name.as_str()) {
                         Some(prev) if *prev != v => continue 'tuples,
-                        Some(_) => {}
+                        Some(_) => v,
                         None => {
                             bound.insert(name, v);
+                            v
                         }
                     },
-                }
+                };
+                row.push(shown.clone());
             }
-            out.insert(t.clone());
+            out.insert(Tuple::new(row));
         }
         Ok(out.into_iter().collect())
     }
@@ -326,7 +328,7 @@ fn join_atom(a: &Atom, rel: &Relation, b: &Bindings, out: &mut Vec<Bindings>) {
         for (arg, v) in a.args.iter().zip(t.values()) {
             match arg {
                 Term::Const(c) => {
-                    if c != v {
+                    if !CmpOp::Eq.eval(c, v) {
                         continue 'row;
                     }
                 }
@@ -355,6 +357,7 @@ fn subst_of(b: &Bindings) -> Subst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use braid::{BraidConfig, BraidSystem, Strategy};
     use braid_caql::parse_rule;
     use braid_relational::tuple;
 
@@ -442,5 +445,37 @@ mod tests {
                 Tuple::new(vec![Value::Int(5), Value::Int(6)]),
             ]
         );
+    }
+
+    #[test]
+    fn goal_constants_compare_numerically_as_the_system_does() {
+        let catalog = || {
+            let mut c = Catalog::new();
+            c.install(
+                Relation::from_tuples(
+                    Schema::of_strs("b", &["k", "v"]),
+                    vec![tuple!["x", 1.0], tuple!["y", 2], tuple!["z", 1]],
+                )
+                .unwrap(),
+            );
+            c
+        };
+        let kb = || {
+            let mut kb = KnowledgeBase::new();
+            kb.declare_base("b", 2);
+            kb.add_program("one(K) :- b(K, 1).").unwrap();
+            kb
+        };
+        let m = RefModel::new(&catalog(), &kb()).unwrap();
+        let mut sys = BraidSystem::new(catalog(), kb(), BraidConfig::default());
+        for q in ["?- b(K, 1).", "?- one(K)."] {
+            let want = m.solve_text(q).unwrap();
+            assert_eq!(
+                sys.solve_all(q, Strategy::ConjunctionCompiled).unwrap(),
+                want,
+                "`{q}`"
+            );
+            assert_eq!(want.len(), 2, "`{q}`: `1` matches the stored `1.0`");
+        }
     }
 }

@@ -44,10 +44,11 @@ bench-compare a b:
     bash benchmark/run.sh compare {{a}} {{b}}
 
 # A perf claim's evidence: alternating untraced parent/change pairs, each
-# tree built into its own target dir, then `compare` and the spread test
-# (e.g. `just bench-pairs HEAD~1 10`).
-bench-pairs rev pairs:
-    ./scripts/bench-pairs.sh {{rev}} {{pairs}}
+# tree built into its own target dir, then `compare` and the spread test;
+# a workload named last adds one traced run a side and their per-layer
+# ladders side by side (e.g. `just bench-pairs HEAD~1 10 cold_fetch`).
+bench-pairs rev pairs workload="":
+    ./scripts/bench-pairs.sh {{rev}} {{pairs}} {{workload}}
 
 # The observability invariants (monotone counters, span forests,
 # histogram algebra, EXPLAIN stability); the overhead budget is the

@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of the pinned benchmark: the evidence a
 # performance claim is judged on.
 #
-#   scripts/bench-pairs.sh <parent-rev> <pairs>      e.g. HEAD~1 10
+#   scripts/bench-pairs.sh <parent-rev> <pairs> [workload]   e.g. HEAD~1 10 cold_fetch
 #
 # Exports <parent-rev> into a tree outside the repository (`git archive`,
 # so the repository's own metadata is never touched) and builds each
@@ -14,19 +14,24 @@
 # change's inter-quartile range beside 25% of the parent's median (the
 # spread test: where the IQR is the wider, `compare` reads `unresolved`
 # and the metric cannot carry a claim), and how many pairs the change
-# won (a claim needs nine in ten). Exits with `compare`'s status.
+# won (a claim needs nine in ten). With a workload named, it then runs
+# that workload once traced on each side and prints every per-layer
+# metric side by side with the change/parent ratio: the ladder that
+# names the layer that moved. Exits with `compare`'s status, or a failed
+# traced run's.
 #
 # Each run takes the benchmark's own seed and run length. Environment:
 # BENCH_PAIRS_DIR (work directory, default a new temporary one; the
 # result files stay there).
 set -euo pipefail
 
-if [ "$#" -ne 2 ]; then
-  echo "usage: $0 <parent-rev> <pairs>" >&2
+if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
+  echo "usage: $0 <parent-rev> <pairs> [workload]" >&2
   exit 2
 fi
 rev="$1"
 pairs="$2"
+ladder="${3:-}"
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="${BENCH_PAIRS_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")}"
 case "$work" in
@@ -90,5 +95,25 @@ for m in p50_us p95_us qps cache_mb setup_s; do
     { won[$1] += (m == "qps") ? ($4 > $2) : ($4 < $2); n[$1]++; if (!($1 in seen)) { seen[$1]; order[++k] = $1 } }
     END { for (i = 1; i <= k; i++) printf "%-12s %-10s %d/%d\n", order[i], m, won[order[i]], n[order[i]] }'
 done
+
+# The per-layer ladder of one workload: one traced run a side, each
+# printing its metrics as the last line of its output, in the order
+# BENCHMARK.json lists them.
+if [ -n "$ladder" ]; then
+  for s in parent change; do
+    tree="$repo"
+    [ "$s" = parent ] && tree="$parent_tree"
+    echo "traced $ladder: $s" >&2
+    side "$s" "$tree" --workload "$ladder" --trace 1 > "$work/$s-traced.log" || status=$?
+    tail -n 1 "$work/$s-traced.log" | grep -o '"[a-z0-9_.]*":{"value":[^,}]*' \
+      | sed 's/^"\([^"]*\)":{"value":/\1 /' > "$work/$s.ladder"
+  done
+  echo
+  printf '%-32s %14s %14s %8s\n' "$ladder (traced)" parent change ratio
+  paste -d' ' "$work/parent.ladder" "$work/change.ladder" | awk '{
+    ratio = ($2 != 0) ? sprintf("%.3f", $4 / $2) : "-"
+    printf "%-32s %14.4f %14.4f %8s\n", $1, $2, $4, ratio
+  }'
+fi
 echo "results: $work" >&2
 exit "$status"
